@@ -112,12 +112,7 @@ def legendre(n: int, k: int, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < -1 - 1e-12) or np.any(t > 1 + 1e-12):
         raise ValueError("argument t must lie in [-1, 1]")
-    p_prev = np.ones_like(t)
-    if k == 0:
-        return float(p_prev) if p_prev.ndim == 0 else p_prev
-    p = t.copy()
-    for j in range(1, k):
-        p_prev, p = p, ((2 * j + n - 2) * t * p - j * p_prev) / (j + n - 2)
+    p = legendre_all(n, k, t.ravel())[k].reshape(t.shape)
     return float(p) if p.ndim == 0 else p
 
 

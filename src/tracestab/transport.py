@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import _kernels
 from .errors import InconsistencyError
 
 __all__ = [
@@ -167,6 +166,41 @@ def extremiser_G(n: int, t, x):
     return 1.0 / (1.0 + t ** 2 + x2)
 
 
+def _vel_avg_sampled(fs, x0, hx, v, t):
+    """rho f(t, x_i) = h_v sum_j f(x_i - t v_j, v_j), linear interp in x."""
+    nx, nv = fs.shape
+    hv = v[1] - v[0]
+    x = x0 + hx * np.arange(nx)
+    out = np.empty((t.size, nx))
+    jj = np.arange(nv)
+    for it, tv in enumerate(t):
+        u = (x[:, None] - tv * v[None, :] - x0) / hx
+        i0 = np.floor(u).astype(np.int64)
+        w = u - i0
+        inside = (i0 >= 0) & (i0 < nx - 1)
+        i0c = np.clip(i0, 0, nx - 2)
+        vals = (1.0 - w) * fs[i0c, jj] + w * fs[i0c + 1, jj]
+        out[it] = hv * np.sum(np.where(inside, vals, 0.0), axis=1)
+    return out
+
+
+def _xray_sampled(Gs, t, x0, hx, v):
+    """rho* G(x_i, v_j) = h_t sum_s G(t_s, x_i + v_j t_s), linear interp in x."""
+    nt, nx = Gs.shape
+    ht = t[1] - t[0]
+    x = x0 + hx * np.arange(nx)
+    out = np.zeros((nx, v.size))
+    for s in range(nt):
+        u = (x[:, None] + v[None, :] * t[s] - x0) / hx
+        i0 = np.floor(u).astype(np.int64)
+        w = u - i0
+        inside = (i0 >= 0) & (i0 < nx - 1)
+        i0c = np.clip(i0, 0, nx - 2)
+        vals = (1.0 - w) * Gs[s, i0c] + w * Gs[s, i0c + 1]
+        out += np.where(inside, vals, 0.0)
+    return ht * out
+
+
 def velocity_average(f: TransportFunction, grid: PhaseGrid,
                      tail_tol: float = 1e-3) -> TransportFunction:
     """rho f(t, x) = integral of f(x - t v, v) dv on the grid rule.
@@ -196,7 +230,7 @@ def velocity_average(f: TransportFunction, grid: PhaseGrid,
         for it, tv in enumerate(t):
             out[it] = grid.h * np.sum(f.func(x[:, None] - tv * v[None, :], v[None, :]), axis=1)
         return TransportFunction(grid, "spacetime", out)
-    out = _kernels.velocity_average_1d(f.samples, float(x[0]), grid.h, v, t)
+    out = _vel_avg_sampled(f.samples, float(x[0]), grid.h, v, t)
     return TransportFunction(grid, "spacetime", out)
 
 
@@ -226,7 +260,7 @@ def xray_adjoint(G: TransportFunction, grid: PhaseGrid,
         for j, vv in enumerate(v):
             out[:, j] = grid.h * np.sum(G.func(t[None, :], x[:, None] + vv * t[None, :]), axis=1)
         return TransportFunction(grid, "phase", out)
-    out = _kernels.xray_adjoint_1d(G.samples, t, float(x[0]), grid.h, v)
+    out = _xray_sampled(G.samples, t, float(x[0]), grid.h, v)
     return TransportFunction(grid, "phase", out)
 
 
@@ -263,6 +297,22 @@ def _extremiser_pair(grid: PhaseGrid):
     return f, G
 
 
+def _side(n: int, grid: PhaseGrid, side: str):
+    """(base, e_in, e_out, fwd, bwd) for one side of the grid inequality:
+    the sampled extremiser, the input and output exponents, the operator
+    and its adjoint.  'primal' is rho from (x, v) at p to (t, x) at q;
+    'dual' is rho* from (t, x) at q' to (x, v) at p'."""
+    p, q, _ = exponents(n)
+    f_star, G_star = _extremiser_pair(grid)
+    rho = lambda tf: velocity_average(tf, grid, tail_tol=1.0)
+    rho_star = lambda tf: xray_adjoint(tf, grid, tail_tol=1.0)
+    if side == "primal":
+        return f_star, p, q, rho, rho_star
+    if side == "dual":
+        return G_star, q / (q - 1.0), p / (p - 1.0), rho_star, rho
+    raise ValueError("side must be 'primal' or 'dual'")
+
+
 def ratio_estimate(n: int, grid: PhaseGrid, side: str = "primal") -> float:
     """Empirical sharp-constant estimate: the operator ratio of the
     extremiser on this grid under the sampled-kernel rule (the same rule
@@ -270,14 +320,8 @@ def ratio_estimate(n: int, grid: PhaseGrid, side: str = "primal") -> float:
     |rho f*|_q / |f*|_p; 'dual' measures |rho* G*|_{p'} / |G*|_{q'}."""
     if n != 1:
         raise ValueError("the certified ratio estimate is n = 1 only")
-    p, q, _ = exponents(n)
-    f, G = _extremiser_pair(grid)
-    if side == "primal":
-        return grid_norm(velocity_average(f, grid, tail_tol=1.0), q) / grid_norm(f, p)
-    if side == "dual":
-        pp, qp = p / (p - 1.0), q / (q - 1.0)
-        return grid_norm(xray_adjoint(G, grid, tail_tol=1.0), pp) / grid_norm(G, qp)
-    raise ValueError("side must be 'primal' or 'dual'")
+    base, e_in, e_out, fwd, _ = _side(n, grid, side)
+    return grid_norm(fwd(base), e_out) / grid_norm(base, e_in)
 
 
 def orthogonalize_direction(direction: np.ndarray, base: np.ndarray,
@@ -300,18 +344,7 @@ def ratio_gradient(n: int, grid: PhaseGrid, side: str = "primal") -> np.ndarray:
     quadratic order."""
     if n != 1:
         raise ValueError("the probe machinery is n = 1 only")
-    p, q, _ = exponents(n)
-    f_star, G_star = _extremiser_pair(grid)
-    if side == "primal":
-        base, e_in, e_out = f_star, p, q
-        fwd = lambda tf: velocity_average(tf, grid, tail_tol=1.0)
-        bwd = lambda tf: xray_adjoint(tf, grid, tail_tol=1.0)
-    elif side == "dual":
-        base, e_in, e_out = G_star, q / (q - 1.0), p / (p - 1.0)
-        fwd = lambda tf: xray_adjoint(tf, grid, tail_tol=1.0)
-        bwd = lambda tf: velocity_average(tf, grid, tail_tol=1.0)
-    else:
-        raise ValueError("side must be 'primal' or 'dual'")
+    base, e_in, e_out, fwd, bwd = _side(n, grid, side)
     Af = fwd(base)
     N = grid_norm(Af, e_out)
     D = grid_norm(base, e_in)
@@ -327,10 +360,7 @@ def make_probe_direction(raw: np.ndarray, n: int, grid: PhaseGrid,
     """Normalize a raw perturbation for the probe: remove the components
     along the extremiser ray and along the discrete ratio gradient, then
     scale to unit input norm."""
-    p, q, _ = exponents(n)
-    f_star, G_star = _extremiser_pair(grid)
-    base = f_star if side == "primal" else G_star
-    e_in = p if side == "primal" else q / (q - 1.0)
+    base, e_in, _, _, _ = _side(n, grid, side)
     d = orthogonalize_direction(np.asarray(raw, dtype=float), base.samples, e_in)
     g = ratio_gradient(n, grid, side)
     gg = float(np.sum(g * g))
@@ -357,20 +387,10 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     ray of the extremiser."""
     if n != 1:
         raise ValueError("the probe is certified at n = 1 only")
-    p, q, _ = exponents(n)
-    f_star, G_star = _extremiser_pair(grid)
-    if side == "primal":
-        base, apply_op = f_star, lambda tf: velocity_average(tf, grid, tail_tol=1.0)
-        e_in, e_out = p, q
-        if direction.kind != "phase":
-            raise ValueError("primal probe needs a phase-space direction")
-    elif side == "dual":
-        base, apply_op = G_star, lambda tf: xray_adjoint(tf, grid, tail_tol=1.0)
-        e_in, e_out = q / (q - 1.0), p / (p - 1.0)
-        if direction.kind != "spacetime":
-            raise ValueError("dual probe needs a space-time direction")
-    else:
-        raise ValueError("side must be 'primal' or 'dual'")
+    base, e_in, e_out, apply_op, _ = _side(n, grid, side)
+    if direction.kind != base.kind:
+        domain = "phase-space" if side == "primal" else "space-time"
+        raise ValueError(f"{side} probe needs a {domain} direction")
     if rhat is None:
         rhat = ratio_estimate(n, grid, side)
     cell = grid.h ** 2
