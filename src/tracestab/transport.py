@@ -8,8 +8,10 @@ n = 2 runs coarsely with relaxed tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -166,39 +168,126 @@ def extremiser_G(n: int, t, x):
     return 1.0 / (1.0 + t ** 2 + x2)
 
 
+class _ShiftTable(NamedTuple):
+    """Where each output line of a sampled kernel reads its source lines.
+
+    Pairs starts[o]:starts[o+1] feed output line o: pair p adds
+    (1 - w[p]) lo_cells + w[p] hi_cells of the window at start[p] (see
+    `_windows`), a source line shifted by whole rows.  `odd` lists, as
+    (out, start, w, lo, hi), the pairs whose counted rows are not the
+    shifted cells; they read the plain line and drop rows outside [lo, hi)."""
+
+    starts: np.ndarray
+    start: np.ndarray
+    w: np.ndarray
+    odd: tuple
+
+
+@functools.lru_cache(maxsize=8)
+def _shift_table(x0: float, hx: float, nx: int, t_key: bytes, v_key: bytes,
+                 out_is_t: bool) -> _ShiftTable:
+    """Shift table for the x axis x0 + hx * arange(nx) and the t and v
+    values whose float64 bytes are given (arrays do not hash); output lines
+    run over t when out_is_t, else over v, and source lines over the other.
+
+    Pair (t_s, v_j) interpolates row i at u_i = (x_i + t_s v_j - x0) / hx.
+    The per-element rule counts row i when 0 <= floor(u_i) <= nx - 2, and
+    reads cell floor(u_i).  On a uniform axis u_i - i is one shift up to
+    rounding, and u_i increases with i, so the counted rows form one range
+    [lo, hi).  Its ends are found exactly by evaluating u_i, in the same
+    float operations as the rule, on the two rows next to each end.  The
+    pair reads cell i + k at weight w, the point u_lo - lo + i; k is chosen
+    so that the cells 0 .. nx - 2 land on [lo, hi), which works whenever
+    the range meets an end of the grid.  Rounding can move floor(u_i) - i
+    by one inside the range, which changes the value only by rounding."""
+    t, v = np.frombuffer(t_key), np.frombuffer(v_key)
+    x = x0 + hx * np.arange(nx)
+    c = t[:, None] * v[None, :]
+    shift = c / hx
+    if not out_is_t:
+        c, shift = c.T, shift.T
+
+    def u(rows):
+        return (x[np.clip(rows, 0, nx - 1)] + c - x0) / hx
+
+    def rows_below(level):
+        # rows before b lie below level and rows after b + 1 above it, by a
+        # margin of one row; rows b and b + 1 take the exact test
+        b = np.floor(level - shift).astype(np.int64)
+        count = np.clip(b, 0, nx)
+        for r in (b, b + 1):
+            count += (r >= 0) & (r < nx) & (u(r) < level)
+        return count
+
+    lo, hi = rows_below(0.0), rows_below(nx - 1.0)
+    u_lo = u(lo)
+    k_lo = np.floor(u_lo).astype(np.int64) - lo
+    k = np.where(lo > 0, -lo, np.where(hi < nx, nx - 1 - hi, k_lo))
+    counted = hi > lo
+    shifted = (np.maximum(-k, 0) == lo) & (np.minimum(nx - 1 - k, nx) == hi)
+    out, src = np.nonzero(counted & shifted)
+    odd = np.nonzero(counted & ~shifted)
+    return _ShiftTable(
+        starts=np.searchsorted(out, np.arange(c.shape[0] + 1)),
+        start=(2 * src + 1) * nx + k[out, src],
+        w=(u_lo - lo - k)[out, src],
+        odd=(odd[0], (2 * odd[1] + 1) * nx + k_lo[odd], (u_lo - lo - k_lo)[odd],
+             lo[odd], hi[odd]))
+
+
+def _windows(lines: np.ndarray) -> np.ndarray:
+    """Windows of nx values over the lines laid end to end, each after nx
+    zeros: window (2 r + 1) nx + k is line r shifted by k rows and
+    zero-filled, for |k| <= nx."""
+    n, nx = lines.shape
+    block = np.zeros((n + 1, 2, nx))
+    block[:-1, 1] = lines
+    return np.lib.stride_tricks.sliding_window_view(block.ravel(), nx)
+
+
+def _shifted_sum(src: np.ndarray, table: _ShiftTable) -> np.ndarray:
+    """acc[o] = sum over the table's pairs into output line o of their
+    shifted, weighted source lines (rows along axis 1 of src).  A cell
+    c = 0 .. nx - 2 interpolates between its lower node src[c] and its
+    upper node src[c + 1]; cells outside read zero, so rows the rule does
+    not count add nothing."""
+    lo_cells = src.copy()
+    lo_cells[:, -1] = 0.0
+    hi_cells = np.zeros_like(src)
+    hi_cells[:, :-1] = src[:, 1:]
+    win_lo, win_hi = _windows(lo_cells), _windows(hi_cells)
+    acc = np.zeros((table.starts.size - 1, src.shape[1]))
+    for o in range(acc.shape[0]):
+        sl = slice(table.starts[o], table.starts[o + 1])
+        if sl.start < sl.stop:
+            w, start = table.w[sl], table.start[sl]
+            acc[o] = (1.0 - w) @ win_lo[start] + w @ win_hi[start]
+    out, start, w, lo, hi = table.odd
+    if out.size:
+        win = _windows(src)
+        vals = (1.0 - w)[:, None] * win[start] + w[:, None] * win[start + 1]
+        rows = np.arange(src.shape[1])
+        vals[(rows < lo[:, None]) | (rows >= hi[:, None])] = 0.0
+        np.add.at(acc, out, vals)
+    return acc
+
+
+def _axis_key(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
 def _vel_avg_sampled(fs, x0, hx, v, t):
     """rho f(t, x_i) = h_v sum_j f(x_i - t v_j, v_j), linear interp in x."""
-    nx, nv = fs.shape
-    hv = v[1] - v[0]
-    x = x0 + hx * np.arange(nx)
-    out = np.empty((t.size, nx))
-    jj = np.arange(nv)
-    for it, tv in enumerate(t):
-        u = (x[:, None] - tv * v[None, :] - x0) / hx
-        i0 = np.floor(u).astype(np.int64)
-        w = u - i0
-        inside = (i0 >= 0) & (i0 < nx - 1)
-        i0c = np.clip(i0, 0, nx - 2)
-        vals = (1.0 - w) * fs[i0c, jj] + w * fs[i0c + 1, jj]
-        out[it] = hv * np.sum(np.where(inside, vals, 0.0), axis=1)
-    return out
+    # x_i - t v_j is x_i + (-t) v_j to the last bit, so the table takes -t
+    table = _shift_table(x0, hx, fs.shape[0], _axis_key(-np.asarray(t, dtype=float)),
+                         _axis_key(v), True)
+    return (v[1] - v[0]) * _shifted_sum(fs.T, table)
 
 
 def _xray_sampled(Gs, t, x0, hx, v):
     """rho* G(x_i, v_j) = h_t sum_s G(t_s, x_i + v_j t_s), linear interp in x."""
-    nt, nx = Gs.shape
-    ht = t[1] - t[0]
-    x = x0 + hx * np.arange(nx)
-    out = np.zeros((nx, v.size))
-    for s in range(nt):
-        u = (x[:, None] + v[None, :] * t[s] - x0) / hx
-        i0 = np.floor(u).astype(np.int64)
-        w = u - i0
-        inside = (i0 >= 0) & (i0 < nx - 1)
-        i0c = np.clip(i0, 0, nx - 2)
-        vals = (1.0 - w) * Gs[s, i0c] + w * Gs[s, i0c + 1]
-        out += np.where(inside, vals, 0.0)
-    return ht * out
+    table = _shift_table(x0, hx, Gs.shape[1], _axis_key(t), _axis_key(v), False)
+    return (t[1] - t[0]) * np.ascontiguousarray(_shifted_sum(Gs, table).T)
 
 
 def velocity_average(f: TransportFunction, grid: PhaseGrid,
@@ -297,31 +386,74 @@ def _extremiser_pair(grid: PhaseGrid):
     return f, G
 
 
-def _side(n: int, grid: PhaseGrid, side: str):
-    """(base, e_in, e_out, fwd, bwd) for one side of the grid inequality:
-    the sampled extremiser, the input and output exponents, the operator
-    and its adjoint.  'primal' is rho from (x, v) at p to (t, x) at q;
-    'dual' is rho* from (t, x) at q' to (x, v) at p'."""
-    p, q, _ = exponents(n)
-    f_star, G_star = _extremiser_pair(grid)
-    rho = lambda tf: velocity_average(tf, grid, tail_tol=1.0)
-    rho_star = lambda tf: xray_adjoint(tf, grid, tail_tol=1.0)
-    if side == "primal":
-        return f_star, p, q, rho, rho_star
-    if side == "dual":
-        return G_star, q / (q - 1.0), p / (p - 1.0), rho_star, rho
-    raise ValueError("side must be 'primal' or 'dual'")
+class _Side:
+    """One side of the grid inequality on one grid: the sampled extremiser
+    `base`, the input and output exponents, the operator `fwd` and its
+    adjoint `bwd`.  'primal' is rho from (x, v) at p to (t, x) at q; 'dual'
+    is rho* from (t, x) at q' to (x, v) at p'.  The operator ratio and the
+    ratio gradient at the extremiser are computed on first use; arrays are
+    read-only, since `_side` hands one instance to every caller."""
+
+    def __init__(self, n: int, grid: PhaseGrid, side: str):
+        p, q, _ = exponents(n)
+        if side == "primal":
+            self.e_in, self.e_out = p, q
+            self.fwd, self.bwd = self._rho, self._rho_star
+        elif side == "dual":
+            self.e_in, self.e_out = q / (q - 1.0), p / (p - 1.0)
+            self.fwd, self.bwd = self._rho_star, self._rho
+        else:
+            raise ValueError("side must be 'primal' or 'dual'")
+        self.grid = grid
+        f_star, G_star = _extremiser_pair(grid)
+        self.base = f_star if side == "primal" else G_star
+        self.base.samples.flags.writeable = False
+
+    # module-level names, looked up per call, so that wrappers see every apply
+    def _rho(self, tf):
+        return velocity_average(tf, self.grid, tail_tol=1.0)
+
+    def _rho_star(self, tf):
+        return xray_adjoint(tf, self.grid, tail_tol=1.0)
+
+    @functools.cached_property
+    def image(self) -> TransportFunction:
+        out = self.fwd(self.base)
+        out.samples.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def ratio(self) -> float:
+        return grid_norm(self.image, self.e_out) / grid_norm(self.base, self.e_in)
+
+    @functools.cached_property
+    def gradient(self) -> np.ndarray:
+        base, e_in, e_out, Af = self.base, self.e_in, self.e_out, self.image
+        N = grid_norm(Af, e_out)
+        D = grid_norm(base, e_in)
+        u = np.abs(Af.samples) ** (e_out - 2.0) * Af.samples
+        back = self.bwd(TransportFunction(self.grid, Af.kind, u)).samples
+        grad_N = back * N ** (1.0 - e_out)
+        grad_D = np.abs(base.samples) ** (e_in - 2.0) * base.samples * D ** (1.0 - e_in)
+        g = grad_N - (N / D) * grad_D
+        g.flags.writeable = False
+        return g
+
+
+@functools.lru_cache(maxsize=4)
+def _side(n: int, grid: PhaseGrid, side: str) -> _Side:
+    return _Side(n, grid, side)
 
 
 def ratio_estimate(n: int, grid: PhaseGrid, side: str = "primal") -> float:
     """Empirical sharp-constant estimate: the operator ratio of the
     extremiser on this grid under the sampled-kernel rule (the same rule
     the probe and random sweeps use).  'primal' measures
-    |rho f*|_q / |f*|_p; 'dual' measures |rho* G*|_{p'} / |G*|_{q'}."""
+    |rho f*|_q / |f*|_p; 'dual' measures |rho* G*|_{p'} / |G*|_{q'}.
+    Computed once per (n, grid, side)."""
     if n != 1:
         raise ValueError("the certified ratio estimate is n = 1 only")
-    base, e_in, e_out, fwd, _ = _side(n, grid, side)
-    return grid_norm(fwd(base), e_out) / grid_norm(base, e_in)
+    return _side(n, grid, side).ratio
 
 
 def orthogonalize_direction(direction: np.ndarray, base: np.ndarray,
@@ -341,18 +473,11 @@ def ratio_gradient(n: int, grid: PhaseGrid, side: str = "primal") -> np.ndarray:
     extremiser (A the discrete operator of the chosen side), up to a
     positive scalar.  Nonzero only through discretization; probe
     directions are projected against it so their deficit starts at
-    quadratic order."""
+    quadratic order.  Computed once per (n, grid, side) and returned
+    read-only."""
     if n != 1:
         raise ValueError("the probe machinery is n = 1 only")
-    base, e_in, e_out, fwd, bwd = _side(n, grid, side)
-    Af = fwd(base)
-    N = grid_norm(Af, e_out)
-    D = grid_norm(base, e_in)
-    u = np.abs(Af.samples) ** (e_out - 2.0) * Af.samples
-    back = bwd(TransportFunction(grid, Af.kind, u)).samples
-    grad_N = back * N ** (1.0 - e_out)
-    grad_D = np.abs(base.samples) ** (e_in - 2.0) * base.samples * D ** (1.0 - e_in)
-    return grad_N - (N / D) * grad_D
+    return _side(n, grid, side).gradient
 
 
 def make_probe_direction(raw: np.ndarray, n: int, grid: PhaseGrid,
@@ -360,7 +485,8 @@ def make_probe_direction(raw: np.ndarray, n: int, grid: PhaseGrid,
     """Normalize a raw perturbation for the probe: remove the components
     along the extremiser ray and along the discrete ratio gradient, then
     scale to unit input norm."""
-    base, e_in, _, _, _ = _side(n, grid, side)
+    sd = _side(n, grid, side)
+    base, e_in = sd.base, sd.e_in
     d = orthogonalize_direction(np.asarray(raw, dtype=float), base.samples, e_in)
     g = ratio_gradient(n, grid, side)
     gg = float(np.sum(g * g))
@@ -387,7 +513,8 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     ray of the extremiser."""
     if n != 1:
         raise ValueError("the probe is certified at n = 1 only")
-    base, e_in, e_out, apply_op, _ = _side(n, grid, side)
+    sd = _side(n, grid, side)
+    base, e_in, e_out, apply_op = sd.base, sd.e_in, sd.e_out, sd.fwd
     if direction.kind != base.kind:
         domain = "phase-space" if side == "primal" else "space-time"
         raise ValueError(f"{side} probe needs a {domain} direction")

@@ -23,6 +23,7 @@ from tracestab.transport import (
     probe_to_csv,
     random_phase_function,
     ratio_estimate,
+    ratio_gradient,
     velocity_average,
     xray_adjoint,
 )
@@ -196,6 +197,114 @@ class TestKernelRoutes:
             fs, float(GRID.x[0]), GRID.h, GRID.v, np.array([0.0])
         )
         assert np.allclose(out[0], GRID.h * fs.sum(axis=1), atol=1e-12)
+
+
+def _vel_avg_reference(fs, x0, hx, v, t):
+    """Per-element velocity-average rule: each (t, x_i, v_j) interpolates on
+    its own, and counts only when floor(u) lies in [0, nx - 2]."""
+    nx, nv = fs.shape
+    hv = v[1] - v[0]
+    x = x0 + hx * np.arange(nx)
+    out = np.empty((t.size, nx))
+    jj = np.arange(nv)
+    for it, tv in enumerate(t):
+        u = (x[:, None] - tv * v[None, :] - x0) / hx
+        i0 = np.floor(u).astype(np.int64)
+        w = u - i0
+        inside = (i0 >= 0) & (i0 < nx - 1)
+        i0c = np.clip(i0, 0, nx - 2)
+        vals = (1.0 - w) * fs[i0c, jj] + w * fs[i0c + 1, jj]
+        out[it] = hv * np.sum(np.where(inside, vals, 0.0), axis=1)
+    return out
+
+
+def _xray_reference(Gs, t, x0, hx, v):
+    """Per-element x-ray rule, with the same interpolation and counting."""
+    nt, nx = Gs.shape
+    ht = t[1] - t[0]
+    x = x0 + hx * np.arange(nx)
+    out = np.zeros((nx, v.size))
+    for s in range(nt):
+        u = (x[:, None] + v[None, :] * t[s] - x0) / hx
+        i0 = np.floor(u).astype(np.int64)
+        w = u - i0
+        inside = (i0 >= 0) & (i0 < nx - 1)
+        i0c = np.clip(i0, 0, nx - 2)
+        vals = (1.0 - w) * Gs[s, i0c] + w * Gs[s, i0c + 1]
+        out += np.where(inside, vals, 0.0)
+    return ht * out
+
+
+def _rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestShiftKernels:
+    # The kernels read one shift per (t, v) pair from a table; the
+    # per-element rule is the reference.  192 points give h = 5/12, where
+    # rounding moves floor(u) - i along x for some pairs, so the counted
+    # range at x = +-L must come out exact, not from the nominal shift.
+    @pytest.mark.parametrize("points, t_extent", [(192, None), (256, None), (512, 2.0)])
+    def test_matches_per_element_rule(self, points, t_extent, rng):
+        g = PhaseGrid.build(1, 40.0, points, t_extent)
+        x0 = float(g.x[0])
+        X, V = np.meshgrid(g.x, g.v, indexing="ij")
+        T, Xt = np.meshgrid(g.t, g.x, indexing="ij")
+        inputs = [(rng.normal(size=X.shape), rng.normal(size=T.shape)),
+                  (extremiser_f(1, X, V), extremiser_G(1, T, Xt))]
+        for fs, Gs in inputs:
+            rho = velocity_average(TransportFunction(g, "phase", fs), g, tail_tol=1.0)
+            back = xray_adjoint(TransportFunction(g, "spacetime", Gs), g, tail_tol=1.0)
+            assert _rel_gap(rho.samples, _vel_avg_reference(fs, x0, g.h, g.v, g.t)) <= 1e-12
+            assert _rel_gap(back.samples, _xray_reference(Gs, g.t, x0, g.h, g.v)) <= 1e-12
+
+    def test_rounded_range_far_from_origin(self, rng):
+        # x0 = -300 with step 5/12: x0 + h i rounds, so at zero shift the
+        # rule counts all 24 rows, which no whole-row shift of the cells
+        # reproduces; such pairs take the kernels' masked route
+        x0, hx, nx = -300.0, 5.0 / 12.0, 24
+        v = hx * np.arange(-nx, nx + 1)
+        t = hx * np.arange(-3, 4)
+        x = x0 + hx * np.arange(nx)
+        assert np.all(np.floor((x - x0) / hx) <= nx - 2)
+        fs = rng.normal(size=(nx, v.size))
+        Gs = rng.normal(size=(t.size, nx))
+        assert _rel_gap(transport._vel_avg_sampled(fs, x0, hx, v, t),
+                        _vel_avg_reference(fs, x0, hx, v, t)) <= 1e-12
+        assert _rel_gap(transport._xray_sampled(Gs, t, x0, hx, v),
+                        _xray_reference(Gs, t, x0, hx, v)) <= 1e-12
+
+
+class TestSideCache:
+    def test_probe_state_computed_once_per_grid_and_side(self, monkeypatch):
+        applies = []
+        for name in ("velocity_average", "xray_adjoint"):
+            op = getattr(transport, name)
+
+            def counted(*args, _op=op, **kwargs):
+                applies.append(_op)
+                return _op(*args, **kwargs)
+
+            monkeypatch.setattr(transport, name, counted)
+        # grids no other test uses, so the cache starts cold for them
+        grids = [PhaseGrid.build(1, 40.0, 160), PhaseGrid.build(1, 40.0, 160, t_extent=2.0)]
+        cases = [(grids[0], "primal"), (grids[0], "dual"), (grids[1], "primal")]
+        for expected in (2, 0):
+            for g, side in cases:
+                axis0 = g.x if side == "primal" else g.t
+                raw = np.exp(-0.5 * ((axis0[:, None] - 1.0) ** 2 + (g.x[None, :] + 2.0) ** 2))
+                applies.clear()
+                make_probe_direction(raw, 1, g, side)
+                assert len(applies) == expected, (g, side)
+                if expected:
+                    # the operator on the extremiser, then its adjoint
+                    fwd = velocity_average if side == "primal" else xray_adjoint
+                    assert applies[0] is fwd and applies[1] is not fwd
+
+    def test_gradient_is_read_only(self):
+        g = ratio_gradient(1, GRID, "primal")
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
 
 
 class TestNorms:
