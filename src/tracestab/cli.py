@@ -157,6 +157,13 @@ def validate_args(args) -> list[str]:
 # commands
 
 
+def _lambda_twin_check(checks: list[Check], w, spectrum, kq: int, tol: float) -> None:
+    quadv, _ = spec_mod.lambda_quadrature(w, kq, tol)
+    rel = abs(quadv - spectrum.values[kq]) / spectrum.values[kq]
+    _check(checks, "eigenvalue-quadrature-twin", rel < 1e-6, rel, 1e-6,
+           f"lambda_{kq} twin-route agreement")
+
+
 def cmd_spectrum(args) -> int:
     w = _weight(args)
     spectrum = spec_mod.build_spectrum(w, args.K, args.tol)
@@ -172,11 +179,7 @@ def cmd_spectrum(args) -> int:
         rel = abs(closed - quadv) / closed
         _check(checks, "eigenvalue-quadrature-twin", rel < 1e-6, rel, 1e-6,
                f"power-weight identity at tau={args.tau}")
-    kq = min(3, args.K)
-    quadv, _ = spec_mod.lambda_quadrature(w, kq, args.tol)
-    rel = abs(quadv - spectrum.values[kq]) / spectrum.values[kq]
-    _check(checks, "eigenvalue-quadrature-twin", rel < 1e-6, rel, 1e-6,
-           f"lambda_{kq} twin-route agreement")
+    _lambda_twin_check(checks, w, spectrum, min(3, args.K), args.tol)
     _report(checks, args, "spectrum_report")
     return 0 if all(c.passed for c in checks) else 1
 
@@ -191,11 +194,7 @@ def cmd_constants(args) -> int:
            "C(w)^2 = lambda_0")
     _check(checks, "stability-eigenvalue-gap", 0.0 < c_prime < c_sq, c_prime, 0.0,
            f"C'(w) = lambda_0 - lambda_star, attaining set {list(spectrum.K_set)}")
-    kq = min(2, args.K)
-    quadv, _ = spec_mod.lambda_quadrature(w, kq, args.tol)
-    rel = abs(quadv - spectrum.values[kq]) / spectrum.values[kq]
-    _check(checks, "eigenvalue-quadrature-twin", rel < 1e-6, rel, 1e-6,
-           f"lambda_{kq} twin-route agreement")
+    _lambda_twin_check(checks, w, spectrum, min(2, args.K), args.tol)
     d = _out_dir(args)
     doc = {
         "n": args.n,
@@ -232,12 +231,11 @@ def cmd_verify_trace(args) -> int:
            args.trials, f"{ok_rev}/{args.trials} random profile sets")
     eq = harmonic.equality_case_builder(w, spectrum, 1.0, {1: 0.7}, grid)
     rep = harmonic.deficit_report(eq, w, spectrum)
-    c_prime_grid = harmonic.GridSpectrum(w, grid).lam(0) - harmonic.GridSpectrum(
-        w, grid).lam(min(spectrum.K_set))
+    gs = harmonic.GridSpectrum(w, grid)
+    c_prime_grid = gs.lam(0) - gs.lam(min(spectrum.K_set))
     dev = abs(rep.ratio - c_prime_grid) / max(c_prime_grid, 1e-300)
     _check(checks, "equality-cases", dev < 1e-8, dev, 1e-8,
            "deficit/distance ratio at the equality case")
-    gs = harmonic.GridSpectrum(w, grid)
     ks = [1, 2, 3]
     ratios = harmonic.extremising_sequence(w, spectrum, ks, grid)
     worst = max(

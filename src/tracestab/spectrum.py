@@ -110,10 +110,8 @@ class WeightSpec:
 
     @staticmethod
     def custom(n, r_table, w_table, tail_exponent, F_w=None) -> "WeightSpec":
-        return WeightSpec(
-            kind="custom", n=n, r_table=np.asarray(r_table, float),
-            w_table=np.asarray(w_table, float), tail_exponent=tail_exponent, F_w=F_w,
-        )
+        return WeightSpec(kind="custom", n=n, r_table=r_table, w_table=w_table,
+                          tail_exponent=tail_exponent, F_w=F_w)
 
     # evaluation -------------------------------------------------------
     def w(self, r):
@@ -160,19 +158,12 @@ class WeightSpec:
 
 
 def lambda_homogeneous_closed(n: int, s: float, k: int) -> float:
-    """Gamma-ratio formula for lambda_k with weight r^{-2s}."""
+    """Gamma-ratio lambda_k for the weight r^{-2s}: watson_integral at tau = 2s."""
     if not 0.5 < s < n / 2.0:
         raise ValueError(f"requires s in (1/2, n/2); got s={s}, n={n}")
     if k < 0:
         raise ValueError("k must be >= 0")
-    lg = (
-        (1.0 - 2.0 * s) * math.log(2.0)
-        + math.lgamma(2.0 * s - 1.0)
-        + math.lgamma(k + (n - 2.0 * s) / 2.0)
-        - 2.0 * math.lgamma(s)
-        - math.lgamma(k - 1.0 + (n + 2.0 * s) / 2.0)
-    )
-    return math.exp(lg)
+    return watson_integral(n, k, 2.0 * s)
 
 
 def lambda_inhomogeneous_s1(n: int, k: int) -> float:
@@ -192,7 +183,7 @@ def watson_integral(n: int, k: int, tau: float) -> float:
             f"integral diverges: k + (n-tau)/2 = {k + (n - tau) / 2.0} <= 0"
         )
     # denominator order k - 1 + (n+tau)/2 = nu + tau/2 per Weber-Schafheitlin;
-    # consistent with the Gamma-ratio lambda formula at tau = 2s
+    # at tau = 2s this is lambda_k for the weight r^{-2s}
     lg = (
         (1.0 - tau) * math.log(2.0)
         + math.lgamma(tau - 1.0)
@@ -207,11 +198,9 @@ def watson_integral(n: int, k: int, tau: float) -> float:
 # oscillatory quadrature
 
 
-def _gauss_panels(a: float, b: float, max_len: float, nodes: int = 16):
-    """Gauss-Legendre nodes/weights on [a, b] split into panels of length
-    at most max_len; returned flat for one vectorised integrand call."""
-    npan = max(1, int(math.ceil((b - a) / max_len)))
-    edges = np.linspace(a, b, npan + 1)
+def _gauss_panels(edges: np.ndarray, nodes: int = 16):
+    """Gauss-Legendre nodes/weights on the panels between consecutive edges,
+    returned flat for one vectorised integrand call."""
     x, wgt = np.polynomial.legendre.leggauss(nodes)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -241,7 +230,7 @@ def _head_integral(nu: float, wfun, beta0: float, r_cut: float) -> float:
     # (0, c]  -- integrand = h(r) r^{beta0}, h analytic
     if beta0 > 25.0:
         # deep power-law vanishing near the origin; plain panels suffice
-        r, wq = _gauss_panels(0.0, c, 0.25, nodes=20)
+        r, wq = _gauss_panels(np.linspace(0.0, c, math.ceil(c / 0.25) + 1), nodes=20)
         total += float(np.sum(wq * sp.jv(nu, r) ** 2 * r * wfun(r)))
     else:
         xj, wj = sp.roots_jacobi(40, 0.0, beta0)
@@ -252,24 +241,46 @@ def _head_integral(nu: float, wfun, beta0: float, r_cut: float) -> float:
         total += float(jac_weight * np.sum(wj * h))
     # (c, r_cut] -- oscillatory but smooth; half-period panels
     if r_cut > c:
-        r, wq = _gauss_panels(c, r_cut, 0.5 * math.pi, nodes=16)
+        r, wq = _gauss_panels(np.linspace(c, r_cut, math.ceil((r_cut - c) / (0.5 * math.pi)) + 1))
         total += float(np.sum(wq * sp.jv(nu, r) ** 2 * r * wfun(r)))
     return total
 
 
-def _tail_integral(nu: float, weight, r_cut: float,
+def _envelope_integral(nu: float, weight, r_cut: float) -> tuple[float, float]:
+    """int_{r_cut}^infty r w(r) / (pi sqrt(r^2 - nu^2)) dr and its error.
+
+    One quad meets round-off at the knots of a custom table (a weight with
+    `r_table`).  So past its last knot R the power law c r^{-a} takes the closed
+    form int_R^infty w dr 2F1(1/2, (a-1)/2; (a+1)/2; nu^2/R^2) / pi, and below R
+    Gauss rules (12 points; 6 for the error) take panels between knots, at
+    most a quarter radius long."""
+
+    def model(r):
+        return r * weight.w(r) / np.sqrt(r * r - nu * nu) / math.pi
+
+    knots = getattr(weight, "r_table", None)
+    if knots is None:
+        return quad(lambda r: float(model(r)), r_cut, np.inf, limit=400,
+                    epsabs=1e-13, epsrel=1e-11)
+    R, a = max(r_cut, float(knots[-1])), weight.tail_exponent
+    power = weight.tail_integral(R) * sp.hyp2f1(0.5, (a - 1.0) / 2.0, (a + 1.0) / 2.0,
+                                                (nu / R) ** 2) / math.pi
+    ratio_125 = np.geomspace(r_cut, R, 1 + math.ceil(math.log(R / r_cut) / math.log(1.25)))
+    edges = np.union1d(ratio_125, knots[(knots > r_cut) & (knots < R)])
+    fine, coarse = (float(np.sum(wq * model(r))) for r, wq in
+                    (_gauss_panels(edges, m) for m in (12, 6)))
+    return float(power) + fine, abs(fine - coarse)
+
+
+def _tail_integral(nu: float, weight, r_cut: float, envelope: tuple[float, float],
                    n_half_periods: int = 160) -> tuple[float, float]:
     """int_{r_cut}^infty J_nu^2 r w dr.
 
     The oscillation-averaged envelope J_nu(r)^2 ~ 1/(pi sqrt(r^2-nu^2))
-    gives a smooth model integrated once and for all; the oscillating
+    gives a smooth model, integrated by _envelope_integral; the oscillating
     remainder is summed over half-period panels with alternating-series
     acceleration.  Requires r_cut comfortably above nu."""
-
-    def model(r):
-        return r * float(weight.w(r)) / math.sqrt(r * r - nu * nu) / math.pi
-
-    avg, avg_err = quad(model, r_cut, np.inf, limit=400, epsabs=1e-13, epsrel=1e-11)
+    avg, avg_err = envelope
     h = 0.5 * math.pi
     edges = r_cut + h * np.arange(n_half_periods + 1)
     x, wgt = np.polynomial.legendre.leggauss(12)
@@ -289,8 +300,9 @@ def _tail_integral(nu: float, weight, r_cut: float,
 def lambda_quadrature(weight: WeightSpec, k: int, tol: float = 1e-8) -> tuple[float, float]:
     """lambda_k(w) by direct quadrature; returns (value, error bound).
 
-    Raises ConvergenceError if the tail machinery cannot reach tol.
-    """
+    Uses only the weight's `n`, vectorised `w(r)`, `tail_integral(R)` and
+    `small_r_exponent()`.  Raises ConvergenceError if the tail machinery
+    cannot reach tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if k < 0:
@@ -301,8 +313,9 @@ def lambda_quadrature(weight: WeightSpec, k: int, tol: float = 1e-8) -> tuple[fl
         raise ValueError("weight is too singular at the origin; integral diverges")
     r_cut = max(24.0, 2.5 * nu + 12.0)
     head = _head_integral(nu, weight.w, beta0, r_cut)
+    envelope = _envelope_integral(nu, weight, r_cut)
     for n_half in (160, 480, 1440, 4320):
-        tail, err = _tail_integral(nu, weight, r_cut, n_half)
+        tail, err = _tail_integral(nu, weight, r_cut, envelope, n_half)
         if err <= tol:
             return head + tail, err
     raise ConvergenceError(
@@ -332,18 +345,7 @@ def watson_quadrature(n: int, k: int, tau: float, tol: float = 1e-8) -> tuple[fl
     """Quadrature twin of watson_integral (weight r^{-tau})."""
     if tau <= 1.0:
         raise ValueError(f"requires tau > 1, got {tau}")
-    nu = k + (n - 2.0) / 2.0
-    if 2.0 * nu + 1.0 - tau <= -1.0:
-        raise ValueError("integral diverges at the origin")
-    pw = _PowerWeight(n, tau)
-    beta0 = 2.0 * nu + 1.0 - tau
-    r_cut = max(24.0, 2.0 * nu + 12.0)
-    head = _head_integral(nu, pw.w, beta0, r_cut)
-    for n_half in (160, 480, 1440):
-        tail, err = _tail_integral(nu, pw, r_cut, n_half)
-        if err <= tol:
-            return head + tail, err
-    raise ConvergenceError(f"tail error bound {err:.3e} exceeds tol {tol:.3e}")
+    return lambda_quadrature(_PowerWeight(n, tau), k, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +506,7 @@ def build_spectrum(weight: WeightSpec, K: int, tol: float = 1e-8) -> LambdaSpect
         cert = TruncationCertificate(K, tail, "monotone-closed-form")
     else:
         vals = np.array([lambda_quadrature(weight, k, tol)[0] for k in range(K + 1)])
-        s_eff = weight.s if weight.kind == "inhomogeneous" else (
-            (weight.tail_exponent or 2.0) / 2.0
-        )
+        s_eff = weight.s if weight.kind == "inhomogeneous" else weight.tail_exponent / 2.0
         tail, detail = _holder_tail_bound(weight, K + 1, s_eff)
         cert = TruncationCertificate(K, tail, "landau-hoelder", detail)
     lam_star = float(np.max(vals[1:]))

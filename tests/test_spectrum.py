@@ -4,13 +4,15 @@ representation, and spectrum assembly with truncation certificates."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import iv, kv
 
-from tracestab.errors import InconclusiveError
+from tracestab import spectrum as spec_mod
+from tracestab.errors import ConvergenceError, InconclusiveError
 from tracestab.spectrum import (
     WeightSpec,
     build_spectrum,
@@ -124,6 +126,80 @@ class TestWatson:
             val, _ = watson_quadrature(n, k, tau, 1e-8)
             assert val == pytest.approx(watson_integral(n, k, tau), rel=1e-6)
 
+    def test_quadrature_is_lambda_quadrature(self):
+        # r^{-tau} is the homogeneous weight at s = tau/2 wherever that is a
+        # valid WeightSpec, so both routes make the same floating-point steps
+        for n in (2, 3, 4, 5):
+            for tau in (1.25, 1.5, 2.0, 2.5, 3.0):
+                if not 0.5 < tau / 2.0 < n / 2.0:
+                    continue
+                w = WeightSpec.homogeneous(n, tau / 2.0)
+                for k in (0, 1, 5, 10, 20):
+                    assert watson_quadrature(n, k, tau) == lambda_quadrature(w, k)
+
+
+def _counting(monkeypatch, name):
+    """Replace spectrum.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(spec_mod, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(spec_mod, name, wrapper)
+    return calls
+
+
+# 60 log-spaced radii on [1e-2, 400], the benchmark's table of (1+r^2)^{-2}
+TABLE_R = np.logspace(-2.0, math.log10(400.0), 60)
+
+
+def _table_weight(r_table):
+    return WeightSpec.custom(3, r_table, (1.0 + r_table ** 2) ** -2.0, tail_exponent=4.0)
+
+
+class TestLambdaQuadrature:
+    def test_envelope_integrated_once_per_lambda(self, monkeypatch):
+        # s = 0.6 decays slowly: the tail climbs 160 -> 480 -> 1440 half-periods
+        quads = _counting(monkeypatch, "quad")
+        tails = _counting(monkeypatch, "_tail_integral")
+        lambda_quadrature(WeightSpec.inhomogeneous(2, 0.6), 0)
+        assert [t[-1] for t in tails] == [160, 480, 1440]
+        assert len(quads) == 1
+
+    def test_convergence_error_after_every_level(self, monkeypatch):
+        tails = _counting(monkeypatch, "_tail_integral")
+        with pytest.raises(ConvergenceError, match="exceeds tol 1.000e-15 for k=3"):
+            lambda_quadrature(WeightSpec.inhomogeneous(3, 1.0), 3, 1e-15)
+        assert [t[-1] for t in tails] == [160, 480, 1440, 4320]
+
+    @pytest.mark.parametrize("r_table", [TABLE_R, np.linspace(0.1, 1000.0, 10)],
+                             ids=["log-60", "linear-10"])
+    def test_table_envelope_matches_piecewise_quad(self, r_table):
+        # one quad per knot interval and one on the power tail; the sparse
+        # linear table has knot intervals far longer than a quarter radius
+        w = _table_weight(r_table)
+        for k in (0, 7, 14):
+            nu = k + 0.5
+            r_cut = max(24.0, 2.5 * nu + 12.0)
+
+            def model(r):
+                return r * float(w.w(r)) / math.sqrt(r * r - nu * nu) / math.pi
+
+            edges = [r_cut, *r_table[r_table > r_cut], np.inf]
+            ref = sum(quad(model, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                      for a, b in zip(edges[:-1], edges[1:]))
+            val, err = spec_mod._envelope_integral(nu, w, r_cut)
+            assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert err < 1e-12 * ref
+
+    def test_table_weight_builds_without_integration_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            spec = build_spectrum(_table_weight(TABLE_R), 14)
+        assert spec.K_set == (1,)
+
 
 class TestWeightSpec:
     def test_invariant_enforcement(self):
@@ -134,6 +210,7 @@ class TestWeightSpec:
         w = WeightSpec.inhomogeneous(3, 1.0)
         assert w.w(2.0) == pytest.approx(1.0 / 5.0, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     def test_custom_table_matches_inhomogeneous(self):
         r = np.geomspace(1e-4, 600.0, 4000)
         w = WeightSpec.custom(2, r, (1.0 + r ** 2) ** -1.0, tail_exponent=2.0)
