@@ -31,6 +31,7 @@ __all__ = [
     "cfl3_gap",
     "cfl1_gap",
     "aldaz_ratio",
+    "ray_distance",
     "local_stability_pipeline",
     "sigma_counterexample",
     "stereographic",
@@ -297,11 +298,12 @@ def aldaz_ratio(h1: np.ndarray, h2: np.ndarray, r: float) -> float:
 # local duality-stability
 
 
-def _ray_distance(g: np.ndarray, g_star: np.ndarray, p: float) -> float:
-    """min over c > 0 of ||g - c g_star||_p."""
+def ray_distance(u: np.ndarray, b: np.ndarray, p: float) -> float:
+    """min over c >= 0 of ||u - c b||_p (unweighted sums over all entries),
+    by a bounded search over c in [0, 10 ||u||_p / ||b||_p]."""
     res = minimize_scalar(
-        lambda c: lp_norm(g - c * g_star, p),
-        bounds=(0.0, 10.0 * lp_norm(g, p) / max(lp_norm(g_star, p), 1e-300)),
+        lambda c: lp_norm(u - c * b, p),
+        bounds=(0.0, 10.0 * lp_norm(u, p) / max(lp_norm(b, p), 1e-300)),
         method="bounded",
         options={"xatol": 1e-12},
     )
@@ -323,7 +325,7 @@ def local_stability_pipeline(T: FiniteOperator, g: np.ndarray,
     if gn == 0.0:
         raise ValueError("g must be nonzero")
     u = g / gn
-    dist = min(_ray_distance(u, np.asarray(gs, float), T.p) for gs in extremiser_samples)
+    dist = min(ray_distance(u, np.asarray(gs, float), T.p) for gs in extremiser_samples)
     in_regime = dist < regime
     G = duality_map(T.apply(u), T.q)
     TsG = T.apply_adjoint(G)

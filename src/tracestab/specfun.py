@@ -1,9 +1,6 @@
-"""Special-function kernel: Gamma, Bessel J/I/K of real order, and
-n-dimensional Legendre (zonal) polynomials.
-
-Scalar wrappers delegate to scipy.special and add the domain checks the
-rest of the package relies on.  Half-integer Bessel orders additionally
-have elementary closed forms available as cross-checks.
+"""Special-function kernel: n-dimensional Legendre (zonal) polynomials,
+spherical-harmonic dimensions, and the Landau envelope constant for Bessel
+functions.  Bessel values themselves come from scipy.special directly.
 """
 
 from __future__ import annotations
@@ -11,90 +8,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special as sp
 
 __all__ = [
-    "order",
-    "gamma",
-    "bessel_j",
-    "bessel_i",
-    "bessel_k",
     "legendre",
     "legendre_all",
-    "half_integer_j",
 ]
-
-
-def order(n: int, k: int) -> float:
-    """Bessel order nu = k + (n-2)/2 attached to the degree-k harmonic block."""
-    if n < 2:
-        raise ValueError(f"dimension n must be >= 2, got {n}")
-    if k < 0:
-        raise ValueError(f"degree k must be >= 0, got {k}")
-    return k + 0.5 * (n - 2)
-
-
-def gamma(x):
-    """Gamma function for positive real arguments."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("gamma requires a positive argument")
-    out = sp.gamma(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def _check_bessel_args(nu: float, x) -> np.ndarray:
-    if nu < 0:
-        raise ValueError(f"Bessel order must be >= 0, got {nu}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("Bessel argument must be non-negative")
-    return x
-
-
-def bessel_j(nu: float, x):
-    """Bessel function of the first kind J_nu, real order nu >= 0, x >= 0."""
-    x = _check_bessel_args(nu, x)
-    out = sp.jv(nu, x)
-    return float(out) if out.ndim == 0 else out
-
-
-def bessel_i(nu: float, x):
-    """Modified Bessel function I_nu for x > 0."""
-    x = _check_bessel_args(nu, x)
-    out = sp.iv(nu, x)
-    return float(out) if out.ndim == 0 else out
-
-
-def bessel_k(nu: float, x):
-    """Modified Bessel function K_nu for x > 0."""
-    x = _check_bessel_args(nu, x)
-    if np.any(x == 0):
-        raise ValueError("K_nu diverges at x = 0")
-    out = sp.kv(nu, x)
-    return float(out) if out.ndim == 0 else out
-
-
-def half_integer_j(nu: float, x):
-    """Closed-form J_nu for half-integer nu (odd dimensions), used as a
-    cross-check of the library routine.
-
-    Built from J_{1/2}(x) = sqrt(2/(pi x)) sin x and the upward recurrence
-    J_{nu+1} = (2 nu / x) J_nu - J_{nu-1}.
-    """
-    two = 2.0 * nu
-    if abs(two - round(two)) > 1e-12 or round(two) % 2 == 0:
-        raise ValueError(f"nu = {nu} is not a half-integer")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("closed form requires x > 0")
-    jm = np.sqrt(2.0 / (np.pi * x)) * np.cos(x)   # J_{-1/2}
-    jp = np.sqrt(2.0 / (np.pi * x)) * np.sin(x)   # J_{1/2}
-    mu = 0.5
-    while mu < nu - 1e-12:
-        jm, jp = jp, (2.0 * mu / x) * jp - jm
-        mu += 1.0
-    return float(jp) if jp.ndim == 0 else jp
 
 
 def legendre(n: int, k: int, t):

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from .duality import ray_distance
 from .errors import InconsistencyError
 
 __all__ = [
@@ -172,103 +172,57 @@ class _ShiftTable(NamedTuple):
     """Where each output line of a sampled kernel reads its source lines.
 
     Pairs starts[o]:starts[o+1] feed output line o: pair p adds
-    (1 - w[p]) lo_cells + w[p] hi_cells of the window at start[p] (see
-    `_windows`), a source line shifted by whole rows.  `odd` lists, as
-    (out, start, w, lo, hi), the pairs whose counted rows are not the
-    shifted cells; they read the plain line and drop rows outside [lo, hi)."""
+    weights[0, p] win[start[p], :-1] + weights[1, p] win[start[p], 1:] of
+    the windows `_windows` lays over the source lines, that is, the source
+    line shifted by k and by k + 1 rows, with weights 1 - w and w."""
 
     starts: np.ndarray
     start: np.ndarray
-    w: np.ndarray
-    odd: tuple
+    weights: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
-def _shift_table(x0: float, hx: float, nx: int, t_key: bytes, v_key: bytes,
-                 out_is_t: bool) -> _ShiftTable:
-    """Shift table for the x axis x0 + hx * arange(nx) and the t and v
-    values whose float64 bytes are given (arrays do not hash); output lines
-    run over t when out_is_t, else over v, and source lines over the other.
+def _shift_table(hx: float, nx: int, a_key: bytes, b_key: bytes) -> _ShiftTable:
+    """Shift table for output lines over a and source lines over b, whose
+    float64 bytes are given (arrays do not hash), on an x axis of nx rows
+    spaced hx.
 
-    Pair (t_s, v_j) interpolates row i at u_i = (x_i + t_s v_j - x0) / hx.
-    The per-element rule counts row i when 0 <= floor(u_i) <= nx - 2, and
-    reads cell floor(u_i).  On a uniform axis u_i - i is one shift up to
-    rounding, and u_i increases with i, so the counted rows form one range
-    [lo, hi).  Its ends are found exactly by evaluating u_i, in the same
-    float operations as the rule, on the two rows next to each end.  The
-    pair reads cell i + k at weight w, the point u_lo - lo + i; k is chosen
-    so that the cells 0 .. nx - 2 land on [lo, hi), which works whenever
-    the range meets an end of the grid.  Rounding can move floor(u_i) - i
-    by one inside the range, which changes the value only by rounding."""
-    t, v = np.frombuffer(t_key), np.frombuffer(v_key)
-    x = x0 + hx * np.arange(nx)
-    c = t[:, None] * v[None, :]
-    shift = c / hx
-    if not out_is_t:
-        c, shift = c.T, shift.T
-
-    def u(rows):
-        return (x[np.clip(rows, 0, nx - 1)] + c - x0) / hx
-
-    def rows_below(level):
-        # rows before b lie below level and rows after b + 1 above it, by a
-        # margin of one row; rows b and b + 1 take the exact test
-        b = np.floor(level - shift).astype(np.int64)
-        count = np.clip(b, 0, nx)
-        for r in (b, b + 1):
-            count += (r >= 0) & (r < nx) & (u(r) < level)
-        return count
-
-    lo, hi = rows_below(0.0), rows_below(nx - 1.0)
-    u_lo = u(lo)
-    k_lo = np.floor(u_lo).astype(np.int64) - lo
-    k = np.where(lo > 0, -lo, np.where(hi < nx, nx - 1 - hi, k_lo))
-    counted = hi > lo
-    shifted = (np.maximum(-k, 0) == lo) & (np.minimum(nx - 1 - k, nx) == hi)
-    out, src = np.nonzero(counted & shifted)
-    odd = np.nonzero(counted & ~shifted)
+    Pair (a_o, b_r) reads row i of output line o at the point i + s of
+    source line r, s = a_o b_r / hx: cell k = floor(s) at weight w = s - k,
+    between rows i + k and i + k + 1.  Rows outside [0, nx) read zero, so
+    the rule at -s is the transpose of the rule at s.  Pairs whose rows all
+    lie off the grid (k < -nx or k >= nx) are dropped."""
+    a, b = np.frombuffer(a_key), np.frombuffer(b_key)
+    s = a[:, None] * b[None, :] / hx
+    k = np.floor(s)
+    out, src = np.nonzero((k >= -nx) & (k < nx))
+    w = (s - k)[out, src]
     return _ShiftTable(
-        starts=np.searchsorted(out, np.arange(c.shape[0] + 1)),
-        start=(2 * src + 1) * nx + k[out, src],
-        w=(u_lo - lo - k)[out, src],
-        odd=(odd[0], (2 * odd[1] + 1) * nx + k_lo[odd], (u_lo - lo - k_lo)[odd],
-             lo[odd], hi[odd]))
+        starts=np.searchsorted(out, np.arange(a.size + 1)),
+        start=(2 * src + 1) * nx + k[out, src].astype(np.int64),
+        weights=np.stack([1.0 - w, w]))
 
 
 def _windows(lines: np.ndarray) -> np.ndarray:
-    """Windows of nx values over the lines laid end to end, each after nx
-    zeros: window (2 r + 1) nx + k is line r shifted by k rows and
-    zero-filled, for |k| <= nx."""
+    """Windows of nx + 1 values over the lines laid end to end, each after
+    nx zeros: window (2 r + 1) nx + k holds rows k .. k + nx of line r,
+    zero off the line, for -nx <= k < nx."""
     n, nx = lines.shape
     block = np.zeros((n + 1, 2, nx))
     block[:-1, 1] = lines
-    return np.lib.stride_tricks.sliding_window_view(block.ravel(), nx)
+    return np.lib.stride_tricks.sliding_window_view(block.ravel(), nx + 1)
 
 
 def _shifted_sum(src: np.ndarray, table: _ShiftTable) -> np.ndarray:
     """acc[o] = sum over the table's pairs into output line o of their
-    shifted, weighted source lines (rows along axis 1 of src).  A cell
-    c = 0 .. nx - 2 interpolates between its lower node src[c] and its
-    upper node src[c + 1]; cells outside read zero, so rows the rule does
-    not count add nothing."""
-    lo_cells = src.copy()
-    lo_cells[:, -1] = 0.0
-    hi_cells = np.zeros_like(src)
-    hi_cells[:, :-1] = src[:, 1:]
-    win_lo, win_hi = _windows(lo_cells), _windows(hi_cells)
+    shifted, weighted source lines (rows along axis 1 of src)."""
+    win = _windows(src)
     acc = np.zeros((table.starts.size - 1, src.shape[1]))
     for o in range(acc.shape[0]):
         sl = slice(table.starts[o], table.starts[o + 1])
         if sl.start < sl.stop:
-            w, start = table.w[sl], table.start[sl]
-            acc[o] = (1.0 - w) @ win_lo[start] + w @ win_hi[start]
-    out, start, w, lo, hi = table.odd
-    if out.size:
-        win = _windows(src)
-        vals = (1.0 - w)[:, None] * win[start] + w[:, None] * win[start + 1]
-        rows = np.arange(src.shape[1])
-        vals[(rows < lo[:, None]) | (rows >= hi[:, None])] = 0.0
-        np.add.at(acc, out, vals)
+            lo, hi = table.weights[:, sl] @ win[table.start[sl]]
+            acc[o] = lo[:-1] + hi[1:]
     return acc
 
 
@@ -276,17 +230,17 @@ def _axis_key(a) -> bytes:
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-def _vel_avg_sampled(fs, x0, hx, v, t):
+def _vel_avg_sampled(fs, hx, v, t):
     """rho f(t, x_i) = h_v sum_j f(x_i - t v_j, v_j), linear interp in x."""
     # x_i - t v_j is x_i + (-t) v_j to the last bit, so the table takes -t
-    table = _shift_table(x0, hx, fs.shape[0], _axis_key(-np.asarray(t, dtype=float)),
-                         _axis_key(v), True)
+    table = _shift_table(hx, fs.shape[0], _axis_key(-np.asarray(t, dtype=float)),
+                         _axis_key(v))
     return (v[1] - v[0]) * _shifted_sum(fs.T, table)
 
 
-def _xray_sampled(Gs, t, x0, hx, v):
+def _xray_sampled(Gs, t, hx, v):
     """rho* G(x_i, v_j) = h_t sum_s G(t_s, x_i + v_j t_s), linear interp in x."""
-    table = _shift_table(x0, hx, Gs.shape[1], _axis_key(t), _axis_key(v), False)
+    table = _shift_table(hx, Gs.shape[1], _axis_key(v), _axis_key(t))
     return (t[1] - t[0]) * np.ascontiguousarray(_shifted_sum(Gs, table).T)
 
 
@@ -319,7 +273,7 @@ def velocity_average(f: TransportFunction, grid: PhaseGrid,
         for it, tv in enumerate(t):
             out[it] = grid.h * np.sum(f.func(x[:, None] - tv * v[None, :], v[None, :]), axis=1)
         return TransportFunction(grid, "spacetime", out)
-    out = _vel_avg_sampled(f.samples, float(x[0]), grid.h, v, t)
+    out = _vel_avg_sampled(f.samples, grid.h, v, t)
     return TransportFunction(grid, "spacetime", out)
 
 
@@ -349,7 +303,7 @@ def xray_adjoint(G: TransportFunction, grid: PhaseGrid,
         for j, vv in enumerate(v):
             out[:, j] = grid.h * np.sum(G.func(t[None, :], x[:, None] + vv * t[None, :]), axis=1)
         return TransportFunction(grid, "phase", out)
-    out = _xray_sampled(G.samples, t, float(x[0]), grid.h, v)
+    out = _xray_sampled(G.samples, t, grid.h, v)
     return TransportFunction(grid, "phase", out)
 
 
@@ -496,15 +450,6 @@ def make_probe_direction(raw: np.ndarray, n: int, grid: PhaseGrid,
     return TransportFunction(grid, base.kind, d / nrm)
 
 
-def _ray_dist(u: np.ndarray, base: np.ndarray, p: float, cell: float) -> float:
-    def obj(c):
-        return float((cell * np.sum(np.abs(u - c * base) ** p)) ** (1.0 / p))
-
-    res = minimize_scalar(obj, bounds=(0.0, 10.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.fun)
-
-
 def local_stability_probe(n: int, direction: TransportFunction, eps_list,
                           grid: PhaseGrid, side: str = "primal",
                           rhat: float | None = None) -> list[ProbePoint]:
@@ -538,7 +483,7 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
                 f"deficit {deficit:.3e} below -1e-4 * ratio estimate; "
                 "recalibrate the estimate on this grid"
             )
-        dist = _ray_dist(samples / nrm, base.samples, e_in, cell)
+        dist = ray_distance(samples / nrm, base.samples, e_in) * cell ** (1.0 / e_in)
         out.append(ProbePoint(float(eps), deficit, dist ** 2,
                               deficit / dist ** 2 if dist > 0 else math.inf))
     return out

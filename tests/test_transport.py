@@ -156,9 +156,8 @@ class TestXrayAdjoint:
         assert np.max(np.abs(back.samples - exact)[sl]) < 1e-4
 
     def test_pairing_identity(self, rng):
-        # the sampled-route operators are transposes away from the x = +-L
-        # rows, where the x-ray rule interpolates from both neighbours; the
-        # taper keeps G off those rows
+        # the sampled-route operators are exact transposes, boundary rows
+        # included; the taper keeps G a resolved, decaying function
         f = random_phase_function(GRID, rng)
         G_samples = rng.normal(size=(GRID.t.size, GRID.x.size))
         G_samples *= np.exp(-0.01 * (GRID.t[:, None] ** 2 + GRID.x[None, :] ** 2))
@@ -169,6 +168,18 @@ class TestXrayAdjoint:
         # transposed kernels agree far beyond the required tolerance;
         # only summation-order rounding remains
         assert abs(lhs - rhs) <= 1e-7 * max(abs(lhs), 1e-30)
+
+    def test_adjoint_is_exact_transpose(self, rng):
+        # full-support noise reaches the x = +-L rows; zero extension past
+        # them makes the x-ray rule at shift -s the transpose of the
+        # velocity average at s, so only summation-order rounding remains
+        for points in (192, 256):
+            g = PhaseGrid.build(1, 40.0, points)
+            f = TransportFunction(g, "phase", rng.normal(size=(g.x.size, g.v.size)))
+            G = TransportFunction(g, "spacetime", rng.normal(size=(g.t.size, g.x.size)))
+            lhs = pairing(velocity_average(f, g, tail_tol=1.0), G)
+            rhs = pairing(f, xray_adjoint(G, g, tail_tol=1.0))
+            assert abs(lhs - rhs) <= 1e-13 * abs(lhs), (points, lhs, rhs)
 
 
 class TestKernelRoutes:
@@ -193,15 +204,20 @@ class TestKernelRoutes:
     def test_sampled_route_matches_interpolation_free_case(self):
         # t = 0 rows need no interpolation: both routes reduce to a sum
         fs = np.exp(-0.2 * (GRID.x[:, None] ** 2 + GRID.v[None, :] ** 2))
-        out = transport._vel_avg_sampled(
-            fs, float(GRID.x[0]), GRID.h, GRID.v, np.array([0.0])
-        )
+        out = transport._vel_avg_sampled(fs, GRID.h, GRID.v, np.array([0.0]))
         assert np.allclose(out[0], GRID.h * fs.sum(axis=1), atol=1e-12)
+
+
+def _node(a, i, j):
+    """a[i, j], reading zero where row i lies off [0, a.shape[0])."""
+    on = (i >= 0) & (i < a.shape[0])
+    return np.where(on, a[np.clip(i, 0, a.shape[0] - 1), j], 0.0)
 
 
 def _vel_avg_reference(fs, x0, hx, v, t):
     """Per-element velocity-average rule: each (t, x_i, v_j) interpolates on
-    its own, and counts only when floor(u) lies in [0, nx - 2]."""
+    its own between nodes floor(u) and floor(u) + 1, and a node off the
+    grid reads zero."""
     nx, nv = fs.shape
     hv = v[1] - v[0]
     x = x0 + hx * np.arange(nx)
@@ -211,15 +227,13 @@ def _vel_avg_reference(fs, x0, hx, v, t):
         u = (x[:, None] - tv * v[None, :] - x0) / hx
         i0 = np.floor(u).astype(np.int64)
         w = u - i0
-        inside = (i0 >= 0) & (i0 < nx - 1)
-        i0c = np.clip(i0, 0, nx - 2)
-        vals = (1.0 - w) * fs[i0c, jj] + w * fs[i0c + 1, jj]
-        out[it] = hv * np.sum(np.where(inside, vals, 0.0), axis=1)
+        vals = (1.0 - w) * _node(fs, i0, jj) + w * _node(fs, i0 + 1, jj)
+        out[it] = hv * np.sum(vals, axis=1)
     return out
 
 
 def _xray_reference(Gs, t, x0, hx, v):
-    """Per-element x-ray rule, with the same interpolation and counting."""
+    """Per-element x-ray rule, with the same interpolation and zero nodes."""
     nt, nx = Gs.shape
     ht = t[1] - t[0]
     x = x0 + hx * np.arange(nx)
@@ -228,10 +242,7 @@ def _xray_reference(Gs, t, x0, hx, v):
         u = (x[:, None] + v[None, :] * t[s] - x0) / hx
         i0 = np.floor(u).astype(np.int64)
         w = u - i0
-        inside = (i0 >= 0) & (i0 < nx - 1)
-        i0c = np.clip(i0, 0, nx - 2)
-        vals = (1.0 - w) * Gs[s, i0c] + w * Gs[s, i0c + 1]
-        out += np.where(inside, vals, 0.0)
+        out += (1.0 - w) * _node(Gs.T, i0, s) + w * _node(Gs.T, i0 + 1, s)
     return ht * out
 
 
@@ -242,8 +253,9 @@ def _rel_gap(a, b):
 class TestShiftKernels:
     # The kernels read one shift per (t, v) pair from a table; the
     # per-element rule is the reference.  192 points give h = 5/12, where
-    # rounding moves floor(u) - i along x for some pairs, so the counted
-    # range at x = +-L must come out exact, not from the nominal shift.
+    # rounding moves floor(u) - i by one along x for some pairs; the
+    # interpolated value, zero nodes at x = +-L included, moves only by
+    # rounding.
     @pytest.mark.parametrize("points, t_extent", [(192, None), (256, None), (512, 2.0)])
     def test_matches_per_element_rule(self, points, t_extent, rng):
         g = PhaseGrid.build(1, 40.0, points, t_extent)
@@ -259,9 +271,9 @@ class TestShiftKernels:
             assert _rel_gap(back.samples, _xray_reference(Gs, g.t, x0, g.h, g.v)) <= 1e-12
 
     def test_rounded_range_far_from_origin(self, rng):
-        # x0 = -300 with step 5/12: x0 + h i rounds, so at zero shift the
-        # rule counts all 24 rows, which no whole-row shift of the cells
-        # reproduces; such pairs take the kernels' masked route
+        # x0 = -300 with step 5/12: x0 + h i rounds, so the per-element
+        # positions u are not whole rows at zero shift, and floor(u) - i
+        # differs from the table's whole-row shift along x
         x0, hx, nx = -300.0, 5.0 / 12.0, 24
         v = hx * np.arange(-nx, nx + 1)
         t = hx * np.arange(-3, 4)
@@ -269,9 +281,9 @@ class TestShiftKernels:
         assert np.all(np.floor((x - x0) / hx) <= nx - 2)
         fs = rng.normal(size=(nx, v.size))
         Gs = rng.normal(size=(t.size, nx))
-        assert _rel_gap(transport._vel_avg_sampled(fs, x0, hx, v, t),
+        assert _rel_gap(transport._vel_avg_sampled(fs, hx, v, t),
                         _vel_avg_reference(fs, x0, hx, v, t)) <= 1e-12
-        assert _rel_gap(transport._xray_sampled(Gs, t, x0, hx, v),
+        assert _rel_gap(transport._xray_sampled(Gs, t, hx, v),
                         _xray_reference(Gs, t, x0, hx, v)) <= 1e-12
 
 
@@ -326,7 +338,7 @@ class TestSharpRatio:
         r256 = ratio_estimate(1, GRID)
         r512 = ratio_estimate(1, FINE)
         true = math.pi ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
-        assert r256 == pytest.approx(1.696641, abs=1e-5)
+        assert r256 == pytest.approx(1.696707, abs=1e-5)
         assert abs(r512 - r256) / r256 < 0.01
         assert abs(r256 - true) / true < 0.01
 
