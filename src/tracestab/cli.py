@@ -119,8 +119,9 @@ def validate_args(args) -> list[str]:
         else:
             if not args.s > 0.5:
                 v.append("s > 1/2 required")
-        if getattr(args, "K", 1) < 1:
-            v.append("K >= 1 required")
+        k_min = 6 if cmd == "verify-trace" else 1  # random profiles reach degree 6
+        if getattr(args, "K", 1) < k_min:
+            v.append(f"K >= {k_min} required")
         if getattr(args, "tau", None) is not None and args.tau <= 1.0:
             v.append("tau > 1 required")
         if getattr(args, "trials", 1) < 1:
@@ -231,7 +232,7 @@ def cmd_verify_trace(args) -> int:
            args.trials, f"{ok_rev}/{args.trials} random profile sets")
     eq = harmonic.equality_case_builder(w, spectrum, 1.0, {1: 0.7}, grid)
     rep = harmonic.deficit_report(eq, w, spectrum)
-    gs = harmonic.GridSpectrum(w, grid)
+    gs = harmonic.grid_spectrum(w, grid)
     c_prime_grid = gs.lam(0) - gs.lam(min(spectrum.K_set))
     dev = abs(rep.ratio - c_prime_grid) / max(c_prime_grid, 1e-300)
     _check(checks, "equality-cases", dev < 1e-8, dev, 1e-8,

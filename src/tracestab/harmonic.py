@@ -13,6 +13,7 @@ provides the continuum values.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -30,6 +31,7 @@ __all__ = [
     "ProfileSet",
     "DeficitReport",
     "GridSpectrum",
+    "grid_spectrum",
     "B_coefficient",
     "A_coefficient",
     "deficit_report",
@@ -117,31 +119,35 @@ class DeficitReport:
 
 class GridSpectrum:
     """Bessel kernels and eigenvalues of a weight evaluated under a grid
-    rule; shares the quadrature of the profiles it is compared against."""
+    rule; shares the quadrature of the profiles it is compared against.
+    Obtain it through `grid_spectrum`, which keeps one per (weight, grid)."""
 
     def __init__(self, weight: WeightSpec, grid: RadialGrid):
         self.weight = weight
         self.grid = grid
         self._kernels: dict[int, np.ndarray] = {}
-        self._lams: dict[int, float] = {}
         r = grid.r
         self._sqrt_rw = np.sqrt(r * weight.w(r))
 
     def kernel(self, k: int) -> np.ndarray:
-        """J_{k+(n-2)/2}(r) w(r)^{1/2} r^{1/2} on the grid."""
+        """J_{k+(n-2)/2}(r) w(r)^{1/2} r^{1/2} on the grid, read-only."""
         if k not in self._kernels:
             nu = k + (self.weight.n - 2.0) / 2.0
-            self._kernels[k] = sp.jv(nu, self.grid.r) * self._sqrt_rw
+            ker = sp.jv(nu, self.grid.r) * self._sqrt_rw
+            ker.setflags(write=False)
+            self._kernels[k] = ker
         return self._kernels[k]
 
     def lam(self, k: int) -> float:
-        if k not in self._lams:
-            ker = self.kernel(k)
-            self._lams[k] = self.grid.integrate(ker * ker)
-        return self._lams[k]
+        ker = self.kernel(k)
+        return self.grid.integrate(ker * ker)
 
-    def lam_star(self, k_max: int) -> float:
-        return max(self.lam(k) for k in range(1, max(k_max, 1) + 1))
+
+@functools.lru_cache(maxsize=8)
+def grid_spectrum(weight: WeightSpec, grid: RadialGrid) -> GridSpectrum:
+    """The one GridSpectrum of (weight, grid).  Weights key by identity;
+    grids by their build parameters, which fix their nodes."""
+    return GridSpectrum(weight, grid)
 
 
 def B_coefficient(profile: np.ndarray, grid: RadialGrid) -> float:
@@ -153,8 +159,8 @@ def B_coefficient(profile: np.ndarray, grid: RadialGrid) -> float:
 def A_coefficient(profile: np.ndarray, weight: WeightSpec, k: int,
                   grid: RadialGrid) -> float:
     """Squared inner product of the profile with the Bessel kernel."""
-    gs = GridSpectrum(weight, grid)
-    inner = grid.integrate(np.asarray(profile, float) * gs.kernel(k))
+    kernel = grid_spectrum(weight, grid).kernel(k)
+    inner = grid.integrate(np.asarray(profile, float) * kernel)
     return inner * inner
 
 
@@ -180,14 +186,14 @@ def deficit_report(ps: ProfileSet, weight: WeightSpec,
 
     The analytic `spectrum`, when given, is used only to confirm that the
     profile support is covered by its certificate."""
-    gs = GridSpectrum(weight, ps.grid)
+    gs = grid_spectrum(weight, ps.grid)
     kmax = ps.max_degree()
     if spectrum is not None and kmax > spectrum.certificate.K:
         raise InconclusiveError(
             f"profile degree {kmax} exceeds the certified range K={spectrum.certificate.K}"
         )
     lam0 = gs.lam(0)
-    lam_star = gs.lam_star(kmax)
+    lam_star = max(gs.lam(k) for k in range(1, max(kmax, 1) + 1))
     const = lam0 - lam_star
     sumB, sumA, a01 = _mode_sums(ps, gs)
     deficit = lam0 * sumB - sumA
@@ -207,7 +213,7 @@ def equality_case_builder(weight: WeightSpec, spectrum: LambdaSpectrum,
     if grid is None:
         grid = RadialGrid.build()
     n = weight.n
-    gs = GridSpectrum(weight, grid)
+    gs = grid_spectrum(weight, grid)
     entries = {}
     if c != 0.0:
         entries[(0, 1)] = c * gs.kernel(0)
@@ -231,24 +237,22 @@ def extremising_sequence(weight: WeightSpec, spectrum: LambdaSpectrum,
         raise ValueError("k_list must be nonempty")
     if grid is None:
         grid = RadialGrid.build()
+    gs = grid_spectrum(weight, grid)
     ratios = []
     for k in k_list:
         if k < 1:
             raise ValueError("extremising sequence uses k >= 1")
-        ps = ProfileSet(weight.n, grid, {(k, 1): GridSpectrum(weight, grid).kernel(k)})
-        rep = deficit_report(ps, weight)
-        ratios.append(rep.ratio)
+        ps = ProfileSet(weight.n, grid, {(k, 1): gs.kernel(k)})
+        ratios.append(deficit_report(ps, weight).ratio)
     return ratios
 
 
 def reverse_deficit_check(ps: ProfileSet, weight: WeightSpec,
                           tol: float = 1e-9) -> tuple[bool, float]:
     """deficit <= lambda_0 * dist_sq, i.e. A_{0,1} <= sum A; returns
-    (holds, margin) with margin = lambda_0*dist_sq - deficit."""
-    gs = GridSpectrum(weight, ps.grid)
-    lam0 = gs.lam(0)
-    sumB, sumA, a01 = _mode_sums(ps, gs)
-    margin = (lam0 * sumB - a01) - (lam0 * sumB - sumA)  # = sumA - a01
+    (holds, margin) with margin = lambda_0*dist_sq - deficit = sum A - A_{0,1}."""
+    sumB, sumA, a01 = _mode_sums(ps, grid_spectrum(weight, ps.grid))
+    margin = sumA - a01
     return margin >= -tol * max(sumB, 1e-300), margin
 
 
@@ -262,7 +266,7 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
     """Random mixture of compact bumps and extremal kernels over modes
     k <= max_k, m <= min(dim H_k, max_m)."""
     n = weight.n
-    gs = GridSpectrum(weight, grid)
+    gs = grid_spectrum(weight, grid)
     if n_modes is None:
         n_modes = int(rng.integers(1, 5))
     entries = {}
@@ -289,24 +293,23 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
 
 
 def _real_harmonic(n: int, k: int, m: int, theta: np.ndarray) -> float:
-    """Orthonormal real spherical harmonic P^{(k,m)} at a point of S^{n-1}."""
+    """Orthonormal real spherical harmonic P^{(k,m)} at a point of S^{n-1},
+    n in {2, 3} (trace_evaluate checks n)."""
     if n == 2:
         phi = math.atan2(theta[1], theta[0])
         if k == 0:
             return 1.0 / math.sqrt(2.0 * math.pi)
         return (math.cos(k * phi) if m == 1 else math.sin(k * phi)) / math.sqrt(math.pi)
-    if n == 3:
-        x, y, z = theta
-        pol = math.acos(max(-1.0, min(1.0, z)))
-        az = math.atan2(y, x)
-        mu = m - 1 - k  # m in 1..2k+1  ->  mu in -k..k
-        y_c = sp.sph_harm_y(k, abs(mu), pol, az)
-        if mu == 0:
-            return float(np.real(y_c))
-        if mu > 0:
-            return math.sqrt(2.0) * (-1.0) ** mu * float(np.real(y_c))
-        return math.sqrt(2.0) * (-1.0) ** mu * float(np.imag(y_c))
-    raise ValueError("pointwise trace evaluation supports n in {2, 3} only")
+    x, y, z = theta
+    pol = math.acos(max(-1.0, min(1.0, z)))
+    az = math.atan2(y, x)
+    mu = m - 1 - k  # m in 1..2k+1  ->  mu in -k..k
+    y_c = sp.sph_harm_y(k, abs(mu), pol, az)
+    if mu == 0:
+        return float(np.real(y_c))
+    if mu > 0:
+        return math.sqrt(2.0) * (-1.0) ** mu * float(np.real(y_c))
+    return math.sqrt(2.0) * (-1.0) ** mu * float(np.imag(y_c))
 
 
 def trace_evaluate(ps: ProfileSet, weight: WeightSpec, theta) -> complex:
@@ -318,7 +321,7 @@ def trace_evaluate(ps: ProfileSet, weight: WeightSpec, theta) -> complex:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (n,) or abs(np.linalg.norm(theta) - 1.0) > 1e-10:
         raise ValueError("theta must be a unit vector in R^n")
-    gs = GridSpectrum(weight, ps.grid)
+    gs = grid_spectrum(weight, ps.grid)
     total = 0.0 + 0.0j
     pref = (2.0 * math.pi) ** (-n / 2.0)
     for (k, m), g in ps.entries.items():

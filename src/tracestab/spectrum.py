@@ -55,12 +55,13 @@ def sphere_area(n: int) -> float:
 # weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSpec:
     """Radial weight w on (0, infty).
 
     kind is one of 'homogeneous' (r^{-2s}), 'inhomogeneous' ((1+r^2)^{-s})
     or 'custom' (monotone-spline table with a declared power-law tail).
+    Weights hash and compare by identity, since a custom table holds arrays.
     """
 
     kind: str
@@ -69,7 +70,7 @@ class WeightSpec:
     r_table: np.ndarray | None = None
     w_table: np.ndarray | None = None
     tail_exponent: float | None = None
-    F_w: object | None = field(default=None, compare=False)
+    F_w: object | None = None
 
     def __post_init__(self):
         if self.n < 2:

@@ -68,14 +68,18 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_same_seed_byte_identical(self, tmp_path):
+    # both runs share one process, so state cached by the first (the grid
+    # Bessel kernels of verify-trace) must not change the second
+    @pytest.mark.parametrize("args,report", [
+        (["duality-sweep", "--trials", "5", "--seed", "7"], "duality_report.csv"),
+        (["verify-trace", "--trials", "20", "--seed", "7"], "verify_trace_report.csv"),
+    ], ids=["duality-sweep", "verify-trace"])
+    def test_same_seed_byte_identical(self, tmp_path, capsys, args, report):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
-        args = ["duality-sweep", "--trials", "5", "--seed", "7"]
         assert main([*args, "--output", str(out1)]) == 0
         assert main([*args, "--output", str(out2)]) == 0
-        assert (out1 / "duality_report.csv").read_bytes() == \
-               (out2 / "duality_report.csv").read_bytes()
+        assert (out1 / report).read_bytes() == (out2 / report).read_bytes()
 
     def test_seed_is_required(self, tmp_path):
         proc = run_cli(["duality-sweep", "--trials", "2"], tmp_path)
@@ -171,3 +175,16 @@ class TestValidate:
         args = build_parser().parse_args(
             ["spectrum", "--n", "3", "--s", "1.0", "--tau", "0.5"])
         assert validate_args(args) == ["tau > 1 required"]
+
+    def test_verify_trace_K_covers_random_profiles(self, tmp_path, capsys):
+        # random_profile_set draws degrees up to 6, so a smaller K is a bad
+        # config (exit 2), not a failed check
+        args = build_parser().parse_args(["verify-trace", "--K", "5", "--seed", "1"])
+        assert validate_args(args) == ["K >= 6 required"]
+        for cmd in ("spectrum", "constants"):
+            args = build_parser().parse_args([cmd, "--K", "5"])
+            assert validate_args(args) == []
+        code = main(["verify-trace", "--K", "5", "--seed", "1", "--trials", "1",
+                     "--output", str(tmp_path)])
+        assert code == 2
+        assert "config error: K >= 6 required" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from tracestab import harmonic
 from tracestab.errors import InconclusiveError
 from tracestab.harmonic import (
     A_coefficient,
@@ -214,6 +215,42 @@ class TestTraceEvaluate:
             A_coefficient(g, weight, k, GRID) for (k, m), g in ps.entries.items()
         )
         assert lhs == pytest.approx(sumA / (2 * math.pi) ** n, rel=1e-5)
+
+
+class TestGridSpectrumCache:
+    def test_one_grid_spectrum_per_weight_and_grid(self, monkeypatch, rng):
+        built = []
+
+        class Counted(GridSpectrum):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        harmonic.grid_spectrum.cache_clear()
+        monkeypatch.setattr(harmonic, "GridSpectrum", Counted)
+        weight = WeightSpec.homogeneous(3, 1.0)  # equal to W3, but a new object
+        ps = random_profile_set(weight, GRID, rng)
+        deficit_report(ps, weight, SPEC3)
+        reverse_deficit_check(ps, weight)
+        equality_case_builder(weight, SPEC3, 1.0, {1: 0.7}, GRID)
+        extremising_sequence(weight, SPEC3, [1, 2, 3], GRID)
+        trace_evaluate(ps, weight, np.array([0.0, 0.0, 1.0]))
+        (k, _), prof = next(iter(ps.entries.items()))
+        A_coefficient(prof, weight, k, RadialGrid.build())  # equal grid, same entry
+        assert len(built) == 1
+        twin = WeightSpec.homogeneous(3, 1.0)
+        deficit_report(random_profile_set(twin, GRID, rng), twin)
+        assert len(built) == 2
+        r = np.logspace(-2.0, 2.0, 30)
+        custom = WeightSpec.custom(3, r, (1.0 + r * r) ** -2.0, tail_exponent=4.0)
+        rep = deficit_report(random_profile_set(custom, GRID, rng), custom)
+        assert len(built) == 3
+        assert rep.satisfied
+
+    def test_kernels_are_read_only(self):
+        gs = harmonic.grid_spectrum(W3, GRID)
+        with pytest.raises(ValueError):
+            gs.kernel(0)[0] = 1.0
 
 
 class TestSerialization:
