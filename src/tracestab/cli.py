@@ -368,11 +368,9 @@ def cmd_transport_probe(args) -> int:
     _check(checks, "transport-quadratic-deficit", worst_band <= 2.0,
            worst_band, 2.0, f"{args.directions} seeded directions, eps {args.eps}")
     d = _out_dir(args)
-    lines = ["direction,epsilon,deficit,dist_sq,ratio"]
-    for i, pts in enumerate(curves):
-        for pt in pts:
-            lines.append(f"{i},{pt.eps:.6g},{pt.deficit:.12g},{pt.dist_sq:.12g},{pt.ratio:.12g}")
-    _write(os.path.join(d, "transport_probe.csv"), "\n".join(lines) + "\n")
+    _write(os.path.join(d, "transport_probe.csv"), transport.probe_to_csv(
+        [pt for pts in curves for pt in pts],
+        [i for i, pts in enumerate(curves) for _ in pts]))
     _report(checks, args, "transport_report")
     return 0 if all(c.passed for c in checks) else 1
 
@@ -380,6 +378,8 @@ def cmd_transport_probe(args) -> int:
 def cmd_validate(args) -> int:
     target = argparse.Namespace(**vars(args))
     target.command = args.target
+    if target.n is None:  # --n not given: the target command's own default
+        target.n = _command_parser(args.target).get_default("n")
     violations = validate_args(target)
     for msg in violations:
         print(f"violation: {msg}")
@@ -473,8 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, default=40.0)
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--eps", type=_csv_floats, default=[0.05, 0.1, 0.2])
+    p.set_defaults(n=None)  # cmd_validate takes the target's default
     common(p)
     return ap
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The subparser of one command, with its own defaults."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
 
 
 _DISPATCH = {

@@ -14,6 +14,7 @@ accelerated alternating correction.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -141,13 +142,16 @@ class WeightSpec:
             a, b = self.s - 0.5, 0.5
             x = 1.0 / (1.0 + R * R)
             return 0.5 * sp.beta(a, b) * sp.betainc(a, b, x)
-        r1 = self.r_table[-1]
+        r0, r1 = self.r_table[0], self.r_table[-1]
         a = self.tail_exponent
         c = self.w_table[-1] * r1 ** a
         if R >= r1:
             return c * R ** (1.0 - a) / (a - 1.0)
-        mid = quad(lambda r: float(self.w(r)), R, r1, limit=200)[0]
-        return mid + c * r1 ** (1.0 - a) / (a - 1.0)
+        # below r0 the weight is the constant w_table[0]; between knots it is
+        # a cubic, which the 12-point rule on knot panels integrates exactly
+        flat = self.w_table[0] * (r0 - R) if R < r0 else 0.0
+        r, wq = _gauss_panels(_knot_panels(max(R, r0), r1, self.r_table), 12)
+        return flat + float(np.sum(wq * self.w(r))) + c * r1 ** (1.0 - a) / (a - 1.0)
 
     def small_r_exponent(self) -> float:
         """Power-law exponent of w at r -> 0 (0 for bounded weights)."""
@@ -199,10 +203,19 @@ def watson_integral(n: int, k: int, tau: float) -> float:
 # oscillatory quadrature
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one per count."""
+    x, wgt = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    wgt.setflags(write=False)
+    return x, wgt
+
+
 def _gauss_panels(edges: np.ndarray, nodes: int = 16):
     """Gauss-Legendre nodes/weights on the panels between consecutive edges,
     returned flat for one vectorised integrand call."""
-    x, wgt = np.polynomial.legendre.leggauss(nodes)
+    x, wgt = _gauss_rule(nodes)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     r = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -247,6 +260,13 @@ def _head_integral(nu: float, wfun, beta0: float, r_cut: float) -> float:
     return total
 
 
+def _knot_panels(a: float, b: float, knots: np.ndarray) -> np.ndarray:
+    """Panel edges from a to b: a geometric mesh of ratio at most 1.25, joined
+    with the table knots strictly inside, so no panel straddles a knot."""
+    ratio_125 = np.geomspace(a, b, 1 + math.ceil(math.log(b / a) / math.log(1.25)))
+    return np.union1d(ratio_125, knots[(knots > a) & (knots < b)])
+
+
 def _envelope_integral(nu: float, weight, r_cut: float) -> tuple[float, float]:
     """int_{r_cut}^infty r w(r) / (pi sqrt(r^2 - nu^2)) dr and its error.
 
@@ -266,8 +286,7 @@ def _envelope_integral(nu: float, weight, r_cut: float) -> tuple[float, float]:
     R, a = max(r_cut, float(knots[-1])), weight.tail_exponent
     power = weight.tail_integral(R) * sp.hyp2f1(0.5, (a - 1.0) / 2.0, (a + 1.0) / 2.0,
                                                 (nu / R) ** 2) / math.pi
-    ratio_125 = np.geomspace(r_cut, R, 1 + math.ceil(math.log(R / r_cut) / math.log(1.25)))
-    edges = np.union1d(ratio_125, knots[(knots > r_cut) & (knots < R)])
+    edges = _knot_panels(r_cut, R, knots)
     fine, coarse = (float(np.sum(wq * model(r))) for r, wq in
                     (_gauss_panels(edges, m) for m in (12, 6)))
     return float(power) + fine, abs(fine - coarse)
@@ -284,7 +303,7 @@ def _tail_integral(nu: float, weight, r_cut: float, envelope: tuple[float, float
     avg, avg_err = envelope
     h = 0.5 * math.pi
     edges = r_cut + h * np.arange(n_half_periods + 1)
-    x, wgt = np.polynomial.legendre.leggauss(12)
+    x, wgt = _gauss_rule(12)
     mid = 0.5 * (edges[:-1] + edges[1:])
     r = mid[:, None] + 0.5 * h * x[None, :]
     f = (sp.jv(nu, r) ** 2 - 1.0 / (np.pi * np.sqrt(r * r - nu * nu))) * r * weight.w(r)
@@ -452,6 +471,43 @@ class LambdaSpectrum:
 
 
 _KSET_RTOL = 1e-9
+_V_ROUNDING = 1e-12            # relative rounding allowance on each Hoelder moment
+
+
+def _holder_moments(weight: WeightSpec, pairs: list[tuple[float, float]]) -> list[float]:
+    """Upper bounds on V = int_0^infty w(r)^{p'} r^e dr, one per admissible
+    (p', e) pair, for an inhomogeneous or a custom weight.
+
+    Inhomogeneous: V = B((e+1)/2, s p' - (e+1)/2) / 2 (DLMF 5.12.3 with
+    t = r^2), which converges exactly when 2 s p' > e + 1.  Custom table:
+    w = w_table[0] on [0, r0] and w = c r^{-a} past r1 integrate in closed
+    form; on [r0, r1] Gauss rules of 24 and 12 points on _knot_panels give the
+    24-point value plus |24-point - 12-point|.  (12 and 6 points, as in
+    _envelope_integral, overstate V by up to 2.6e-7 relative on a sparse
+    table, where w^{p'} is a power 16 of one cubic over a long knot interval;
+    the 12-point value there is already exact to round-off.)  w is evaluated
+    on those nodes once for all pairs.
+
+    Rounding allowance: each V is raised by the relative factor
+    1 + _V_ROUNDING = 1 + 1e-12.  The closed forms and each term of a panel
+    sum are good to a few ulps, and numpy sums N positive terms pairwise, to
+    about (log2 N + 8) ulps; both stay below 1e-14 relative."""
+    if weight.kind == "inhomogeneous":
+        vals = [0.5 * sp.beta((e + 1.0) / 2.0, weight.s * pp - (e + 1.0) / 2.0)
+                 for pp, e in pairs]
+    else:
+        knots, a = weight.r_table, weight.tail_exponent
+        r0, r1 = knots[0], knots[-1]
+        c = weight.w_table[-1] * r1 ** a
+        rules = [(r, wq, weight.w(r)) for r, wq in
+                 (_gauss_panels(_knot_panels(r0, r1, knots), m) for m in (24, 12))]
+        vals = []
+        for pp, e in pairs:
+            fine, coarse = (float(np.sum(wq * wr ** pp * r ** e)) for r, wq, wr in rules)
+            head = weight.w_table[0] ** pp * r0 ** (e + 1.0) / (e + 1.0)
+            tail = c ** pp * r1 ** (e + 1.0 - a * pp) / (a * pp - e - 1.0)
+            vals.append(head + fine + abs(fine - coarse) + tail)
+    return [float(v) * (1.0 + _V_ROUNDING) for v in vals]
 
 
 def _holder_tail_bound(weight: WeightSpec, k_from: int, s_eff: float) -> tuple[float, dict]:
@@ -460,32 +516,31 @@ def _holder_tail_bound(weight: WeightSpec, k_from: int, s_eff: float) -> tuple[f
     n = weight.n
     c_landau = landau_envelope_constant()
     eps_pinned = min(1.0, 3.0 * (s_eff - 0.5)) / 2.0
-    best = None
+    admissible = []
     # p' = 6 with the pinned eps first; slowly decaying weights need the
     # larger p' choices to certify at moderate K
     for p_prime in (6.0, 4.0, 8.0, 12.0, 16.0):
-        p = p_prime / (p_prime - 1.0)
         for eps in {eps_pinned, 0.05, 0.1, 0.15, 0.25, 0.5, 1.0, 2.0, eps_pinned / 4.0}:
             if eps <= 0 or k_from + (n - (1.0 + eps)) / 2.0 <= 0:
                 continue
             expo = p_prime - 2.0 / 3.0 + eps * (p_prime - 1.0)
             # V = int_0^infty w^{p'} r^{expo} dr must converge for this eps
-            if 2.0 * s_eff * p_prime <= expo + 1.0:
-                continue
-            val, _ = quad(
-                lambda r: float(weight.w(r)) ** p_prime * r ** expo,
-                0.0, np.inf, limit=400,
-            )
-            if not np.isfinite(val) or val < 0:
-                continue
-            watson = watson_integral(n, k_from, 1.0 + eps)
-            bound = (
-                c_landau ** (2.0 / p_prime)
-                * watson ** (1.0 / p)
-                * val ** (1.0 / p_prime)
-            )
-            if best is None or bound < best[0]:
-                best = (bound, {"p_prime": p_prime, "eps": eps, "V": val, "watson": watson})
+            if 2.0 * s_eff * p_prime > expo + 1.0:
+                admissible.append((p_prime, eps, expo))
+    moments = _holder_moments(weight, [(pp, expo) for pp, _, expo in admissible])
+    best = None
+    for (p_prime, eps, _), val in zip(admissible, moments):
+        if not np.isfinite(val):
+            continue
+        p = p_prime / (p_prime - 1.0)
+        watson = watson_integral(n, k_from, 1.0 + eps)
+        bound = (
+            c_landau ** (2.0 / p_prime)
+            * watson ** (1.0 / p)
+            * val ** (1.0 / p_prime)
+        )
+        if best is None or bound < best[0]:
+            best = (bound, {"p_prime": p_prime, "eps": eps, "V": val, "watson": watson})
     if best is None:
         raise InconclusiveError("no admissible Hoelder exponents for the tail bound")
     return best
@@ -556,6 +611,7 @@ def spectrum_to_json(spectrum: LambdaSpectrum) -> str:
             "K": spectrum.certificate.K,
             "tail_bound": spectrum.certificate.tail_bound,
             "method": spectrum.certificate.method,
+            "details": {k: float(v) for k, v in spectrum.certificate.details.items()},
         },
     }
     return json.dumps(doc, indent=2)

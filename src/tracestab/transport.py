@@ -504,8 +504,13 @@ def random_phase_function(grid: PhaseGrid, rng: np.random.Generator,
     return TransportFunction(grid, "phase", s)
 
 
-def probe_to_csv(points: list[ProbePoint]) -> str:
-    lines = ["epsilon,deficit,dist_sq,ratio"]
-    for pt in points:
-        lines.append(f"{pt.eps:.6g},{pt.deficit:.12g},{pt.dist_sq:.12g},{pt.ratio:.12g}")
-    return "\n".join(lines) + "\n"
+def probe_to_csv(points: list[ProbePoint], directions: list[int] | None = None) -> str:
+    """CSV of probe points; `directions`, one index per point, adds a leading
+    direction column."""
+    header = "epsilon,deficit,dist_sq,ratio"
+    rows = [f"{pt.eps:.6g},{pt.deficit:.12g},{pt.dist_sq:.12g},{pt.ratio:.12g}"
+            for pt in points]
+    if directions is not None:
+        header = "direction," + header
+        rows = [f"{i},{row}" for i, row in zip(directions, rows, strict=True)]
+    return "\n".join([header, *rows]) + "\n"

@@ -176,6 +176,18 @@ class TestValidate:
             ["spectrum", "--n", "3", "--s", "1.0", "--tau", "0.5"])
         assert validate_args(args) == ["tau > 1 required"]
 
+    def test_validate_takes_the_target_default_n(self, tmp_path, capsys):
+        # transport-probe defaults to n = 1, the weight commands to n = 3
+        argv = ["validate", "--target", "transport-probe", "--L", "80", "--points", "256",
+                "--output", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "config ok\n"
+        assert main(argv + ["--n", "3"]) == 1
+        assert "transport probe is certified for n = 1 only" in capsys.readouterr().out
+        assert main(["validate", "--target", "spectrum", "--s", "2.0",
+                     "--output", str(tmp_path)]) == 1
+        assert "s < n/2 required" in capsys.readouterr().out
+
     def test_verify_trace_K_covers_random_profiles(self, tmp_path, capsys):
         # random_profile_set draws degrees up to 6, so a smaller K is a bad
         # config (exit 2), not a failed check

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import iv, kv
+from scipy.special import beta, iv, kv
 
 from tracestab import spectrum as spec_mod
 from tracestab.errors import ConvergenceError, InconclusiveError
@@ -194,11 +194,89 @@ class TestLambdaQuadrature:
             assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
             assert err < 1e-12 * ref
 
+    def test_table_build_makes_no_scalar_quad(self, monkeypatch):
+        # the Hoelder moments and tail_integral take knot panels, and the
+        # envelope of a table never called quad
+        quads = _counting(monkeypatch, "quad")
+        build_spectrum(_table_weight(TABLE_R), 14)
+        assert quads == []
+
+    def test_gauss_rule_cached_read_only(self):
+        x, wgt = spec_mod._gauss_rule(12)
+        assert spec_mod._gauss_rule(12)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(x, ref_x) and np.array_equal(wgt, ref_w)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
     def test_table_weight_builds_without_integration_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
             spec = build_spectrum(_table_weight(TABLE_R), 14)
         assert spec.K_set == (1,)
+
+
+def _moments_used(monkeypatch, weight, s_eff, k_from=15):
+    """The (p', e) pairs and V values one _holder_tail_bound call uses."""
+    seen = []
+    inner = spec_mod._holder_moments
+
+    def wrapper(w, pairs):
+        values = inner(w, pairs)
+        seen.extend(zip(pairs, values))
+        return values
+
+    monkeypatch.setattr(spec_mod, "_holder_moments", wrapper)
+    spec_mod._holder_tail_bound(weight, k_from, s_eff)
+    assert seen
+    return seen
+
+
+TABLES = [TABLE_R, np.linspace(0.1, 1000.0, 10)]
+TABLE_IDS = ["log-60", "linear-10"]
+
+
+class TestHolderTail:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("s", [0.6, 1.5, 2.0, 3.0])
+    def test_inhomogeneous_moment_is_beta(self, monkeypatch, n, s):
+        # int_0^infty (1+r^2)^{-s p'} r^e dr = B((e+1)/2, s p' - (e+1)/2) / 2,
+        # raised only by the 1e-12 rounding allowance
+        for (pp, e), v in _moments_used(monkeypatch, WeightSpec.inhomogeneous(n, s), s):
+            assert 2.0 * s * pp > e + 1.0
+            exact = 0.5 * beta((e + 1.0) / 2.0, s * pp - (e + 1.0) / 2.0)
+            assert exact <= v <= exact * (1.0 + 2e-12)
+
+    @pytest.mark.parametrize("r_table", TABLES, ids=TABLE_IDS)
+    def test_table_moment_bounds_piecewise_quad(self, monkeypatch, r_table):
+        w = _table_weight(r_table)
+        edges = [0.0, *r_table, np.inf]
+        for (pp, e), v in _moments_used(monkeypatch, w, 2.0):
+            ref = sum(quad(lambda r: float(w.w(r)) ** pp * r ** e, a, b,
+                           epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                      for a, b in zip(edges[:-1], edges[1:]))
+            assert ref <= v <= ref * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("r_table", TABLES, ids=TABLE_IDS)
+    def test_tail_integral_below_last_knot(self, r_table):
+        w = _table_weight(r_table)
+        for R in (0.0, 0.05, r_table[1], 0.5 * (r_table[2] + r_table[3]), 275.0):
+            edges = [R, *r_table[r_table > R], np.inf]
+            ref = sum(quad(lambda r: float(w.w(r)), a, b, epsabs=0.0, epsrel=1e-13,
+                           limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
+            assert w.tail_integral(R) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_bound_above_next_lambda(self):
+        K = 14
+        weights = [WeightSpec.inhomogeneous(n, s) for n in (2, 3, 4)
+                   for s in (0.6, 1.5, 2.0, 3.0)] + [_table_weight(TABLE_R)]
+        for w in weights:
+            bound = build_spectrum(w, K).certificate.tail_bound
+            assert bound >= lambda_quadrature(w, K + 1)[0]
+        # the sparse table does not separate at K = 14, but its bound holds
+        w = _table_weight(TABLES[1])
+        bound, _ = spec_mod._holder_tail_bound(w, K + 1, 2.0)
+        assert bound >= lambda_quadrature(w, K + 1)[0]
 
 
 class TestWeightSpec:
@@ -306,6 +384,13 @@ class TestExport:
             assert key in doc
         assert doc["lambda"][0] == pytest.approx(1.0)
         assert doc["K_set"] == [1]
+
+    def test_json_certificate_details(self):
+        spec = build_spectrum(WeightSpec.inhomogeneous(3, 2.0), K=14)
+        cert = json.loads(spectrum_to_json(spec))["certificate"]
+        assert list(cert) == ["K", "tail_bound", "method", "details"]
+        assert cert["details"] == spec.certificate.details
+        assert sorted(cert["details"]) == ["V", "eps", "p_prime", "watson"]
 
     def test_csv_columns(self):
         spec = build_spectrum(WeightSpec.homogeneous(3, 1.0), K=5)

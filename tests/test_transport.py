@@ -412,6 +412,16 @@ class TestProbe:
         assert lines[0].split(",")[0] == "epsilon"
         assert len(lines) == 3
 
+    def test_csv_direction_column(self):
+        zero = TransportFunction(GRID, "phase",
+                                 np.zeros((GRID.x.size, GRID.v.size)))
+        pts = local_stability_probe(1, zero, [0.0, 0.1], GRID)
+        plain = probe_to_csv(pts).splitlines()
+        indexed = probe_to_csv(pts, [4, 4]).splitlines()
+        assert indexed == ["direction," + plain[0], "4," + plain[1], "4," + plain[2]]
+        with pytest.raises(ValueError):
+            probe_to_csv(pts, [0])
+
 
 class TestTwoDimensional:
     def test_coarse_pairing_defect_small(self):
