@@ -117,33 +117,64 @@ class LocalStabilityReport:
     in_regime: bool
 
 
+def _row_norms(X: np.ndarray, r: float) -> np.ndarray:
+    """l^r norm of each row of a (starts x columns) array."""
+    return (np.abs(X) ** r).sum(axis=1) ** (1.0 / r)
+
+
+def _duality_rows(F: np.ndarray, r: float) -> np.ndarray:
+    """The duality map D_r applied to each row of F."""
+    nrm = _row_norms(F, r)
+    if not nrm.all():
+        raise ValueError("duality map undefined at the zero vector")
+    absF = np.abs(F)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(absF > 0.0, absF ** (r - 2.0) * F, 0.0)
+    return out / (nrm ** (r - 1.0))[:, None]
+
+
+def _apply_rows(M: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """M g for each row g of G, as a broadcast product summed by row.  Unlike
+    a BLAS product, whose blocking depends on the number of rows, each row's
+    result does not depend on the other rows."""
+    return (G[:, None, :] * M).sum(axis=2)
+
+
 def duality_map(F: np.ndarray, r: float) -> np.ndarray:
     """D_r F = |F|^{r-2} F / ||F||_r^{r-1}; a unit vector of l^{r'} pairing
     maximally with F.  Positively homogeneous of degree zero."""
     if r <= 1.0:
         raise ValueError(f"requires r > 1, got {r}")
     F = np.asarray(F, dtype=float)
-    nrm = lp_norm(F, r)
-    if nrm == 0.0:
-        raise ValueError("duality map undefined at the zero vector")
-    absF = np.abs(F)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(absF > 0.0, absF ** (r - 2.0) * F, 0.0)
-    return out / nrm ** (r - 1.0)
+    return _duality_rows(F.reshape(1, -1), r).reshape(F.shape)
 
 
-def _fixed_point(T: FiniteOperator, g0: np.ndarray, tol: float = 1e-12,
-                 max_iter: int = 10_000):
-    g = g0 / lp_norm(g0, T.p)
+def _fixed_points(T: FiniteOperator, G0: np.ndarray, tol: float = 1e-12,
+                  max_iter: int = 10_000):
+    """Iterate g -> D_{p'}(T* D_q(T g)) from every row of G0 at once.
+
+    A row stops on the first step whose l^2 length falls below tol.  Every
+    operation acts on each row alone, so a row follows the trajectory it
+    would follow in a batch of one.  Returns the fixed points (one per row)
+    and each row's iteration count."""
+    M = T.matrix
+    G = G0 / _row_norms(G0, T.p)[:, None]
+    its = np.zeros(len(G), dtype=int)
+    rows, g = np.arange(len(G)), G
     for it in range(max_iter):
-        Tg = T.apply(g)
-        if lp_norm(Tg, T.q) == 0.0:
-            raise ValueError("operator annihilates the start vector")
-        g_new = duality_map(T.apply_adjoint(duality_map(Tg, T.q)), T.p_prime)
-        delta = lp_norm(g_new - g, 2.0)
+        try:
+            H = _duality_rows(_apply_rows(M, g), T.q)
+        except ValueError:
+            raise ValueError("operator annihilates the start vector") from None
+        g_new = _duality_rows((H[:, :, None] * M).sum(axis=1), T.p_prime)
+        done = _row_norms(g_new - g, 2.0) < tol
         g = g_new
-        if delta < tol:
-            return g, it + 1
+        if done.any():
+            G[rows[done]] = g[done]
+            its[rows[done]] = it + 1
+            rows, g = rows[~done], g[~done]
+            if not rows.size:
+                return G, its
     raise ConvergenceError(f"fixed-point iteration did not converge in {max_iter} steps")
 
 
@@ -155,23 +186,23 @@ def operator_norm(T: FiniteOperator, starts: int = 8,
     to positive stationary points; distinct local maxima can still exist
     when p < q, so on disagreement the search escalates and certifies only
     if the top value is reproduced by an independent start.  For general
-    matrices the best stationary value is a flagged lower bound."""
+    matrices the best stationary value is a flagged lower bound.  The
+    starts of a sweep iterate as one batch."""
     if starts < 1:
         raise ValueError("starts must be >= 1")
     rng = rng or np.random.default_rng(0)
     certified = T.nonnegative and T.p <= T.q
+    ncol = T.matrix.shape[1]
 
     def sweep(count):
-        vals, gs, its_total = [], [], 0
-        for _ in range(count):
-            g0 = rng.uniform(0.1, 1.0, size=T.matrix.shape[1])
+        G0 = np.empty((count, ncol))
+        for g0 in G0:
+            g0[:] = rng.uniform(0.1, 1.0, size=ncol)
             if not certified:
-                g0 *= rng.choice([-1.0, 1.0], size=g0.size)
-            g, its = _fixed_point(T, g0)
-            its_total += its
-            vals.append(lp_norm(T.apply(g), T.q))
-            gs.append(g)
-        return vals, gs, its_total
+                g0 *= rng.choice([-1.0, 1.0], size=ncol)
+        G, its = _fixed_points(T, G0)
+        values = _row_norms(_apply_rows(T.matrix, G), T.q)
+        return values.tolist(), list(G), int(its.sum())
 
     values, extremisers, total_it = sweep(starts)
     used = starts
@@ -202,16 +233,14 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
     """Dense search of sup ||Tg||_q over the nonnegative unit l^p sphere;
     oracle for small instances (2 or 3 columns)."""
     ncol = T.matrix.shape[1]
+    t = np.linspace(0.0, 0.5 * math.pi, mesh)
+    c, s = np.cos(t), np.sin(t)
     if ncol == 2:
-        t = np.linspace(0.0, 0.5 * math.pi, mesh)
-        pts = np.stack([np.cos(t), np.sin(t)], axis=1)
+        pts = np.stack([c, s], axis=1)
     elif ncol == 3:
-        t = np.linspace(0.0, 0.5 * math.pi, mesh)
-        u, v = np.meshgrid(t, t)
-        pts = np.stack(
-            [np.cos(u).ravel() * np.cos(v).ravel(),
-             np.cos(u).ravel() * np.sin(v).ravel(),
-             np.sin(u).ravel()], axis=1)
+        # point (j, i) is (cos t_i cos t_j, cos t_i sin t_j, sin t_i)
+        pts = np.stack([np.outer(c, c).ravel(), np.outer(s, c).ravel(),
+                        np.tile(s, mesh)], axis=1)
     else:
         raise ValueError("brute force supports 2 or 3 columns")
     pts = np.abs(pts)

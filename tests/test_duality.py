@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from tracestab.duality import (
     FiniteOperator,
+    _fixed_points,
     aldaz_ratio,
     brute_force_norm,
     cfl1_gap,
@@ -27,6 +28,7 @@ from tracestab.duality import (
     sigma_counterexample,
     stereographic,
 )
+from tracestab.errors import ConvergenceError
 
 
 def random_operator(rng, rows=None, cols=None, p=None, q=None):
@@ -113,6 +115,73 @@ class TestOperatorNorm:
         assert lp_norm(T.apply(g), T.q) == pytest.approx(
             cert.value * lp_norm(g, T.p), rel=1e-10
         )
+
+
+class TestBatchedFixedPoints:
+    @pytest.mark.parametrize("p,q", [(1.5, 2.5), (2.0, 3.0)])
+    def test_rows_match_rows_run_alone(self, rng, p, q):
+        for _ in range(10):
+            T = FiniteOperator(rng.uniform(0.0, 1.0, rng.integers(2, 6, size=2)), p, q)
+            G0 = rng.uniform(0.1, 1.0, size=(8, T.matrix.shape[1]))
+            G, its = _fixed_points(T, G0)
+            for i in range(8):
+                g, it = _fixed_points(T, G0[i:i + 1])
+                assert it[0] == its[i]
+                assert lp_norm(T.apply(G[i]), q) == pytest.approx(
+                    lp_norm(T.apply(g[0]), q), rel=1e-14)
+                assert np.max(np.abs(G[i] - g[0])) <= 1e-12
+
+    def test_zero_operator_annihilates(self):
+        T = FiniteOperator(np.zeros((2, 3)), 1.5, 2.5)
+        with pytest.raises(ValueError, match="annihilates"):
+            _fixed_points(T, np.ones((4, 3)))
+
+    def test_iteration_cap(self, rng):
+        T = random_operator(rng)
+        with pytest.raises(ConvergenceError):
+            _fixed_points(T, rng.uniform(0.1, 1.0, (4, T.matrix.shape[1])), max_iter=3)
+
+    def test_escalating_operator(self):
+        # starts drawn from default_rng(798): the first 8 starts of the T
+        # search stop at two stationary values, so it escalates to 40
+        T = FiniteOperator(np.array([[0.13003169098233525, 0.9639889659405984],
+                                     [0.8363372324055592, 0.07929188977520729]]),
+                           1.5, 2.5)
+        rng = np.random.default_rng(798)
+        cert = operator_norm(T, rng=rng)
+        cert_adj = operator_norm(T.adjoint(), rng=rng)
+        assert (cert.starts, cert.distinct_values) == (40, 2)
+        assert (cert_adj.starts, cert_adj.distinct_values) == (8, 1)
+        assert cert.value == pytest.approx(0.96603549141913, rel=1e-12)
+        assert cert_adj.value == pytest.approx(0.96603549141913, rel=1e-12)
+
+
+class TestBruteForce:
+    @staticmethod
+    def meshgrid_reference(T, mesh):
+        t = np.linspace(0.0, 0.5 * math.pi, mesh)
+        if T.matrix.shape[1] == 2:
+            pts = np.stack([np.cos(t), np.sin(t)], axis=1)
+        else:
+            u, v = np.meshgrid(t, t)
+            pts = np.stack(
+                [np.cos(u).ravel() * np.cos(v).ravel(),
+                 np.cos(u).ravel() * np.sin(v).ravel(),
+                 np.sin(u).ravel()], axis=1)
+        pts = np.abs(pts)
+        pts = pts / (np.sum(pts ** T.p, axis=1) ** (1.0 / T.p))[:, None]
+        vals = np.sum(np.abs(pts @ T.matrix.T) ** T.q, axis=1) ** (1.0 / T.q)
+        return float(np.max(vals))
+
+    @pytest.mark.parametrize("cols", [2, 3])
+    @pytest.mark.parametrize("mesh", [180, 500])
+    def test_matches_meshgrid_reference(self, rng, cols, mesh):
+        T = random_operator(rng, cols=cols)
+        assert brute_force_norm(T, mesh) == self.meshgrid_reference(T, mesh)
+
+    def test_rejects_four_columns(self, rng):
+        with pytest.raises(ValueError):
+            brute_force_norm(random_operator(rng, cols=4))
 
 
 class TestExtremiserTransfer:
