@@ -105,49 +105,50 @@ def _weight(args) -> spec_mod.WeightSpec:
 
 
 def validate_args(args) -> list[str]:
-    """Precondition violations of a run configuration, without executing."""
+    """Precondition violations of a run configuration, without executing.
+
+    The library objects a command builds are constructed here and their
+    ValueError messages collected, so each object reports only its first
+    violation; the rules written out below are the CLI's own."""
     v: list[str] = []
+
+    def build(make, *a):
+        try:
+            make(*a)
+        except ValueError as exc:
+            v.append(str(exc))
+
     cmd = args.command
+    if cmd in ("verify-trace", "duality-sweep", "transport-probe") and args.trials < 1:
+        v.append("trials >= 1 required")
     if cmd in ("spectrum", "constants", "verify-trace"):
-        if args.n < 2:
-            v.append("dimension n >= 2 required")
-        if args.weight == "homogeneous":
-            if not 0.5 < args.s:
-                v.append("s > 1/2 required")
-            if args.n >= 2 and not args.s < args.n / 2.0:
-                v.append("s < n/2 required")
-        else:
-            if not args.s > 0.5:
-                v.append("s > 1/2 required")
+        build(_weight, args)
+        if cmd == "spectrum" and args.tau is not None:
+            build(spec_mod.watson_integral, args.n, 0, args.tau)
         k_min = 6 if cmd == "verify-trace" else 1  # random profiles reach degree 6
-        if getattr(args, "K", 1) < k_min:
+        if args.K < k_min:
             v.append(f"K >= {k_min} required")
-        if getattr(args, "tau", None) is not None and args.tau <= 1.0:
-            v.append("tau > 1 required")
-        if getattr(args, "trials", 1) < 1:
-            v.append("trials >= 1 required")
     elif cmd == "duality-sweep":
-        if args.trials < 1:
-            v.append("trials >= 1 required")
-        if not 1.0 < args.p <= 2.0:
-            v.append("p in (1, 2] required")
+        build(duality.FiniteOperator, np.ones((1, 1)), args.p, args.q)
         if not args.q >= args.p:
             v.append("q >= p required")
     elif cmd == "counterexample":
-        if not 1.0 < args.r:
-            v.append("r > 1 required")
+        if args.r is None:
+            v.append("--r required")
+        else:
+            build(duality.sigma_counterexample, args.r, args.sigma, args.deltas)
         if args.sigma <= 0:
             v.append("sigma > 0 required")
-        for d in args.deltas:
-            if not 0.0 < d < 0.5:
-                v.append(f"delta {d} outside (0, 1/2)")
+        if len(args.deltas) < 2:  # the decay check compares successive deltas
+            v.append("at least 2 deltas required")
     elif cmd == "transport-probe":
         if args.n != 1:
             v.append("transport probe is certified for n = 1 only")
-        if args.L < 10.0:
-            v.append("extent L >= 10 required")
-        if args.points < 128:
-            v.append("at least 128 grid points per axis required")
+        build(transport.PhaseGrid.build, 1, args.L, args.points)
+        if args.directions < 1:
+            v.append("directions >= 1 required")
+        if not args.eps:
+            v.append("at least 1 eps required")
         for e in args.eps:
             if not 0.0 < e <= 0.25:
                 v.append(f"eps {e} outside (0, 0.25]")
@@ -376,11 +377,7 @@ def cmd_transport_probe(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    target = argparse.Namespace(**vars(args))
-    target.command = args.target
-    if target.n is None:  # --n not given: the target command's own default
-        target.n = _command_parser(args.target).get_default("n")
-    violations = validate_args(target)
+    violations = validate_args(args)
     for msg in violations:
         print(f"violation: {msg}")
     if not violations:
@@ -396,7 +393,15 @@ def _csv_floats(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None, required: bool = True) -> argparse.ArgumentParser:
+    """The tracestab parser.  Every subcommand takes the `config` values as
+    defaults; a flag the config supplies is never required, and with
+    `required=False` none is (validate parses its target's flags so)."""
+    config = config or {}
+
+    def needed(dest: str) -> bool:
+        return required and dest not in config
+
     ap = argparse.ArgumentParser(
         prog="tracestab",
         description="Sharp constants and stability diagnostics for trace-type inequalities",
@@ -430,25 +435,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-trace", help="randomized stability verification")
     weight_opts(p)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=needed("seed"))
     common(p)
 
     p = sub.add_parser("duality-sweep", help="finite-dimensional duality lab sweep")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=needed("seed"))
     p.add_argument("--p", type=float, default=1.5)
     p.add_argument("--q", type=float, default=2.5)
     common(p)
 
     p = sub.add_parser("counterexample", help="stability-exponent counterexample family")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=float, required=needed("r"))
     p.add_argument("--sigma", type=float, default=2.0)
     p.add_argument("--deltas", type=_csv_floats, default=[0.1, 0.01, 0.001])
     common(p)
 
     p = sub.add_parser("transport-probe", help="kinetic-transport stability probe")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=needed("seed"))
     p.add_argument("--L", type=float, default=40.0)
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--eps", type=_csv_floats, default=[0.05, 0.1, 0.2])
@@ -459,30 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("validate", help="report precondition violations without executing")
-    p.add_argument("--target", required=True,
-                   choices=("spectrum", "constants", "verify-trace", "duality-sweep",
-                            "counterexample", "transport-probe"))
-    weight_opts(p)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--p", type=float, default=1.5)
-    p.add_argument("--q", type=float, default=2.5)
-    p.add_argument("--r", type=float, default=1.5)
-    p.add_argument("--sigma", type=float, default=2.0)
-    p.add_argument("--deltas", type=_csv_floats, default=[0.1, 0.01])
-    p.add_argument("--L", type=float, default=40.0)
-    p.add_argument("--points", type=int, default=256)
-    p.add_argument("--eps", type=_csv_floats, default=[0.05, 0.1, 0.2])
-    p.set_defaults(n=None)  # cmd_validate takes the target's default
-    common(p)
+    p.add_argument("--target", required=needed("target"), choices=tuple(_DISPATCH))
+
+    for p in sub.choices.values():
+        p.set_defaults(**config)
     return ap
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The subparser of one command, with its own defaults."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[name]
 
 
 _DISPATCH = {
@@ -492,33 +478,44 @@ _DISPATCH = {
     "duality-sweep": cmd_duality_sweep,
     "counterexample": cmd_counterexample,
     "transport-probe": cmd_transport_probe,
-    "validate": cmd_validate,
 }
 
 
+def _read_config(path: str) -> dict:
+    """Flag defaults from a JSON object; a key may belong to any command, but
+    must name a flag of one."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    config = {k.replace("-", "_"): v for k, v in doc.items()}
+    ap = build_parser(required=False)
+    flags = set().union(*(vars(ap.parse_args([cmd])) for cmd in (*_DISPATCH, "validate")))
+    unknown = sorted(set(config) - (flags - {"command"}))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    return config
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args, _ = ap.parse_known_args(argv)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        clean = {k.replace("-", "_"): v for k, v in defaults.items()}
-        # subparsers keep their own defaults, so push the config values
-        # into each of them as well as into the root parser
-        ap.set_defaults(**clean)
-        for action in ap._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub_ap in action.choices.values():
-                    sub_ap.set_defaults(**clean)
-        args = ap.parse_args(argv)
-    else:
-        args = ap.parse_args(argv)
+    pre = argparse.ArgumentParser(prog="tracestab", add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
+    try:
+        config = _read_config(config_path) if config_path else {}
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    ap = build_parser(config)
+    args, rest = ap.parse_known_args(argv)
+    if args.command == "validate":
+        # the target's own parser: its flags, defaults, types and choices
+        return cmd_validate(
+            build_parser(config, required=False).parse_args([args.target, *rest]))
+    if rest:
+        ap.error(f"unrecognized arguments: {' '.join(rest)}")
     violations = validate_args(args)
-    if violations and args.command != "validate":
+    if violations:
         for msg in violations:
             print(f"config error: {msg}", file=sys.stderr)
         return 2

@@ -424,14 +424,13 @@ def sigma_counterexample(r: float, sigma: float, delta_list,
 # stereographic projection and pushforward isometry
 
 
-def stereographic(x) -> tuple[np.ndarray, float]:
-    """Inverse stereographic projection of x in R^{n-1} onto S^{n-1}, with
-    the jacobian (2/(1+|x|^2))^{n-1}."""
+def stereographic(x) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse stereographic projection of the rows x in R^{n-1} of an
+    (..., n-1) array onto S^{n-1}, with the jacobian (2/(1+|x|^2))^{n-1}."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size  # = n - 1
-    s2 = float(np.dot(x, x))
-    point = np.concatenate([2.0 * x / (1.0 + s2), [(1.0 - s2) / (1.0 + s2)]])
-    jac = (2.0 / (1.0 + s2)) ** d
+    s2 = np.sum(x * x, axis=-1, keepdims=True)
+    point = np.concatenate([2.0 * x / (1.0 + s2), (1.0 - s2) / (1.0 + s2)], axis=-1)
+    jac = (2.0 / (1.0 + s2[..., 0])) ** x.shape[-1]
     return point, jac
 
 
@@ -449,33 +448,21 @@ def pushforward_isometry(G, q_prime: float, n: int,
     vals = np.asarray(G(pts), dtype=float)
     sphere_norm = float(np.sum(w * np.abs(vals) ** q_prime) ** (1.0 / q_prime))
 
-    # flat side in polar coordinates rho = tan(psi/2)
+    # flat side in polar coordinates x = rho * u, rho = tan(psi/2), with u
+    # on S^{n-2}: the two points +-1 (n = 2) or n_azimuth rays (n = 3)
     x_gl, w_gl = np.polynomial.legendre.leggauss(n_radial)
     psi = 0.5 * math.pi * (x_gl + 1.0)
-    dpsi = 0.5 * math.pi * w_gl
     rho = np.tan(0.5 * psi)
-    drho = 0.5 / np.cos(0.5 * psi) ** 2
+    w_rho = 0.5 * math.pi * w_gl * 0.5 / np.cos(0.5 * psi) ** 2 * rho ** (n - 2)
     if n == 2:
-        flat = 0.0
-        for sgn in (1.0, -1.0):
-            xs = (sgn * rho)[:, None]
-            sph = np.array([stereographic(x)[0] for x in xs])
-            jac = (2.0 / (1.0 + rho ** 2)) ** (n - 1)
-            gv = np.asarray(G(sph), dtype=float)
-            flat += float(np.sum(dpsi * drho * jac * np.abs(gv) ** q_prime))
+        dirs, w_dir = np.array([[1.0], [-1.0]]), 1.0
     else:
         phi = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
-        wphi = 2.0 * math.pi / n_azimuth
-        cos_p, sin_p = np.cos(phi), np.sin(phi)
-        flat = 0.0
-        for rr, dd, dr in zip(rho, dpsi, drho):
-            xs = np.stack([rr * cos_p, rr * sin_p], axis=1)
-            sph = np.array([stereographic(x)[0] for x in xs])
-            jac = (2.0 / (1.0 + rr ** 2)) ** (n - 1)
-            gv = np.asarray(G(sph), dtype=float)
-            flat += float(rr * dd * dr * jac * wphi * np.sum(np.abs(gv) ** q_prime))
-    flat_norm = flat ** (1.0 / q_prime)
-    return sphere_norm, flat_norm
+        dirs, w_dir = np.stack([np.cos(phi), np.sin(phi)], axis=1), 2.0 * math.pi / n_azimuth
+    sph, jac = stereographic(rho[:, None, None] * dirs)
+    gv = np.asarray(G(sph.reshape(-1, n)), dtype=float).reshape(jac.shape)
+    flat = float(np.sum(w_rho[:, None] * w_dir * jac * np.abs(gv) ** q_prime))
+    return sphere_norm, flat ** (1.0 / q_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -76,14 +76,12 @@ class WeightSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
-        if self.kind == "homogeneous":
-            if not 0.5 < self.s < self.n / 2.0:
-                raise ValueError(
-                    f"homogeneous weight requires s in (1/2, n/2); got s={self.s}, n={self.n}"
-                )
-        elif self.kind == "inhomogeneous":
+        if self.kind in ("homogeneous", "inhomogeneous"):
             if not self.s > 0.5:
-                raise ValueError(f"inhomogeneous weight requires s > 1/2; got s={self.s}")
+                raise ValueError(f"s > 1/2 required; got s={self.s}")
+            if self.kind == "homogeneous" and not self.s < self.n / 2.0:
+                raise ValueError(
+                    f"s < n/2 required for r^(-2s); got s={self.s}, n={self.n}")
         elif self.kind == "custom":
             r = np.asarray(self.r_table, dtype=float)
             w = np.asarray(self.w_table, dtype=float)
@@ -182,7 +180,7 @@ def lambda_inhomogeneous_s1(n: int, k: int) -> float:
 def watson_integral(n: int, k: int, tau: float) -> float:
     """Closed form of int_0^infty J_{k+(n-2)/2}(r)^2 r^{1-tau} dr, tau > 1."""
     if tau <= 1.0:
-        raise ValueError(f"requires tau > 1, got {tau}")
+        raise ValueError("tau > 1 required")
     if k + (n - tau) / 2.0 <= 0.0:
         raise ValueError(
             f"integral diverges: k + (n-tau)/2 = {k + (n - tau) / 2.0} <= 0"
@@ -364,7 +362,7 @@ class _PowerWeight:
 def watson_quadrature(n: int, k: int, tau: float, tol: float = 1e-8) -> tuple[float, float]:
     """Quadrature twin of watson_integral (weight r^{-tau})."""
     if tau <= 1.0:
-        raise ValueError(f"requires tau > 1, got {tau}")
+        raise ValueError("tau > 1 required")
     return lambda_quadrature(_PowerWeight(n, tau), k, tol)
 
 

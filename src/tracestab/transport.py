@@ -85,6 +85,8 @@ class PhaseGrid:
     @classmethod
     def build(cls, n: int = 1, L: float = 40.0, points: int = 256,
               t_extent: float | None = None) -> "PhaseGrid":
+        if points < 1:
+            raise ValueError("points must be >= 1")
         return cls(n, L, 2.0 * L / points, t_extent if t_extent is not None else L)
 
 
@@ -350,6 +352,8 @@ class _Side:
 
     def __init__(self, n: int, grid: PhaseGrid, side: str):
         p, q, _ = exponents(n)
+        if n != 1:
+            raise ValueError("the probe is certified at n = 1 only")
         if side == "primal":
             self.e_in, self.e_out = p, q
             self.fwd, self.bwd = self._rho, self._rho_star
@@ -405,8 +409,6 @@ def ratio_estimate(n: int, grid: PhaseGrid, side: str = "primal") -> float:
     the probe and random sweeps use).  'primal' measures
     |rho f*|_q / |f*|_p; 'dual' measures |rho* G*|_{p'} / |G*|_{q'}.
     Computed once per (n, grid, side)."""
-    if n != 1:
-        raise ValueError("the certified ratio estimate is n = 1 only")
     return _side(n, grid, side).ratio
 
 
@@ -429,8 +431,6 @@ def ratio_gradient(n: int, grid: PhaseGrid, side: str = "primal") -> np.ndarray:
     directions are projected against it so their deficit starts at
     quadratic order.  Computed once per (n, grid, side) and returned
     read-only."""
-    if n != 1:
-        raise ValueError("the probe machinery is n = 1 only")
     return _side(n, grid, side).gradient
 
 
@@ -456,8 +456,6 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     """Deficit/distance curve for f = f* + eps * direction (primal) or
     G = G* + eps * direction (dual), distances minimized over the scalar
     ray of the extremiser."""
-    if n != 1:
-        raise ValueError("the probe is certified at n = 1 only")
     sd = _side(n, grid, side)
     base, e_in, e_out, apply_op = sd.base, sd.e_in, sd.e_out, sd.fwd
     if direction.kind != base.kind:

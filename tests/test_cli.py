@@ -200,3 +200,76 @@ class TestValidate:
                      "--output", str(tmp_path)])
         assert code == 2
         assert "config error: K >= 6 required" in capsys.readouterr().err
+
+
+class TestOneParser:
+    """Each command's flags are declared once: `validate` parses its target's
+    own flags, `--config` feeds the same parser, and the library's own
+    ValueError messages are the precondition list."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["transport-probe", "--seed", "1", "--trials", "0"], "trials >= 1 required"),
+        (["transport-probe", "--seed", "1", "--directions", "0"],
+         "directions >= 1 required"),
+        (["transport-probe", "--seed", "1", "--eps", ","], "at least 1 eps required"),
+        (["counterexample", "--r", "1.5", "--deltas", "0.1"],
+         "at least 2 deltas required"),
+        (["counterexample", "--r", "1.5", "--deltas", ","],
+         "at least 2 deltas required"),
+    ], ids=["trials", "directions", "empty-eps", "one-delta", "empty-deltas"])
+    def test_vacuous_runs_are_config_errors(self, tmp_path, capsys, argv, message):
+        assert validate_args(build_parser().parse_args(argv)) == [message]
+        assert main([*argv, "--output", str(tmp_path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", "--n", "3", "--tau", "3.5"], "integral diverges"),
+        (["counterexample", "--r", "inf"], "requires r in (1, inf), got inf"),
+        (["transport-probe", "--seed", "1", "--points", "0"], "points must be >= 1"),
+        (["transport-probe", "--seed", "1", "--points", "127"],
+         "spacing h must be <= 0.625 for n=1"),
+    ], ids=["tau-diverges", "r-inf", "no-points", "coarse-grid"])
+    def test_library_preconditions_are_config_errors(self, tmp_path, capsys, argv,
+                                                     message):
+        assert main([*argv, "--output", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_supplies_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "output": str(tmp_path)}))
+        assert main(["--config", str(cfg), "duality-sweep", "--trials", "2"]) == 0
+        assert (tmp_path / "duality_report.csv").exists()
+
+    def test_config_supplies_r_beside_other_commands_keys(self, tmp_path, capsys):
+        # one file serves several commands; a key binds only where it is a flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 1.5, "K": 5, "seed": 2, "trials": 0,
+                                   "tau": 0.5, "output": str(tmp_path)}))
+        assert main(["--config", str(cfg), "counterexample"]) == 0
+        assert (tmp_path / "counterexample.csv").exists()
+        assert main(["--config", str(cfg), "validate", "--target", "constants"]) == 0
+        assert main(["--config", str(cfg), "validate", "--target", "spectrum"]) == 1
+        assert capsys.readouterr().out.endswith("config ok\nviolation: tau > 1 required\n")
+
+    def test_unknown_config_key_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trails": 2, "output": str(tmp_path)}))
+        assert main(["--config", str(cfg), "spectrum"]) == 2
+        assert "unknown config key(s): trails" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_validate_rejects_flags_its_target_lacks(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--target", "spectrum", "--eps", "0.3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eps 0.3" in capsys.readouterr().err
+
+    def test_validate_needs_r_from_flag_or_config(self, tmp_path, capsys):
+        # a missing --r is a violation, not a usage error; the config may supply it
+        assert main(["validate", "--target", "counterexample", "--r", "1.5"]) == 0
+        assert main(["validate", "--target", "counterexample"]) == 1
+        assert capsys.readouterr().out == "config ok\nviolation: --r required\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 1.5}))
+        assert main(["--config", str(cfg), "validate", "--target", "counterexample"]) == 0

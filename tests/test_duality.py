@@ -370,6 +370,17 @@ class TestStereographic:
         assert pt[2] == pytest.approx(-1.0, abs=1e-10)
         assert jac < 1e-15
 
+    def test_rows_match_single_points(self, rng):
+        x = rng.normal(size=(4, 5, 2)) * 3.0
+        pts, jac = stereographic(x)
+        assert pts.shape == (4, 5, 3) and jac.shape == (4, 5)
+        for idx in np.ndindex(4, 5):  # one point at a time, the formula spelled out
+            xi = x[idx]
+            s2 = float(np.dot(xi, xi))
+            ref = np.concatenate([2.0 * xi / (1.0 + s2), [(1.0 - s2) / (1.0 + s2)]])
+            assert np.allclose(pts[idx], ref, rtol=1e-15, atol=1e-300)
+            assert jac[idx] == pytest.approx((2.0 / (1.0 + s2)) ** 2, rel=1e-15)
+
 
 class TestPushforward:
     @pytest.mark.parametrize("n,qp", [(2, 4.0), (3, 3.0)])

@@ -73,6 +73,11 @@ class TestPhaseGrid:
         with pytest.raises(ValueError):
             PhaseGrid(1, 40.0, 0.3125, -1.0)      # bad t extent
 
+    @pytest.mark.parametrize("points", [0, -256])
+    def test_build_needs_points(self, points):
+        with pytest.raises(ValueError, match="points must be >= 1"):
+            PhaseGrid.build(n=1, L=40.0, points=points)
+
     def test_axes(self):
         g = PhaseGrid.build(n=1, L=40.0, points=256, t_extent=2.0)
         assert g.x[0] == -40.0 and g.x[-1] == 40.0
@@ -402,6 +407,21 @@ class TestProbe:
                                  np.zeros((GRID.x.size, GRID.v.size)))
         with pytest.raises(ValueError):
             local_stability_probe(1, zero, [0.5], GRID)
+
+    @pytest.mark.parametrize("n,message", [(0, "n must be >= 1"),
+                                           (2, "certified at n = 1 only")])
+    @pytest.mark.parametrize("call", [
+        lambda n: ratio_estimate(n, GRID),
+        lambda n: ratio_gradient(n, GRID),
+        lambda n: make_probe_direction(np.ones((GRID.x.size, GRID.v.size)), n, GRID),
+        lambda n: local_stability_probe(
+            n, TransportFunction(GRID, "phase", np.zeros((GRID.x.size, GRID.v.size))),
+            [0.1], GRID),
+    ], ids=["ratio_estimate", "ratio_gradient", "make_probe_direction",
+            "local_stability_probe"])
+    def test_dimension_checked_once(self, call, n, message):
+        with pytest.raises(ValueError, match=message):
+            call(n)
 
     def test_csv_export(self):
         zero = TransportFunction(GRID, "phase",
