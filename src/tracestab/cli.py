@@ -95,9 +95,11 @@ def _report(checks: list[Check], args, name: str) -> None:
 
 
 def _weight(args) -> spec_mod.WeightSpec:
-    if args.weight == "homogeneous":
-        return spec_mod.WeightSpec.homogeneous(args.n, args.s)
-    return spec_mod.WeightSpec.inhomogeneous(args.n, args.s)
+    make = {"homogeneous": spec_mod.WeightSpec.homogeneous,
+            "inhomogeneous": spec_mod.WeightSpec.inhomogeneous}.get(args.weight)
+    if make is None:
+        raise ValueError(f"unknown weight {args.weight!r}")
+    return make(args.n, args.s)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +125,7 @@ def validate_args(args) -> list[str]:
         v.append("trials >= 1 required")
     if cmd in ("spectrum", "constants", "verify-trace"):
         build(_weight, args)
+        build(spec_mod.check_tol, args.tol)
         if cmd == "spectrum" and args.tau is not None:
             build(spec_mod.watson_integral, args.n, 0, args.tau)
         k_min = 6 if cmd == "verify-trace" else 1  # random profiles reach degree 6
@@ -149,6 +152,8 @@ def validate_args(args) -> list[str]:
             v.append("directions >= 1 required")
         if not args.eps:
             v.append("at least 1 eps required")
+        elif len(args.eps) < 2:  # the quadratic-deficit check compares eps values
+            v.append("at least 2 eps required")
         for e in args.eps:
             if not 0.0 < e <= 0.25:
                 v.append(f"eps {e} outside (0, 0.25]")
@@ -393,15 +398,9 @@ def _csv_floats(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
-def build_parser(config: dict | None = None, required: bool = True) -> argparse.ArgumentParser:
-    """The tracestab parser.  Every subcommand takes the `config` values as
-    defaults; a flag the config supplies is never required, and with
-    `required=False` none is (validate parses its target's flags so)."""
-    config = config or {}
-
-    def needed(dest: str) -> bool:
-        return required and dest not in config
-
+def build_parser(required: bool = True) -> argparse.ArgumentParser:
+    """The tracestab parser.  With `required=False` no flag is required
+    (validate parses its target's flags so)."""
     ap = argparse.ArgumentParser(
         prog="tracestab",
         description="Sharp constants and stability diagnostics for trace-type inequalities",
@@ -435,25 +434,25 @@ def build_parser(config: dict | None = None, required: bool = True) -> argparse.
     p = sub.add_parser("verify-trace", help="randomized stability verification")
     weight_opts(p)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=needed("seed"))
+    p.add_argument("--seed", type=int, required=required)
     common(p)
 
     p = sub.add_parser("duality-sweep", help="finite-dimensional duality lab sweep")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, required=needed("seed"))
+    p.add_argument("--seed", type=int, required=required)
     p.add_argument("--p", type=float, default=1.5)
     p.add_argument("--q", type=float, default=2.5)
     common(p)
 
     p = sub.add_parser("counterexample", help="stability-exponent counterexample family")
-    p.add_argument("--r", type=float, required=needed("r"))
+    p.add_argument("--r", type=float, required=required)
     p.add_argument("--sigma", type=float, default=2.0)
     p.add_argument("--deltas", type=_csv_floats, default=[0.1, 0.01, 0.001])
     common(p)
 
     p = sub.add_parser("transport-probe", help="kinetic-transport stability probe")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--seed", type=int, required=needed("seed"))
+    p.add_argument("--seed", type=int, required=required)
     p.add_argument("--L", type=float, default=40.0)
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--eps", type=_csv_floats, default=[0.05, 0.1, 0.2])
@@ -464,10 +463,7 @@ def build_parser(config: dict | None = None, required: bool = True) -> argparse.
     common(p)
 
     p = sub.add_parser("validate", help="report precondition violations without executing")
-    p.add_argument("--target", required=needed("target"), choices=tuple(_DISPATCH))
-
-    for p in sub.choices.values():
-        p.set_defaults(**config)
+    p.add_argument("--target", required=required, choices=tuple(_DISPATCH))
     return ap
 
 
@@ -481,37 +477,57 @@ _DISPATCH = {
 }
 
 
-def _read_config(path: str) -> dict:
-    """Flag defaults from a JSON object; a key may belong to any command, but
+def _flags(ap: argparse.ArgumentParser, command: str) -> set[str]:
+    """Destinations of the flags of one command, from a parser built with
+    required=False."""
+    return set(vars(ap.parse_args([command]))) - {"command", "config"}
+
+
+def _read_config(path: str, ap: argparse.ArgumentParser) -> dict:
+    """Flag values from a JSON object; a key may belong to any command, but
     must name a flag of one."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     config = {k.replace("-", "_"): v for k, v in doc.items()}
-    ap = build_parser(required=False)
-    flags = set().union(*(vars(ap.parse_args([cmd])) for cmd in (*_DISPATCH, "validate")))
-    unknown = sorted(set(config) - (flags - {"command"}))
+    flags = set().union(*(_flags(ap, cmd) for cmd in (*_DISPATCH, "validate")))
+    unknown = sorted(set(config) - flags)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     return config
 
 
+def _with_config(config: dict, ap: argparse.ArgumentParser, command: str,
+                 tokens: list[str]) -> list[str]:
+    """argv for one command: each config key that names one of its flags
+    becomes a --flag=value token ahead of the command line's tokens, so
+    argparse checks its type and choices, and the command line, parsed
+    last, wins.  A list is joined by commas; a null leaves the default."""
+    flags = _flags(ap, command)
+    pre = [f"--{k.replace('_', '-')}="
+           + (",".join(map(str, v)) if isinstance(v, list) else str(v))
+           for k, v in config.items() if k in flags and v is not None]
+    return [command, *pre, *tokens]
+
+
 def main(argv=None) -> int:
     pre = argparse.ArgumentParser(prog="tracestab", add_help=False)
     pre.add_argument("--config")
-    config_path = pre.parse_known_args(argv)[0].config
+    known, argv = pre.parse_known_args(argv)
+    loose = build_parser(required=False)
     try:
-        config = _read_config(config_path) if config_path else {}
+        config = _read_config(known.config, loose) if known.config else {}
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    ap = build_parser(config)
+    if argv and argv[0] in ("validate", *_DISPATCH):
+        argv = _with_config(config, loose, argv[0], argv[1:])
+    ap = build_parser()
     args, rest = ap.parse_known_args(argv)
     if args.command == "validate":
         # the target's own parser: its flags, defaults, types and choices
-        return cmd_validate(
-            build_parser(config, required=False).parse_args([args.target, *rest]))
+        return cmd_validate(loose.parse_args(_with_config(config, loose, args.target, rest)))
     if rest:
         ap.error(f"unrecognized arguments: {' '.join(rest)}")
     violations = validate_args(args)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, InconsistencyError
 
@@ -329,14 +329,60 @@ def aldaz_ratio(h1: np.ndarray, h2: np.ndarray, r: float) -> float:
 
 def ray_distance(u: np.ndarray, b: np.ndarray, p: float) -> float:
     """min over c >= 0 of ||u - c b||_p (unweighted sums over all entries),
-    by a bounded search over c in [0, 10 ||u||_p / ||b||_p]."""
-    res = minimize_scalar(
-        lambda c: lp_norm(u - c * b, p),
-        bounds=(0.0, 10.0 * lp_norm(u, p) / max(lp_norm(b, p), 1e-300)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.fun)
+    with c in [0, 10 ||u||_p / ||b||_p].
+
+    The distance is convex in c, so phi(c) = -<b, |u - c b|^{p-1} sign(u - c b)>
+    increases with c and the minimiser is its root in the bracket.  Secant
+    steps start from ||u||_p / ||b||_p, the minimiser when u lies on the ray
+    (where Newton's phi' is singular for p < 2).  A step that leaves the
+    bracket becomes bisection, and a step shorter than tol (tens of units
+    in the last place of c) becomes one of length tol, so that the bracket
+    also closes from its far side.  The search stops once the bracket is
+    2 tol wide, at its end with the smaller |phi|."""
+    u = np.asarray(u, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    # every pass writes into r or t: no allocation per evaluation
+    r, t = np.empty_like(u), np.empty_like(u)
+
+    def residual(c):
+        return np.subtract(u, np.multiply(b, c, out=r), out=r)
+
+    # operator.ipow(t, e) is t **= e, which, unlike np.power, takes numpy's
+    # sqrt path at e = 1/2: the exponent p - 1 on both sides of the probe
+    def norm(x):  # lp_norm(x, p), computed in t
+        return float(np.sum(operator.ipow(np.abs(x, out=t), p)) ** (1.0 / p))
+
+    def phi(c):
+        operator.ipow(np.abs(residual(c), out=t), p - 1.0)
+        return -float(b @ np.copysign(t, r, out=t))
+
+    u_norm = norm(u)
+    c = u_norm / max(norm(b), 1e-300)
+    lo, hi = 0.0, 10.0 * c
+    f_lo, f_hi = phi(lo), phi(hi)
+    if f_lo >= 0.0:
+        return u_norm
+    if f_hi <= 0.0:
+        return norm(residual(hi))
+    tol = 4.0 * np.finfo(float).eps * hi  # 2 tol spans 8 floats: a midpoint splits it
+    c_prev, f_prev = lo, f_lo
+    while True:
+        f = phi(c)
+        if f == 0.0:
+            break
+        if f < 0.0:
+            lo, f_lo = c, f
+        else:
+            hi, f_hi = c, f
+        if hi - lo <= 2.0 * tol:
+            c = lo if -f_lo < f_hi else hi
+            break
+        step = f * (c - c_prev) / (f - f_prev) if f != f_prev else math.inf
+        c_prev, f_prev = c, f
+        c -= math.copysign(tol, step) if abs(step) < tol else step
+        if not lo < c < hi:
+            c = 0.5 * (lo + hi)
+    return norm(residual(c))
 
 
 def local_stability_pipeline(T: FiniteOperator, g: np.ndarray,

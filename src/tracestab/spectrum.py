@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special as sp
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConvergenceError, InconclusiveError, InconsistencyError
 from .specfun import landau_envelope_constant, legendre
@@ -35,6 +33,7 @@ __all__ = [
     "sphere_area",
     "lambda_homogeneous_closed",
     "lambda_inhomogeneous_s1",
+    "check_tol",
     "lambda_quadrature",
     "watson_integral",
     "watson_quadrature",
@@ -95,6 +94,8 @@ class WeightSpec:
                 raise ValueError("custom weight needs a declared tail exponent > 1")
             object.__setattr__(self, "r_table", r)
             object.__setattr__(self, "w_table", w)
+            # imported here: only a custom table needs scipy.interpolate
+            from scipy.interpolate import PchipInterpolator
             object.__setattr__(self, "_spline", PchipInterpolator(r, w, extrapolate=False))
         else:
             raise ValueError(f"unknown weight kind {self.kind!r}")
@@ -265,6 +266,13 @@ def _knot_panels(a: float, b: float, knots: np.ndarray) -> np.ndarray:
     return np.union1d(ratio_125, knots[(knots > a) & (knots < b)])
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first call: scipy.integrate also
+    loads scipy.optimize, which tracestab otherwise never needs."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
+
+
 def _envelope_integral(nu: float, weight, r_cut: float) -> tuple[float, float]:
     """int_{r_cut}^infty r w(r) / (pi sqrt(r^2 - nu^2)) dr and its error.
 
@@ -315,14 +323,19 @@ def _tail_integral(nu: float, weight, r_cut: float, envelope: tuple[float, float
     return avg + corr, corr_err + resid + avg_err
 
 
+def check_tol(tol: float) -> None:
+    """The error budget precondition of lambda_quadrature."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+
 def lambda_quadrature(weight: WeightSpec, k: int, tol: float = 1e-8) -> tuple[float, float]:
     """lambda_k(w) by direct quadrature; returns (value, error bound).
 
     Uses only the weight's `n`, vectorised `w(r)`, `tail_integral(R)` and
     `small_r_exponent()`.  Raises ConvergenceError if the tail machinery
     cannot reach tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     if k < 0:
         raise ValueError("k must be >= 0")
     nu = k + (weight.n - 2.0) / 2.0

@@ -455,9 +455,12 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
                           rhat: float | None = None) -> list[ProbePoint]:
     """Deficit/distance curve for f = f* + eps * direction (primal) or
     G = G* + eps * direction (dual), distances minimized over the scalar
-    ray of the extremiser."""
+    ray of the extremiser.
+
+    The sampled operator A is linear, so A(f* + eps d) is the cached image
+    A f* plus eps A d: the direction is applied once, at the first eps."""
     sd = _side(n, grid, side)
-    base, e_in, e_out, apply_op = sd.base, sd.e_in, sd.e_out, sd.fwd
+    base, e_in, e_out = sd.base, sd.e_in, sd.e_out
     if direction.kind != base.kind:
         domain = "phase-space" if side == "primal" else "space-time"
         raise ValueError(f"{side} probe needs a {domain} direction")
@@ -468,13 +471,18 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     if d_norm != 0.0 and abs(d_norm - 1.0) > 1e-6:
         raise ValueError("direction must be zero or normalized in the input norm")
     out = []
+    d_image = None
     for eps in eps_list:
         if not 0.0 <= eps <= 0.25:
             raise ValueError("eps must lie in [0, 0.25] (local regime)")
+        if d_image is None:
+            # the samples only, as they enter f* + eps d: a callable would
+            # select the exact-integrand route
+            d_image = sd.fwd(TransportFunction(grid, base.kind, direction.samples))
         samples = base.samples + eps * direction.samples
-        tf = TransportFunction(grid, base.kind, samples)
-        nrm = grid_norm(tf, e_in)
-        ratio = grid_norm(apply_op(tf), e_out) / nrm
+        nrm = grid_norm(TransportFunction(grid, base.kind, samples), e_in)
+        image = sd.image.samples + eps * d_image.samples
+        ratio = grid_norm(TransportFunction(grid, d_image.kind, image), e_out) / nrm
         deficit = rhat - ratio
         if deficit < -1e-4 * rhat:
             raise InconsistencyError(

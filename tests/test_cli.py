@@ -212,11 +212,12 @@ class TestOneParser:
         (["transport-probe", "--seed", "1", "--directions", "0"],
          "directions >= 1 required"),
         (["transport-probe", "--seed", "1", "--eps", ","], "at least 1 eps required"),
+        (["transport-probe", "--seed", "1", "--eps", "0.1"], "at least 2 eps required"),
         (["counterexample", "--r", "1.5", "--deltas", "0.1"],
          "at least 2 deltas required"),
         (["counterexample", "--r", "1.5", "--deltas", ","],
          "at least 2 deltas required"),
-    ], ids=["trials", "directions", "empty-eps", "one-delta", "empty-deltas"])
+    ], ids=["trials", "directions", "empty-eps", "one-eps", "one-delta", "empty-deltas"])
     def test_vacuous_runs_are_config_errors(self, tmp_path, capsys, argv, message):
         assert validate_args(build_parser().parse_args(argv)) == [message]
         assert main([*argv, "--output", str(tmp_path)]) == 2
@@ -225,11 +226,12 @@ class TestOneParser:
 
     @pytest.mark.parametrize("argv,message", [
         (["spectrum", "--n", "3", "--tau", "3.5"], "integral diverges"),
+        (["spectrum", "--tol", "-1", "--K", "4"], "tol must be positive"),
         (["counterexample", "--r", "inf"], "requires r in (1, inf), got inf"),
         (["transport-probe", "--seed", "1", "--points", "0"], "points must be >= 1"),
         (["transport-probe", "--seed", "1", "--points", "127"],
          "spacing h must be <= 0.625 for n=1"),
-    ], ids=["tau-diverges", "r-inf", "no-points", "coarse-grid"])
+    ], ids=["tau-diverges", "negative-tol", "r-inf", "no-points", "coarse-grid"])
     def test_library_preconditions_are_config_errors(self, tmp_path, capsys, argv,
                                                      message):
         assert main([*argv, "--output", str(tmp_path)]) == 2
@@ -252,6 +254,28 @@ class TestOneParser:
         assert main(["--config", str(cfg), "validate", "--target", "spectrum"]) == 1
         assert capsys.readouterr().out.endswith("config ok\nviolation: tau > 1 required\n")
 
+    def test_config_values_parse_like_flags(self, tmp_path, capsys):
+        # a config value meets the flag's type and choices; the command line wins
+        cfg = tmp_path / "cfg.json"
+        for doc, message in (({"weight": "bogus"}, "invalid choice: 'bogus'"),
+                             ({"n": 3.5}, "invalid int value: '3.5'")):
+            cfg.write_text(json.dumps({**doc, "output": str(tmp_path)}))
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", str(cfg), "spectrum", "--n", "3", "--s", "1.0", "--K", "4"])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "spectrum.csv").exists()
+        cfg.write_text(json.dumps({"K": 2, "output": str(tmp_path)}))
+        assert main(["--config", str(cfg), "spectrum", "--K", "4"]) == 0
+        assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 1 + 5
+        capsys.readouterr()
+        cfg.write_text(json.dumps({"eps": [0.1]}))  # a list is one comma-joined token
+        assert main(["--config", str(cfg), "validate", "--target", "transport-probe"]) == 1
+        assert capsys.readouterr().out == "violation: at least 2 eps required\n"
+        args = build_parser().parse_args(["spectrum"])
+        args.weight = "bogus"
+        assert validate_args(args) == ["unknown weight 'bogus'"]
+
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trails": 2, "output": str(tmp_path)}))
@@ -273,3 +297,19 @@ class TestOneParser:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"r": 1.5}))
         assert main(["--config", str(cfg), "validate", "--target", "counterexample"]) == 0
+
+
+class TestImports:
+    def test_cli_loads_only_scipy_special(self, tmp_path):
+        # quad and PchipInterpolator are imported on first use, and
+        # scipy.integrate would also load scipy.optimize
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", "import tracestab.cli"],
+            capture_output=True, text=True, cwd=tmp_path, env=env, check=True)
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert {"tracestab.cli", "scipy.special"} <= loaded
+        for sub in ("scipy.optimize", "scipy.integrate", "scipy.interpolate"):
+            assert not [m for m in loaded if m == sub or m.startswith(sub + ".")], sub

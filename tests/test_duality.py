@@ -25,6 +25,7 @@ from tracestab.duality import (
     operator_to_json,
     operator_norm,
     pushforward_isometry,
+    ray_distance,
     sigma_counterexample,
     stereographic,
 )
@@ -263,6 +264,81 @@ class TestSharpenedHoelder:
             h2 = h2 / lp_norm(h2, rp)
             ratio = aldaz_ratio(h1, h2, r)
             assert 0.0 <= ratio <= max(r, rp) + 1e-9
+
+
+def _bisection_distance(u, b, p):
+    """Oracle for ray_distance: bisect phi(c) = -<b, |u - cb|^{p-1} sign(u - cb)>,
+    which increases with c, on [0, 10 ||u||_p / ||b||_p] until the bracket's
+    ends are adjacent floats; the smaller distance at either end."""
+    def phi(c):
+        r = u - c * b
+        return -np.sum(b * np.abs(r) ** (p - 1.0) * np.sign(r))
+
+    lo, hi = 0.0, 10.0 * lp_norm(u, p) / lp_norm(b, p)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if phi(mid) < 0.0 else (lo, mid)
+    return min(lp_norm(u - lo * b, p), lp_norm(u - hi * b, p))
+
+
+class TestRayDistance:
+    @staticmethod
+    def probe_like(rng, p, eps):
+        """(f* + eps d) / ||f* + eps d||_p and f* on a 97 x 97 grid, with
+        f* = 1/(1 + x^2 + v^2) and d a random bump with no component along
+        the duality map of f*, as the kinetic probe builds them."""
+        x = np.linspace(-20.0, 20.0, 97)
+        X, V = np.meshgrid(x, x, indexing="ij")
+        b = 1.0 / (1.0 + X ** 2 + V ** 2)
+        c0, c1, w0, w1 = rng.uniform(-2.0, 2.0, 2).tolist() + rng.uniform(1.0, 2.5, 2).tolist()
+        d = np.exp(-((X - c0) / w0) ** 2 - ((V - c1) / w1) ** 2)
+        dual = b ** (p - 1.0)
+        d -= np.sum(d * dual) / np.sum(b * dual) * b
+        f = b + eps * d / lp_norm(d, p)
+        return f / lp_norm(f, p), b
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_against_bisection_and_bounded_search(self, rng, p):
+        from scipy.optimize import minimize_scalar
+
+        for _ in range(4):
+            for eps in (0.05, 0.1, 0.2):
+                u, b = self.probe_like(rng, p, eps)
+                got = ray_distance(u, b, p)
+                assert got <= _bisection_distance(u, b, p) * (1.0 + 1e-13)
+                bounded = minimize_scalar(
+                    lambda c: lp_norm(u - c * b, p), method="bounded",
+                    bounds=(0.0, 10.0 * lp_norm(u, p) / lp_norm(b, p)),
+                    options={"xatol": 1e-12})
+                assert got <= bounded.fun * (1.0 + 1e-13)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_optimum_at_zero(self, rng, p):
+        # u anti-aligned with b: phi(0) > 0, and c = 0 is the minimiser
+        _, b = self.probe_like(rng, p, 0.1)
+        assert ray_distance(-b, b, p) == lp_norm(b, p)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_zero_ray(self, rng, p):
+        u, b = self.probe_like(rng, p, 0.1)
+        assert ray_distance(u, np.zeros_like(b), p) == lp_norm(u, p)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_on_the_ray(self, rng, p):
+        # the start ||u||_p / ||b||_p is the minimiser; phi' is singular there
+        # for p < 2 and the distance is |c - c*| ||b||_p nearby
+        _, b = self.probe_like(rng, p, 0.1)
+        assert ray_distance(b / lp_norm(b, p), b, p) <= 1e-14
+
+    def test_root_at_upper_end(self):
+        # ||b||_p underflows to 0, so the 1e-300 guard caps the bracket at
+        # hi = 10 ||u||_p 1e300, below the minimiser c = 1e305 ||u||_p
+        p = 1.5
+        u, b = np.full(4, 4.0 ** (-1.0 / p)), np.full(4, 1e-305)
+        hi = 10.0 * lp_norm(u, p) / 1e-300
+        assert lp_norm(b, p) == 0.0
+        assert ray_distance(u, b, p) == lp_norm(u - hi * b, p)
+        assert ray_distance(u, b, p) == pytest.approx(1.0 - 1e-4 * 4.0 ** (1.0 / p),
+                                                      rel=1e-12)
 
 
 class TestLocalStabilityPipeline:

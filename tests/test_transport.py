@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tracestab import transport
+from tracestab.duality import ray_distance
 from tracestab.errors import InconsistencyError
 from tracestab.transport import (
     PhaseGrid,
@@ -393,6 +394,58 @@ class TestProbe:
         ratios = [pt.ratio for pt in pts]
         assert all(pt.deficit > 0 for pt in pts)
         assert max(ratios) / min(ratios) <= 2.0
+
+    @staticmethod
+    def side_setup(side):
+        """The side's extremiser, forward operator, exponents and a probe
+        direction, from the public functions alone."""
+        p, q, _ = exponents(1)
+        if side == "primal":
+            A, B = np.meshgrid(GRID.x, GRID.v, indexing="ij")
+            base, fwd, e_in, e_out = extremiser_f(1, A, B), velocity_average, p, q
+        else:
+            A, B = np.meshgrid(GRID.t, GRID.x, indexing="ij")
+            base, fwd, e_in, e_out = extremiser_G(1, A, B), xray_adjoint, q / (q - 1.0), \
+                p / (p - 1.0)
+        raw = np.exp(-((A - 0.7) / 1.3) ** 2 - ((B + 1.1) / 2.0) ** 2)
+        return base, fwd, e_in, e_out, make_probe_direction(raw, 1, GRID, side)
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_matches_one_apply_per_eps(self, side):
+        # the probe forms A(f* + eps d) as A f* + eps A d
+        base, fwd, e_in, e_out, d = self.side_setup(side)
+        rhat = ratio_estimate(1, GRID, side)
+        eps_list = [0.05, 0.1, 0.2]
+        pts = local_stability_probe(1, d, eps_list, GRID, side, rhat)
+        for eps, pt in zip(eps_list, pts, strict=True):
+            f = TransportFunction(GRID, d.kind, base + eps * d.samples)
+            nrm = grid_norm(f, e_in)
+            ratio = grid_norm(fwd(f, GRID, tail_tol=1.0), e_out) / nrm
+            # the deficit rhat - ratio is about 2e-5 rhat at eps = 0.05, where
+            # one unit in the last place of the ratio moves it by 1e-11
+            # relative, so it is compared on the scale of rhat
+            assert abs(pt.deficit - (rhat - ratio)) <= 1e-13 * rhat
+            dist = ray_distance(f.samples / nrm, base, e_in) * GRID.h ** (2.0 / e_in)
+            assert pt.dist_sq == pytest.approx(dist ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_one_forward_apply_per_call(self, side, monkeypatch):
+        _, fwd, _, _, d = self.side_setup(side)  # also fills the side's cache
+        rhat = ratio_estimate(1, GRID, side)
+        applies = []
+        for name in ("velocity_average", "xray_adjoint"):
+            op = getattr(transport, name)
+
+            def counted(*args, _op=op, **kwargs):
+                applies.append(_op)
+                return _op(*args, **kwargs)
+
+            monkeypatch.setattr(transport, name, counted)
+        for eps_list in ([], [0.1], [0.05, 0.1, 0.2], [0.0, 0.05, 0.1, 0.15, 0.2, 0.25]):
+            applies.clear()
+            pts = local_stability_probe(1, d, eps_list, GRID, side, rhat)
+            assert len(pts) == len(eps_list)
+            assert applies == [fwd] * min(len(eps_list), 1), eps_list
 
     def test_random_directions_positive_deficit(self, rng):
         rhat = ratio_estimate(1, GRID)
