@@ -124,12 +124,13 @@ def _row_norms(X: np.ndarray, r: float) -> np.ndarray:
 
 def _duality_rows(F: np.ndarray, r: float) -> np.ndarray:
     """The duality map D_r applied to each row of F."""
-    nrm = _row_norms(F, r)
+    absF = np.abs(F)
+    nrm = (absF ** r).sum(axis=1) ** (1.0 / r)
     if not nrm.all():
         raise ValueError("duality map undefined at the zero vector")
-    absF = np.abs(F)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(absF > 0.0, absF ** (r - 2.0) * F, 0.0)
+    nonzero = absF > 0.0
+    out = np.power(absF, r - 2.0, out=np.zeros_like(absF), where=nonzero)
+    np.multiply(out, F, out=out, where=nonzero)
     return out / (nrm ** (r - 1.0))[:, None]
 
 
@@ -229,25 +230,97 @@ def operator_norm(T: FiniteOperator, starts: int = 8,
                            len(clusters))
 
 
+_SCREEN_ROUNDING = 2.0 ** -46   # 128 u; the slack of brute_force_norm's screen
+
+
+def _mesh_values(pts: np.ndarray, T: FiniteOperator) -> np.ndarray:
+    """||T x||_q / ||x||_p at each row x of pts: the brute-force oracle's
+    dense formula."""
+    pts = np.abs(pts)
+    norms = np.sum(pts ** T.p, axis=1) ** (1.0 / T.p)
+    pts = pts / norms[:, None]
+    return np.sum(np.abs(pts @ T.matrix.T) ** T.q, axis=1) ** (1.0 / T.q)
+
+
+def _screen_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """For each line a of the 3-column mesh, the largest screen value
+    sum_k |y_k|^q / ||x||_p^q over its points x = (c_a c_b, s_a c_b, s_b),
+    with y_k = (M_k0 c_a + M_k1 s_a) c_b + M_k2 s_b and
+    ||x||_p^p = (c_a^p + s_a^p) c_b^p + s_b^p built from 1-d factors."""
+    p, q = T.p, T.q
+    acc = np.zeros((len(c), len(c)))
+    buf = np.empty_like(acc)
+    for m0, m1, m2 in T.matrix:
+        np.multiply.outer(m0 * c + m1 * s, c, out=buf)
+        buf += m2 * s
+        np.abs(buf, out=buf)
+        buf **= q
+        acc += buf
+    cp, sp = c ** p, s ** p
+    np.multiply.outer(cp + sp, cp, out=buf)
+    buf += sp
+    buf **= -q / p
+    acc *= buf
+    return acc.max(axis=1)
+
+
 def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
     """Dense search of sup ||Tg||_q over the nonnegative unit l^p sphere;
-    oracle for small instances (2 or 3 columns)."""
+    oracle for small instances (2 or 3 columns).
+
+    The mesh is t = linspace(0, pi/2, mesh), c = cos t, s = sin t: the
+    points (c_i, s_i) for 2 columns, (c_a c_b, s_a c_b, s_b) for 3.  Each
+    point is normalised in l^p and its value ||M x||_q taken by
+    _mesh_values; the result is the largest value.  For 3 columns the
+    mesh^2 points go through two stages, and the result is bit for bit the
+    dense formula's maximum over the whole mesh:
+
+    1. Screen.  _screen_lines ranks every point by val^q from separable
+       1-d factors, with mesh x mesh arrays and no (mesh^2, 3) array: rows + 1
+       powers a point instead of rows + 5.
+    2. Re-evaluation.  Every line a whose screen maximum lies within the
+       slack of the top one goes through _mesh_values as whole lines, as in
+       the full mesh.  (A single row would take numpy's one-row matmul
+       route, which can differ from the full-mesh product in the last bit.)
+       Nothing assumes that few lines pass: a zero matrix or a flat
+       maximum re-evaluates more of them.
+
+    Slack.  Both stages approximate the same real V^q = ||M x||_q^q /
+    ||x||_p^q, and u = 2^-53.  Every coordinate lies in [0, 1], and each
+    step is correctly rounded or a power good to 4 ulps.  So each computed
+    y_k is within 25 u m_k of the true one (4 u m_k in the screen), with
+    m_k = sum_l |M_kl|; its q-th power is then within 26 q u m_k^q (5 q u m_k^q)
+    plus 8 u relative.  The row sum and the closing powers bring the
+    relative part to (8 + rows + 8 q) u for the dense value and to
+    (17 + rows + 19 q/p) u for the screen.  The absolute part is there for
+    a signed M, where y_k can cancel and its relative error is unbounded.
+    The line holding the dense maximum therefore screens within
+    2 (e_screen + e_dense) of the screen's top value S, that is within
+    (50 + 4 rows + 16 q + 38 q/p) u S + 62 q u sum_k m_k^q.  The slack used is
+    _SCREEN_ROUNDING (q + q/p + rows + 1) (S + sum_k m_k^q), with
+    _SCREEN_ROUNDING = 2^-46 = 128 u, which is at least twice that, plus
+    the smallest normal float for values that underflow."""
     ncol = T.matrix.shape[1]
     t = np.linspace(0.0, 0.5 * math.pi, mesh)
     c, s = np.cos(t), np.sin(t)
     if ncol == 2:
-        pts = np.stack([c, s], axis=1)
-    elif ncol == 3:
-        # point (j, i) is (cos t_i cos t_j, cos t_i sin t_j, sin t_i)
-        pts = np.stack([np.outer(c, c).ravel(), np.outer(s, c).ravel(),
-                        np.tile(s, mesh)], axis=1)
-    else:
+        return float(np.max(_mesh_values(np.stack([c, s], axis=1), T)))
+    if ncol != 3:
         raise ValueError("brute force supports 2 or 3 columns")
-    pts = np.abs(pts)
-    norms = np.sum(pts ** T.p, axis=1) ** (1.0 / T.p)
-    pts = pts / norms[:, None]
-    vals = np.sum(np.abs(pts @ T.matrix.T) ** T.q, axis=1) ** (1.0 / T.q)
-    return float(np.max(vals))
+    line_max = _screen_lines(T, c, s)
+    top = line_max.max()
+    rows = T.matrix.shape[0]
+    weight = np.sum(np.sum(np.abs(T.matrix), axis=1) ** T.q)
+    slack = (_SCREEN_ROUNDING * (T.q + T.q / T.p + rows + 1) * (top + weight)
+             + np.finfo(float).tiny)
+    if np.isfinite(slack):
+        lines = np.flatnonzero(line_max >= top - slack)
+    else:   # an overflow: every line
+        lines = np.arange(mesh)
+    # point (a, b) is (cos t_a cos t_b, sin t_a cos t_b, sin t_b)
+    pts = np.stack([np.outer(c[lines], c).ravel(), np.outer(s[lines], c).ravel(),
+                    np.tile(s, len(lines))], axis=1)
+    return float(np.max(_mesh_values(pts, T)))
 
 
 def extremiser_transfer(T: FiniteOperator, G_star: np.ndarray,
