@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import duality, harmonic, spectrum as spec_mod, transport
+from . import duality, harmonic, specfun, spectrum as spec_mod, transport
 from .errors import ConvergenceError, InconclusiveError, InconsistencyError
 
 OUTPUT_DIR_ENV = "TRACESTAB_OUTPUT_DIR"
@@ -337,11 +337,11 @@ def cmd_transport_probe(args) -> int:
            "closed-form Gaussian velocity average")
     rng = np.random.default_rng(args.seed)
     worst_adj = 0.0
-    Tm, Xm = np.meshgrid(grid.t, grid.x, indexing="ij")
     for _ in range(5):
         ff = transport.random_phase_function(grid, rng)
-        Gs = np.exp(-((Tm - rng.uniform(-2, 2)) / rng.uniform(1, 3)) ** 2
-                    - ((Xm - rng.uniform(-2, 2)) / rng.uniform(1, 3)) ** 2)
+        Gs = np.zeros((grid.t.size, grid.x.size))
+        specfun.add_gaussian(Gs, 1.0, (grid.t, rng.uniform(-2, 2), rng.uniform(1, 3)),
+                             (grid.x, rng.uniform(-2, 2), rng.uniform(1, 3)))
         GG = transport.TransportFunction(grid, "spacetime", Gs)
         lhs = transport.pairing(transport.velocity_average(ff, grid), GG)
         rhs = transport.pairing(ff, transport.xray_adjoint(GG, grid))
@@ -357,14 +357,13 @@ def cmd_transport_probe(args) -> int:
         best = max(best, val)
     _check(checks, "transport-sharp-ratio", best <= rhat * 1.001, best,
            rhat * 1.001, f"{args.trials} random functions vs ratio estimate {rhat:.6f}")
-    Xg, Vg = np.meshgrid(grid.x, grid.v, indexing="ij")
-    base_mesh = (Tm, Xm) if args.side == "dual" else (Xg, Vg)
+    a, b = (grid.t, grid.x) if args.side == "dual" else (grid.x, grid.v)
     curves = []
     worst_band = 0.0
     for i in range(args.directions):
-        A, B = base_mesh
-        raw = np.exp(-((A - rng.uniform(-2, 2)) / rng.uniform(1, 2.5)) ** 2
-                     - ((B - rng.uniform(-2, 2)) / rng.uniform(1, 2.5)) ** 2)
+        raw = np.zeros((a.size, b.size))
+        specfun.add_gaussian(raw, 1.0, (a, rng.uniform(-2, 2), rng.uniform(1, 2.5)),
+                             (b, rng.uniform(-2, 2), rng.uniform(1, 2.5)))
         direction = transport.make_probe_direction(raw, 1, grid, args.side)
         pts = transport.local_stability_probe(1, direction, args.eps, grid,
                                               side=args.side, rhat=rhat)

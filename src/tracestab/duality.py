@@ -119,26 +119,31 @@ class LocalStabilityReport:
 
 def _row_norms(X: np.ndarray, r: float) -> np.ndarray:
     """l^r norm of each row of a (starts x columns) array."""
-    return (np.abs(X) ** r).sum(axis=1) ** (1.0 / r)
+    return np.add.reduce(np.abs(X) ** r, axis=1) ** (1.0 / r)
 
 
 def _duality_rows(F: np.ndarray, r: float) -> np.ndarray:
     """The duality map D_r applied to each row of F."""
     absF = np.abs(F)
-    nrm = (absF ** r).sum(axis=1) ** (1.0 / r)
+    nrm = np.add.reduce(absF ** r, axis=1) ** (1.0 / r)
     if not nrm.all():
         raise ValueError("duality map undefined at the zero vector")
     nonzero = absF > 0.0
-    out = np.power(absF, r - 2.0, out=np.zeros_like(absF), where=nonzero)
-    np.multiply(out, F, out=out, where=nonzero)
-    return out / (nrm ** (r - 1.0))[:, None]
+    if nonzero.all():
+        out = np.power(absF, r - 2.0)
+        out *= F
+    else:   # +0.0 at the zeros, where |0|^{r-2} may be infinite
+        out = np.power(absF, r - 2.0, out=np.zeros_like(absF), where=nonzero)
+        np.multiply(out, F, out=out, where=nonzero)
+    out /= (nrm ** (r - 1.0))[:, None]
+    return out
 
 
 def _apply_rows(M: np.ndarray, G: np.ndarray) -> np.ndarray:
     """M g for each row g of G, as a broadcast product summed by row.  Unlike
     a BLAS product, whose blocking depends on the number of rows, each row's
     result does not depend on the other rows."""
-    return (G[:, None, :] * M).sum(axis=2)
+    return np.add.reduce(G[:, None, :] * M, axis=2)
 
 
 def duality_map(F: np.ndarray, r: float) -> np.ndarray:
@@ -167,7 +172,7 @@ def _fixed_points(T: FiniteOperator, G0: np.ndarray, tol: float = 1e-12,
             H = _duality_rows(_apply_rows(M, g), T.q)
         except ValueError:
             raise ValueError("operator annihilates the start vector") from None
-        g_new = _duality_rows((H[:, :, None] * M).sum(axis=1), T.p_prime)
+        g_new = _duality_rows(np.add.reduce(H[:, :, None] * M, axis=1), T.p_prime)
         done = _row_norms(g_new - g, 2.0) < tol
         g = g_new
         if done.any():
@@ -244,8 +249,9 @@ def _mesh_values(pts: np.ndarray, T: FiniteOperator) -> np.ndarray:
 
 def _screen_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """For each line a of the 3-column mesh, the largest screen value
-    sum_k |y_k|^q / ||x||_p^q over its points x = (c_a c_b, s_a c_b, s_b),
-    with y_k = (M_k0 c_a + M_k1 s_a) c_b + M_k2 s_b and
+    sum_k |y_k|^q / ||x||_p^q over its points x = (c_a c_b, s_a c_b, s_b)
+    off the pole column b = mesh - 1, with
+    y_k = (M_k0 c_a + M_k1 s_a) c_b + M_k2 s_b and
     ||x||_p^p = (c_a^p + s_a^p) c_b^p + s_b^p built from 1-d factors."""
     p, q = T.p, T.q
     acc = np.zeros((len(c), len(c)))
@@ -261,7 +267,7 @@ def _screen_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray) -> np.ndarray
     buf += sp
     buf **= -q / p
     acc *= buf
-    return acc.max(axis=1)
+    return acc[:, :-1].max(axis=1, initial=0.0)
 
 
 def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
@@ -278,10 +284,12 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
     1. Screen.  _screen_lines ranks every point by val^q from separable
        1-d factors, with mesh x mesh arrays and no (mesh^2, 3) array: rows + 1
        powers a point instead of rows + 5.
-    2. Re-evaluation.  Every line a whose screen maximum lies within the
-       slack of the top one goes through _mesh_values as whole lines, as in
-       the full mesh.  (A single row would take numpy's one-row matmul
-       route, which can differ from the full-mesh product in the last bit.)
+    2. Re-evaluation.  Every line a whose screen maximum off the pole column
+       b = mesh - 1 lies within the slack of the top one goes through
+       _mesh_values as whole lines, as in the full mesh.  (A single row
+       would take numpy's one-row matmul route, which can differ from the
+       full-mesh product in the last bit.)  The pole column, where every
+       line ends near (0, 0, 1), goes through once as a batch of mesh rows.
        Nothing assumes that few lines pass: a zero matrix or a flat
        maximum re-evaluates more of them.
 
@@ -294,12 +302,12 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
     relative part to (8 + rows + 8 q) u for the dense value and to
     (17 + rows + 19 q/p) u for the screen.  The absolute part is there for
     a signed M, where y_k can cancel and its relative error is unbounded.
-    The line holding the dense maximum therefore screens within
-    2 (e_screen + e_dense) of the screen's top value S, that is within
-    (50 + 4 rows + 16 q + 38 q/p) u S + 62 q u sum_k m_k^q.  The slack used is
-    _SCREEN_ROUNDING (q + q/p + rows + 1) (S + sum_k m_k^q), with
-    _SCREEN_ROUNDING = 2^-46 = 128 u, which is at least twice that, plus
-    the smallest normal float for values that underflow."""
+    The line holding the dense maximum off the pole column therefore
+    screens within 2 (e_screen + e_dense) of the screen's top value S, that
+    is within (50 + 4 rows + 16 q + 38 q/p) u S + 62 q u sum_k m_k^q.  The
+    slack used is _SCREEN_ROUNDING (q + q/p + rows + 1) (S + sum_k m_k^q),
+    with _SCREEN_ROUNDING = 2^-46 = 128 u, which is at least twice that,
+    plus the smallest normal float for values that underflow."""
     ncol = T.matrix.shape[1]
     t = np.linspace(0.0, 0.5 * math.pi, mesh)
     c, s = np.cos(t), np.sin(t)
@@ -320,7 +328,8 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
     # point (a, b) is (cos t_a cos t_b, sin t_a cos t_b, sin t_b)
     pts = np.stack([np.outer(c[lines], c).ravel(), np.outer(s[lines], c).ravel(),
                     np.tile(s, len(lines))], axis=1)
-    return float(np.max(_mesh_values(pts, T)))
+    pole = np.stack([c * c[-1], s * c[-1], np.full(mesh, s[-1])], axis=1)
+    return float(np.maximum(np.max(_mesh_values(pts, T)), np.max(_mesh_values(pole, T))))
 
 
 def extremiser_transfer(T: FiniteOperator, G_star: np.ndarray,

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.special as sp
 
 from .errors import InconclusiveError
-from .specfun import dim_harmonic
+from .specfun import add_gaussian, dim_harmonic
 from .spectrum import LambdaSpectrum, WeightSpec
 
 __all__ = [
@@ -263,8 +263,8 @@ def reverse_deficit_check(ps: ProfileSet, weight: WeightSpec,
 def random_profile_set(weight: WeightSpec, grid: RadialGrid,
                        rng: np.random.Generator, max_k: int = 6,
                        max_m: int = 3, n_modes: int | None = None) -> ProfileSet:
-    """Random mixture of compact bumps and extremal kernels over modes
-    k <= max_k, m <= min(dim H_k, max_m)."""
+    """Random mixture of Gaussian bumps (exactly zero beyond |z| = 27.5) and
+    extremal kernels over modes k <= max_k, m <= min(dim H_k, max_m)."""
     n = weight.n
     gs = grid_spectrum(weight, grid)
     if n_modes is None:
@@ -278,7 +278,7 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
         for _ in range(int(rng.integers(1, 4))):
             center = rng.uniform(0.5, 0.5 * grid.r_max)
             width = rng.uniform(0.3, 5.0)
-            prof += rng.normal() * np.exp(-((r - center) / width) ** 2)
+            add_gaussian(prof, rng.normal(), (r, center, width))
         if rng.random() < 0.4:
             prof += rng.normal() * gs.kernel(k)
         if (k, m) in entries:

@@ -1,10 +1,11 @@
 """Special-function kernel: n-dimensional Legendre (zonal) polynomials,
-spherical-harmonic dimensions, and the Landau envelope constant for Bessel
-functions.  Bessel values themselves come from scipy.special directly.
+spherical-harmonic dimensions, the Landau envelope constant for Bessel
+functions, and Gaussian bumps.  Bessel values come from scipy.special.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 __all__ = [
     "legendre",
     "legendre_all",
+    "add_gaussian",
 ]
 
 
@@ -59,3 +61,26 @@ def dim_harmonic(n: int, k: int) -> int:
     if k == 1:
         return n
     return int(math.comb(n + k - 1, k) - math.comb(n + k - 3, k - 2))
+
+
+def add_gaussian(out: np.ndarray, amp: float, *terms) -> None:
+    """out += amp * exp(-sum_i z_i**2), z_i = (axis_i - c_i) / w_i, over the
+    outer grid of sorted axes, one term (axis_i, c_i, w_i) per dimension of
+    out, with the bits of that dense formula but on the window |z_i| < 27.5.
+
+    Beyond it the bump is exactly 0.0: its true value is below half the
+    smallest subnormal 2^-1074 once z^2 > 1075 ln 2 = 745.13, so exp rounds
+    it to 0, and |z| >= 27.5 gives z^2 >= 756, far beyond the few ulps by
+    which the computed z and the window bounds can stray.  There the dense
+    formula adds amp * 0.0, which changes no float but -0.0, and out never
+    holds -0.0 if it starts at +0.0.  The exponent (-z_0^2) + (-z_1^2) has
+    the bits of -z_0^2 - z_1^2."""
+    windows, args = [], []
+    for axis, c, w in terms:
+        lo, hi = np.searchsorted(axis, (c - 27.5 * w, c + 27.5 * w))
+        z = (axis[lo:hi] - c) / w
+        windows.append(slice(lo, hi))
+        args.append(-(z * z))
+    bump = np.exp(functools.reduce(np.add.outer, args))
+    bump *= amp
+    out[tuple(windows)] += bump

@@ -2,8 +2,7 @@
 
 Velocity averages, the X-ray adjoint, the extremising pair, empirical
 sharp-constant estimation, and a local stability probe on uniform phase
-grids.  Dimension n = 1 is the certified scale (2-d grids throughout);
-n = 2 runs coarsely with relaxed tolerances.
+grids.  Dimension n = 1 only, so every grid is 2-d.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import numpy as np
 
 from .duality import ray_distance
 from .errors import InconsistencyError
+from .specfun import add_gaussian
 
 __all__ = [
     "PhaseGrid",
@@ -28,7 +28,6 @@ __all__ = [
     "velocity_average",
     "xray_adjoint",
     "grid_norm",
-    "power_law_tail",
     "pairing",
     "ratio_estimate",
     "ratio_gradient",
@@ -58,11 +57,11 @@ class PhaseGrid:
     t_extent: float
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError("supported dimensions are 1 and 2")
+        if self.n != 1:
+            raise ValueError("the supported dimension is n = 1")
         if self.L < 10.0:
             raise ValueError("extent L must be >= 10 (slow power-law tails)")
-        cap = self.L / 64.0 if self.n == 1 else self.L / 16.0
+        cap = self.L / 64.0
         if self.h > cap + 1e-12:
             raise ValueError(f"spacing h must be <= {cap} for n={self.n}")
         if self.t_extent <= 0.0:
@@ -111,19 +110,11 @@ class TransportFunction:
 
     @classmethod
     def from_callable(cls, grid: PhaseGrid, kind: str, func) -> "TransportFunction":
-        if grid.n == 1:
-            if kind == "phase":
-                X, V = np.meshgrid(grid.x, grid.v, indexing="ij")
-                return cls(grid, kind, func(X, V), func)
-            T, X = np.meshgrid(grid.t, grid.x, indexing="ij")
-            return cls(grid, kind, func(T, X), func)
-        xm = _vec_mesh(grid.x)  # (N, N, 2)
         if kind == "phase":
-            X = xm[:, :, None, None, :]
-            V = xm[None, None, :, :, :]
+            X, V = np.meshgrid(grid.x, grid.v, indexing="ij")
             return cls(grid, kind, func(X, V), func)
-        T = grid.t[:, None, None]
-        return cls(grid, kind, func(T, xm[None, :, :, :]), func)
+        T, X = np.meshgrid(grid.t, grid.x, indexing="ij")
+        return cls(grid, kind, func(T, X), func)
 
     def tail_fraction(self) -> float:
         """Mass of the outermost grid shell relative to total |.| mass."""
@@ -133,12 +124,6 @@ class TransportFunction:
             return 0.0
         inner = float(a[(slice(2, -2),) * a.ndim].sum())
         return (total - inner) / total
-
-
-def _vec_mesh(axis: np.ndarray) -> np.ndarray:
-    """(N, N, 2) array of plane points from a 1-d axis."""
-    A, B = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([A, B], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -259,17 +244,6 @@ def velocity_average(f: TransportFunction, grid: PhaseGrid,
             f"truncation error: boundary mass fraction {f.tail_fraction():.2e} > {tail_tol}"
         )
     x, v, t = grid.x, grid.v, grid.t
-    if grid.n == 2:
-        if f.func is None:
-            raise ValueError("n = 2 velocity average needs the defining callable")
-        xf = _vec_mesh(x).reshape(-1, 2)
-        vf = _vec_mesh(v).reshape(-1, 2)
-        out = np.empty((t.size, xf.shape[0]))
-        for it, tv in enumerate(t):
-            out[it] = grid.h ** 2 * np.sum(
-                f.func(xf[:, None, :] - tv * vf[None, :, :], vf[None, :, :]), axis=1
-            )
-        return TransportFunction(grid, "spacetime", out.reshape(t.size, x.size, x.size))
     if f.func is not None:
         out = np.empty((t.size, x.size))
         for it, tv in enumerate(t):
@@ -289,17 +263,6 @@ def xray_adjoint(G: TransportFunction, grid: PhaseGrid,
             f"truncation error: boundary mass fraction {G.tail_fraction():.2e} > {tail_tol}"
         )
     x, v, t = grid.x, grid.v, grid.t
-    if grid.n == 2:
-        if G.func is None:
-            raise ValueError("n = 2 adjoint needs the defining callable")
-        xf = _vec_mesh(x).reshape(-1, 2)
-        vf = _vec_mesh(v).reshape(-1, 2)
-        out = np.zeros((xf.shape[0], vf.shape[0]))
-        for ts in t:
-            out += G.func(ts, xf[:, None, :] + vf[None, :, :] * ts)
-        out *= grid.h
-        return TransportFunction(grid, "phase",
-                                 out.reshape(x.size, x.size, v.size, v.size))
     if G.func is not None:
         out = np.empty((x.size, v.size))
         for j, vv in enumerate(v):
@@ -309,20 +272,10 @@ def xray_adjoint(G: TransportFunction, grid: PhaseGrid,
     return TransportFunction(grid, "phase", out)
 
 
-def grid_norm(tf: TransportFunction, exponent: float, tail: float = 0.0) -> float:
-    """l^e norm under the product rectangle rule, plus an optional analytic
-    tail contribution (already raised to the exponent)."""
+def grid_norm(tf: TransportFunction, exponent: float) -> float:
+    """l^e norm under the product rectangle rule."""
     cell = tf.grid.h ** tf.samples.ndim
-    return float((cell * np.sum(np.abs(tf.samples) ** exponent) + tail) ** (1.0 / exponent))
-
-
-def power_law_tail(amplitude: float, decay: float, exponent: float, R: float) -> float:
-    """integral over |z| > R in the plane of (amplitude (1+|z|^2)^{-decay/2})^e,
-    for functions matching that profile outside radius R."""
-    me = decay * exponent
-    if me <= 2.0:
-        raise ValueError("tail integral diverges: decay * exponent must exceed 2")
-    return 2.0 * math.pi * amplitude ** exponent * (1.0 + R * R) ** (1.0 - me / 2.0) / (me - 2.0)
+    return float((cell * np.sum(np.abs(tf.samples) ** exponent)) ** (1.0 / exponent))
 
 
 def pairing(a: TransportFunction, b: TransportFunction) -> float:
@@ -500,13 +453,12 @@ def random_phase_function(grid: PhaseGrid, rng: np.random.Generator,
     """Random resolved Gaussian mixture on phase space, decaying well inside
     the grid (for sharp-constant comparison sweeps)."""
     x, v = grid.x, grid.v
-    X, V = np.meshgrid(x, v, indexing="ij")
-    s = np.zeros_like(X)
+    s = np.zeros((x.size, v.size))
     for _ in range(n_bumps):
         cx, cv = rng.uniform(-0.3 * grid.L, 0.3 * grid.L, size=2)
         wx, wv = rng.uniform(0.8, 4.0, size=2)
         amp = rng.uniform(-1.0, 1.0)
-        s += amp * np.exp(-((X - cx) / wx) ** 2 - ((V - cv) / wv) ** 2)
+        add_gaussian(s, amp, (x, cx, wx), (v, cv, wv))
     return TransportFunction(grid, "phase", s)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tracestab import duality
 from tracestab.duality import (
     FiniteOperator,
     _fixed_points,
@@ -230,6 +231,23 @@ class TestBruteForce:
             T = FiniteOperator(np.array(M), p, q)
             for mesh in (37, 180):
                 assert brute_force_norm(T, mesh) == self.meshgrid_reference(T, mesh)
+
+
+    def test_pole_maximum_reevaluates_few_points(self, monkeypatch):
+        # the identity's maximum sits at (0, 0, 1), the end of every line;
+        # the pole column is evaluated apart, so the screen passes few lines
+        evaluated = []
+        mesh_values = duality._mesh_values
+
+        def counting(pts, T):
+            evaluated.append(len(pts))
+            return mesh_values(pts, T)
+
+        monkeypatch.setattr(duality, "_mesh_values", counting)
+        mesh = 300
+        T = FiniteOperator(np.eye(3), 1.5, 2.5)
+        assert brute_force_norm(T, mesh) == self.meshgrid_reference(T, mesh)
+        assert sum(evaluated) < mesh ** 2 / 2
 
 
 class TestExtremiserTransfer:

@@ -28,6 +28,7 @@ from tracestab.harmonic import (
     sphere_quadrature,
     trace_evaluate,
 )
+from tracestab.specfun import dim_harmonic
 from tracestab.spectrum import WeightSpec, build_spectrum
 
 
@@ -170,6 +171,34 @@ class TestRandomSweeps:
             holds, margin = reverse_deficit_check(ps, weight)
             assert holds
             assert rep.deficit <= rep.lambda0 * rep.dist_sq + 1e-9 * rep.sumB
+
+    @staticmethod
+    def dense_reference(weight, grid, rng, max_k=6, max_m=3):
+        """random_profile_set's draws, each bump evaluated on the whole grid."""
+        entries = {}
+        for _ in range(int(rng.integers(1, 5))):
+            k = int(rng.integers(0, max_k + 1))
+            m = int(rng.integers(1, min(dim_harmonic(weight.n, k), max_m) + 1))
+            prof = np.zeros_like(grid.r)
+            for _ in range(int(rng.integers(1, 4))):
+                center = rng.uniform(0.5, 0.5 * grid.r_max)
+                width = rng.uniform(0.3, 5.0)
+                prof += rng.normal() * np.exp(-((grid.r - center) / width) ** 2)
+            if rng.random() < 0.4:
+                prof += rng.normal() * harmonic.grid_spectrum(weight, grid).kernel(k)
+            entries[(k, m)] = entries[(k, m)] + prof if (k, m) in entries else prof
+        return entries
+
+    @pytest.mark.parametrize("weight,r_max", [(W3, 200.0), (W2, 60.0)])
+    def test_bit_identical_to_dense_formula(self, weight, r_max):
+        # on r_max = 60 a bump of width 5 reaches both ends of the grid
+        grid = RadialGrid.build(r_max=r_max)
+        for seed in range(40):
+            got = random_profile_set(weight, grid, np.random.default_rng(seed)).entries
+            want = self.dense_reference(weight, grid, np.random.default_rng(seed))
+            assert got.keys() == want.keys()
+            for key, prof in want.items():
+                assert np.array_equal(got[key].view(np.int64), prof.view(np.int64))
 
     def test_per_mode_cauchy_schwarz(self, rng):
         gs = GridSpectrum(W3, GRID)

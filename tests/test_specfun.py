@@ -11,12 +11,15 @@ import scipy.special as sp
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from tracestab.harmonic import RadialGrid
 from tracestab.specfun import (
     dim_harmonic,
+    add_gaussian,
     landau_envelope_constant,
     legendre,
     legendre_all,
 )
+from tracestab.transport import PhaseGrid
 
 
 def j_series_oracle(nu: float, x: float, terms: int = 60) -> float:
@@ -175,3 +178,67 @@ class TestIndexing:
         for k in range(8):
             assert dim_harmonic(3, k) == 2 * k + 1
         assert dim_harmonic(4, 2) == 9
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestGaussianWindow:
+    """Bumps evaluated on their support window carry the bits of the dense
+    formula.  The first two tests pin the numpy properties this rests on."""
+
+    def test_exp_is_zero_beyond_the_support(self):
+        z = np.linspace(27.5, 40.0, 200_001)
+        assert not np.exp(-z ** 2).any()
+
+    def test_exp_of_a_lane_does_not_depend_on_the_others(self):
+        rng = np.random.default_rng(7)
+        x = -rng.uniform(0.0, 800.0, 4099)
+        y = np.exp(x)
+        tiny = np.finfo(float).tiny
+        assert (y >= tiny).any() and ((y > 0.0) & (y < tiny)).any() and (y == 0.0).any()
+        mask = rng.random(x.size) < 0.5
+        assert np.array_equal(bits(y[mask]), bits(np.exp(x[mask])))
+        for lo, hi in [(1, 4098), (3, 17), (1000, 1001)]:
+            assert np.array_equal(bits(y[lo:hi]), bits(np.exp(x[lo:hi])))
+
+    def test_window_sum_matches_dense(self):
+        r = RadialGrid.build(r_max=60.0).r
+        rng = np.random.default_rng(3)
+        dense, windowed = np.zeros_like(r), np.zeros_like(r)
+        # random_profile_set draws widths in [0.3, 5]; on r_max = 60 the
+        # window |z| < 27.5 of a width-5 bump is clipped at both ends, and
+        # centres below, at and beyond the ends clip it at one
+        for center in (-3.0, 0.5, 17.3, 30.0, 59.9, 65.0):
+            for width in (0.3, 5.0):
+                amp = rng.normal()
+                bump = np.exp(-((r - center) / width) ** 2)
+                dense += amp * bump
+                add_gaussian(windowed, amp, (r, center, width))
+                alone = np.zeros_like(r)
+                add_gaussian(alone, 1.0, (r, center, width))
+                assert np.array_equal(bits(alone), bits(bump))
+        assert np.array_equal(bits(windowed), bits(dense))
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_bump_2d_matches_dense(self, side):
+        grid = PhaseGrid.build(1, 40.0, 128, t_extent=10.0)
+        a, b = (grid.x, grid.v) if side == "primal" else (grid.t, grid.x)
+        A, B = np.meshgrid(a, b, indexing="ij")
+        rng = np.random.default_rng(5)
+        dense, windowed = np.zeros(A.shape), np.zeros(A.shape)
+        # the ends of the width ranges drawn for phase functions (0.8, 4),
+        # pairing functions (1, 3) and probe directions (1, 2.5)
+        widths = (0.8, 1.0, 2.5, 3.0, 4.0)
+        for ca, cb in [(-45.0, 0.3), (-12.0, 39.9), (0.7, -40.0), (9.0, 50.0)]:
+            for wa in widths:
+                for wb in widths:
+                    amp = rng.uniform(-1.0, 1.0)
+                    bump = np.exp(-((A - ca) / wa) ** 2 - ((B - cb) / wb) ** 2)
+                    dense += amp * bump
+                    add_gaussian(windowed, amp, (a, ca, wa), (b, cb, wb))
+                    alone = np.zeros(A.shape)
+                    add_gaussian(alone, 1.0, (a, ca, wa), (b, cb, wb))
+                    assert np.array_equal(bits(alone), bits(bump))
+        assert np.array_equal(bits(windowed), bits(dense))

@@ -20,7 +20,6 @@ from tracestab.transport import (
     make_probe_direction,
     orthogonalize_direction,
     pairing,
-    power_law_tail,
     probe_to_csv,
     random_phase_function,
     ratio_estimate,
@@ -69,8 +68,9 @@ class TestPhaseGrid:
             PhaseGrid(1, 5.0, 0.05, 5.0)          # L too small
         with pytest.raises(ValueError):
             PhaseGrid(1, 40.0, 1.0, 40.0)         # h too coarse for n=1
-        with pytest.raises(ValueError):
-            PhaseGrid(3, 40.0, 0.3125, 40.0)      # unsupported dimension
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="supported dimension is n = 1"):
+                PhaseGrid(n, 40.0, 0.3125, 40.0)
         with pytest.raises(ValueError):
             PhaseGrid(1, 40.0, 0.3125, -1.0)      # bad t extent
 
@@ -331,12 +331,27 @@ class TestNorms:
         expect = (GRID.h ** 2 * GRID.x.size * GRID.v.size) ** (1.0 / 3.0)
         assert grid_norm(tf, 3.0) == pytest.approx(expect, rel=1e-13)
 
-    def test_power_law_tail_value(self):
-        # decay 2, exponent 3: integrand (1+rho^2)^{-3}, closed form pi/ (2 (1+R^2)^2)
-        val = power_law_tail(1.0, 2.0, 3.0, 10.0)
-        assert val == pytest.approx(2.0 * math.pi * 101.0 ** -2.0 / 4.0, rel=1e-13)
-        with pytest.raises(ValueError):
-            power_law_tail(1.0, 1.0, 2.0, 10.0)
+
+class TestRandomPhaseFunction:
+    @staticmethod
+    def dense_reference(grid, rng, n_bumps=4):
+        """random_phase_function's draws, each bump evaluated on the whole grid."""
+        X, V = np.meshgrid(grid.x, grid.v, indexing="ij")
+        s = np.zeros_like(X)
+        for _ in range(n_bumps):
+            cx, cv = rng.uniform(-0.3 * grid.L, 0.3 * grid.L, size=2)
+            wx, wv = rng.uniform(0.8, 4.0, size=2)
+            amp = rng.uniform(-1.0, 1.0)
+            s += amp * np.exp(-((X - cx) / wx) ** 2 - ((V - cv) / wv) ** 2)
+        return s
+
+    @pytest.mark.parametrize("L", [12.0, 40.0, 200.0])
+    def test_bit_identical_to_dense_formula(self, L):
+        grid = PhaseGrid.build(1, L, 128)
+        for seed in range(20):
+            got = random_phase_function(grid, np.random.default_rng(seed)).samples
+            want = self.dense_reference(grid, np.random.default_rng(seed))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSharpRatio:
@@ -494,22 +509,3 @@ class TestProbe:
         assert indexed == ["direction," + plain[0], "4," + plain[1], "4," + plain[2]]
         with pytest.raises(ValueError):
             probe_to_csv(pts, [0])
-
-
-class TestTwoDimensional:
-    def test_coarse_pairing_defect_small(self):
-        g = PhaseGrid(2, 10.0, 10.0 / 16.0, 2.0)
-        f = TransportFunction.from_callable(
-            g, "phase",
-            lambda x, v: np.exp(-np.sum(x * x, axis=-1) - np.sum(v * v, axis=-1)),
-        )
-        G = TransportFunction.from_callable(
-            g, "spacetime",
-            lambda t, x: np.exp(-t * t - np.sum(x * x, axis=-1)),
-        )
-        rho = velocity_average(f, g)
-        # the short t-window is not a decay direction; skip the tail gate
-        back = xray_adjoint(G, g, tail_tol=1.0)
-        lhs = g.h ** 3 * np.sum(rho.samples * G.samples)
-        rhs = g.h ** 4 * np.sum(f.samples * back.samples)
-        assert abs(lhs - rhs) / abs(lhs) < 1e-2
