@@ -413,14 +413,31 @@ def ray_distance(u: np.ndarray, b: np.ndarray, p: float) -> float:
     """min over c >= 0 of ||u - c b||_p (unweighted sums over all entries),
     with c in [0, 10 ||u||_p / ||b||_p].
 
+    `_ray_minimiser` on that bracket, from ||u||_p / ||b||_p, the minimiser
+    when u lies on the ray.  The kinetic probe minimises once per direction
+    instead, and calls this only for an eps whose optimal c leaves this
+    bracket (see `transport.local_stability_probe`)."""
+    u = np.asarray(u, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    c = lp_norm(u, p) / max(lp_norm(b, p), 1e-300)
+    return _ray_minimiser(u, b, p, 0.0, 10.0 * c, c)[1]
+
+
+def _ray_minimiser(u: np.ndarray, b: np.ndarray, p: float, lo: float, hi: float,
+                   c: float) -> tuple[float, float]:
+    """(c, ||u - c b||_p) at the minimiser over c in [lo, hi] (unweighted
+    sums over all entries), by secant steps from c in (lo, hi).
+
     The distance is convex in c, so phi(c) = -<b, |u - c b|^{p-1} sign(u - c b)>
-    increases with c and the minimiser is its root in the bracket.  Secant
-    steps start from ||u||_p / ||b||_p, the minimiser when u lies on the ray
-    (where Newton's phi' is singular for p < 2).  A step that leaves the
-    bracket becomes bisection, and a step shorter than tol (tens of units
-    in the last place of c) becomes one of length tol, so that the bracket
-    also closes from its far side.  The search stops once the bracket is
-    2 tol wide, at its end with the smaller |phi|."""
+    increases with c: the minimiser is lo if phi(lo) >= 0, hi if
+    phi(hi) <= 0, and else the root of phi.  The start c is the caller's
+    guess.  Secant steps need no phi', which is singular for p < 2 where
+    u - c b vanishes, as at the root when u lies on the ray.  A step that
+    leaves the bracket becomes bisection, and a step shorter than tol (tens
+    of units in the last place of the larger end) becomes one of length
+    tol, so that the bracket also closes from its far side.  The search
+    stops once the bracket is 2 tol wide, at its end with the smaller
+    |phi|."""
     u = np.asarray(u, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     # every pass writes into r or t: no allocation per evaluation
@@ -438,15 +455,13 @@ def ray_distance(u: np.ndarray, b: np.ndarray, p: float) -> float:
         operator.ipow(np.abs(residual(c), out=t), p - 1.0)
         return -float(b @ np.copysign(t, r, out=t))
 
-    u_norm = norm(u)
-    c = u_norm / max(norm(b), 1e-300)
-    lo, hi = 0.0, 10.0 * c
     f_lo, f_hi = phi(lo), phi(hi)
     if f_lo >= 0.0:
-        return u_norm
+        return lo, norm(residual(lo))
     if f_hi <= 0.0:
-        return norm(residual(hi))
-    tol = 4.0 * np.finfo(float).eps * hi  # 2 tol spans 8 floats: a midpoint splits it
+        return hi, norm(residual(hi))
+    # 2 tol spans 8 floats at the larger end: a midpoint splits it
+    tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     c_prev, f_prev = lo, f_lo
     while True:
         f = phi(c)
@@ -464,7 +479,7 @@ def ray_distance(u: np.ndarray, b: np.ndarray, p: float) -> float:
         c -= math.copysign(tol, step) if abs(step) < tol else step
         if not lo < c < hi:
             c = 0.5 * (lo + hi)
-    return norm(residual(c))
+    return c, norm(residual(c))
 
 
 def local_stability_pipeline(T: FiniteOperator, g: np.ndarray,

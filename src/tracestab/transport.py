@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .duality import ray_distance
+from .duality import _ray_minimiser, ray_distance
 from .errors import InconsistencyError
 from .specfun import add_gaussian
 
@@ -231,6 +231,15 @@ def _xray_sampled(Gs, t, hx, v):
     return (t[1] - t[0]) * np.ascontiguousarray(_shifted_sum(Gs, table).T)
 
 
+def _require_resolved(tf: TransportFunction, tail_tol: float) -> None:
+    # the fraction is at most 1 (the inner mass is >= 0), so tail_tol >= 1
+    # passes every function without the pass over the grid
+    if tail_tol < 1.0 and (fraction := tf.tail_fraction()) > tail_tol:
+        raise ValueError(
+            f"truncation error: boundary mass fraction {fraction:.2e} > {tail_tol}"
+        )
+
+
 def velocity_average(f: TransportFunction, grid: PhaseGrid,
                      tail_tol: float = 1e-3) -> TransportFunction:
     """rho f(t, x) = integral of f(x - t v, v) dv on the grid rule.
@@ -239,10 +248,7 @@ def velocity_average(f: TransportFunction, grid: PhaseGrid,
     otherwise f is linearly interpolated in its first argument."""
     if f.kind != "phase":
         raise ValueError("velocity_average expects a phase-space function")
-    if f.tail_fraction() > tail_tol:
-        raise ValueError(
-            f"truncation error: boundary mass fraction {f.tail_fraction():.2e} > {tail_tol}"
-        )
+    _require_resolved(f, tail_tol)
     x, v, t = grid.x, grid.v, grid.t
     if f.func is not None:
         out = np.empty((t.size, x.size))
@@ -258,10 +264,7 @@ def xray_adjoint(G: TransportFunction, grid: PhaseGrid,
     """rho* G(x, v) = integral of G(s, x + v s) ds on the grid rule."""
     if G.kind != "spacetime":
         raise ValueError("xray_adjoint expects a space-time function")
-    if G.tail_fraction() > tail_tol:
-        raise ValueError(
-            f"truncation error: boundary mass fraction {G.tail_fraction():.2e} > {tail_tol}"
-        )
+    _require_resolved(G, tail_tol)
     x, v, t = grid.x, grid.v, grid.t
     if G.func is not None:
         out = np.empty((x.size, v.size))
@@ -275,7 +278,9 @@ def xray_adjoint(G: TransportFunction, grid: PhaseGrid,
 def grid_norm(tf: TransportFunction, exponent: float) -> float:
     """l^e norm under the product rectangle rule."""
     cell = tf.grid.h ** tf.samples.ndim
-    return float((cell * np.sum(np.abs(tf.samples) ** exponent)) ** (1.0 / exponent))
+    powers = np.abs(tf.samples)
+    powers **= exponent  # the scalar-power path of np.abs(x) ** exponent, in place
+    return float((cell * np.sum(powers)) ** (1.0 / exponent))
 
 
 def pairing(a: TransportFunction, b: TransportFunction) -> float:
@@ -334,14 +339,18 @@ class _Side:
         return out
 
     @functools.cached_property
+    def base_norm(self) -> float:
+        return grid_norm(self.base, self.e_in)
+
+    @functools.cached_property
     def ratio(self) -> float:
-        return grid_norm(self.image, self.e_out) / grid_norm(self.base, self.e_in)
+        return grid_norm(self.image, self.e_out) / self.base_norm
 
     @functools.cached_property
     def gradient(self) -> np.ndarray:
         base, e_in, e_out, Af = self.base, self.e_in, self.e_out, self.image
         N = grid_norm(Af, e_out)
-        D = grid_norm(base, e_in)
+        D = self.base_norm
         u = np.abs(Af.samples) ** (e_out - 2.0) * Af.samples
         back = self.bwd(TransportFunction(self.grid, Af.kind, u)).samples
         grad_N = back * N ** (1.0 - e_out)
@@ -411,7 +420,17 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     ray of the extremiser.
 
     The sampled operator A is linear, so A(f* + eps d) is the cached image
-    A f* plus eps A d: the direction is applied once, at the first eps."""
+    A f* plus eps A d: the direction is applied once, at the first eps.
+
+    The distance needs one minimisation per direction too.  With
+    N = |f* + eps d|_p and u = (f* + eps d) / N,
+    u - c f* = (eps / N)(d - k f*) for c = (1 + eps k) / N, so the ray
+    distance of u is (eps / N) min over k of |d - k f*|_p, at a minimiser
+    k* that does not depend on eps.  k* is found once, beside the apply;
+    by the triangle inequality it lies in |k| <= 2 |d|_p / |f*|_p.  The
+    distance keeps `duality.ray_distance`'s bracket c in
+    [0, 10 / |f*|_p]: an eps whose c = (1 + eps k*) / N leaves it takes
+    `ray_distance`, whose convex minimum then sits at the clamped end."""
     sd = _side(n, grid, side)
     base, e_in, e_out = sd.base, sd.e_in, sd.e_out
     if direction.kind != base.kind:
@@ -432,9 +451,14 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
             # the samples only, as they enter f* + eps d: a callable would
             # select the exact-integrand route
             d_image = sd.fwd(TransportFunction(grid, base.kind, direction.samples))
-        samples = base.samples + eps * direction.samples
+            reach = 2.0 * d_norm / sd.base_norm
+            kappa, miss = _ray_minimiser(direction.samples, base.samples, e_in,
+                                         -reach, reach, 0.0)
+            samples = np.empty_like(base.samples)
+            image = np.empty_like(d_image.samples)
+        np.add(base.samples, np.multiply(direction.samples, eps, out=samples), out=samples)
         nrm = grid_norm(TransportFunction(grid, base.kind, samples), e_in)
-        image = sd.image.samples + eps * d_image.samples
+        np.add(sd.image.samples, np.multiply(d_image.samples, eps, out=image), out=image)
         ratio = grid_norm(TransportFunction(grid, d_image.kind, image), e_out) / nrm
         deficit = rhat - ratio
         if deficit < -1e-4 * rhat:
@@ -442,7 +466,11 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
                 f"deficit {deficit:.3e} below -1e-4 * ratio estimate; "
                 "recalibrate the estimate on this grid"
             )
-        dist = ray_distance(samples / nrm, base.samples, e_in) * cell ** (1.0 / e_in)
+        if 0.0 <= (1.0 + eps * kappa) / nrm <= 10.0 / sd.base_norm:
+            dist = eps / nrm * miss
+        else:
+            dist = ray_distance(samples / nrm, base.samples, e_in)
+        dist *= cell ** (1.0 / e_in)
         out.append(ProbePoint(float(eps), deficit, dist ** 2,
                               deficit / dist ** 2 if dist > 0 else math.inf))
     return out

@@ -13,6 +13,7 @@ from tracestab import duality
 from tracestab.duality import (
     FiniteOperator,
     _fixed_points,
+    _ray_minimiser,
     aldaz_ratio,
     brute_force_norm,
     cfl1_gap,
@@ -331,18 +332,22 @@ class TestSharpenedHoelder:
             assert 0.0 <= ratio <= max(r, rp) + 1e-9
 
 
-def _bisection_distance(u, b, p):
-    """Oracle for ray_distance: bisect phi(c) = -<b, |u - cb|^{p-1} sign(u - cb)>,
-    which increases with c, on [0, 10 ||u||_p / ||b||_p] until the bracket's
-    ends are adjacent floats; the smaller distance at either end."""
+def _bisection_minimiser(u, b, p, lo, hi):
+    """Oracle for _ray_minimiser: bisect phi(c) = -<b, |u - cb|^{p-1} sign(u - cb)>,
+    which increases with c, on [lo, hi] until the bracket's ends are
+    adjacent floats; (c, distance) at the end with the smaller distance."""
     def phi(c):
         r = u - c * b
         return -np.sum(b * np.abs(r) ** (p - 1.0) * np.sign(r))
 
-    lo, hi = 0.0, 10.0 * lp_norm(u, p) / lp_norm(b, p)
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if phi(mid) < 0.0 else (lo, mid)
-    return min(lp_norm(u - lo * b, p), lp_norm(u - hi * b, p))
+    return min((lp_norm(u - c * b, p), c) for c in (lo, hi))[::-1]
+
+
+def _bisection_distance(u, b, p):
+    """Oracle for ray_distance: the bisection oracle on [0, 10 ||u||_p / ||b||_p]."""
+    return _bisection_minimiser(u, b, p, 0.0, 10.0 * lp_norm(u, p) / lp_norm(b, p))[1]
 
 
 class TestRayDistance:
@@ -404,6 +409,21 @@ class TestRayDistance:
         assert ray_distance(u, b, p) == lp_norm(u - hi * b, p)
         assert ray_distance(u, b, p) == pytest.approx(1.0 - 1e-4 * 4.0 ** (1.0 / p),
                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 1.5, 3.0])
+    def test_minimiser_on_a_bracket_with_negative_c(self, rng, p):
+        # the kinetic probe's use: u = d and b = f*, with the minimiser k* < 0
+        # inside |k| <= 2 ||d||_p / ||b||_p
+        for _ in range(4):
+            u, b = self.probe_like(rng, p, 1.0)
+            d = u - b / lp_norm(b, p) - 0.3 * b  # the ray part of u, and more, removed
+            reach = 2.0 * lp_norm(d, p) / lp_norm(b, p)
+            c, dist = _ray_minimiser(d, b, p, -reach, reach, 0.0)
+            c_oracle, dist_oracle = _bisection_minimiser(d, b, p, -reach, reach)
+            assert c < 0.0 and c_oracle < 0.0
+            assert abs(c - c_oracle) <= 64.0 * np.finfo(float).eps * reach
+            assert dist == lp_norm(d - c * b, p)
+            assert dist <= dist_oracle * (1.0 + 1e-13)
 
 
 class TestLocalStabilityPipeline:

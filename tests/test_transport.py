@@ -28,6 +28,8 @@ from tracestab.transport import (
     xray_adjoint,
 )
 
+from test_duality import _bisection_distance
+
 
 GRID = PhaseGrid.build(n=1, L=40.0, points=256)
 FINE = PhaseGrid.build(n=1, L=40.0, points=512)
@@ -147,6 +149,28 @@ class TestVelocityAverage:
         )
         with pytest.raises(ValueError, match="truncation"):
             velocity_average(f, RESOLVED)
+
+    @pytest.mark.parametrize("op,kind", [(velocity_average, "phase"),
+                                         (xray_adjoint, "spacetime")])
+    def test_tail_check_runs_only_below_unit_tolerance(self, op, kind, monkeypatch):
+        # the boundary mass fraction is at most 1, so tail_tol = 1 skips it
+        shape = (GRID.x.size, GRID.v.size) if kind == "phase" else (GRID.t.size, GRID.x.size)
+        tf = TransportFunction(GRID, kind, np.ones(shape))
+        fraction = tf.tail_fraction()
+        calls = []
+        tail_fraction = TransportFunction.tail_fraction
+
+        def counted(self):
+            calls.append(self)
+            return tail_fraction(self)
+
+        monkeypatch.setattr(TransportFunction, "tail_fraction", counted)
+        op(tf, GRID, tail_tol=1.0)
+        assert calls == []
+        with pytest.raises(ValueError) as err:
+            op(tf, GRID)
+        assert str(err.value) == f"truncation error: boundary mass fraction {fraction:.2e} > 0.001"
+        assert calls == [tf]
 
 
 class TestXrayAdjoint:
@@ -331,6 +355,14 @@ class TestNorms:
         expect = (GRID.h ** 2 * GRID.x.size * GRID.v.size) ** (1.0 / 3.0)
         assert grid_norm(tf, 3.0) == pytest.approx(expect, rel=1e-13)
 
+    @pytest.mark.parametrize("e", [0.5, 4.0 / 3.0, 1.5, 2.0, 3.0])
+    def test_grid_norm_bit_identical_to_formula(self, e, rng):
+        x = rng.normal(size=(GRID.x.size, GRID.v.size))
+        x[::7] = 0.0
+        tf = TransportFunction(GRID, "phase", x)
+        want = float((GRID.h ** 2 * np.sum(np.abs(x) ** e)) ** (1.0 / e))
+        assert np.float64(grid_norm(tf, e)).view(np.int64) == np.float64(want).view(np.int64)
+
 
 class TestRandomPhaseFunction:
     @staticmethod
@@ -442,6 +474,72 @@ class TestProbe:
             assert abs(pt.deficit - (rhat - ratio)) <= 1e-13 * rhat
             dist = ray_distance(f.samples / nrm, base, e_in) * GRID.h ** (2.0 / e_in)
             assert pt.dist_sq == pytest.approx(dist ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_shared_ray_minimiser_matches_per_eps_distance(self, side):
+        # one minimiser k* serves every eps: (eps / N) |d - k* f*|_p is the
+        # ray distance of (f* + eps d) / N
+        base, _, e_in, _, d = self.side_setup(side)
+        rhat = ratio_estimate(1, GRID, side)
+        eps_list = [0.01, 0.05, 0.1, 0.2, 0.25]
+        pts = local_stability_probe(1, d, eps_list, GRID, side, rhat)
+        scale = GRID.h ** (2.0 / e_in)
+        for eps, pt in zip(eps_list, pts, strict=True):
+            f = TransportFunction(GRID, d.kind, base + eps * d.samples)
+            u = f.samples / grid_norm(f, e_in)
+            dist = ray_distance(u, base, e_in) * scale
+            assert pt.dist_sq == pytest.approx(dist ** 2, rel=1e-13)
+            assert math.sqrt(pt.dist_sq) <= _bisection_distance(u, base, e_in) * scale \
+                * (1.0 + 1e-13)
+
+    def test_clamped_minimiser_takes_ray_distance(self, monkeypatch):
+        # |G*|_{q'} is about 0.24 on three t rows 0.02 apart, so along d = -G*
+        # / |G*| the shared minimiser gives c = (1 + eps k*) / N < 0 at eps =
+        # 0.25: the distance is ray_distance's, at its clamped end c = 0
+        grid = PhaseGrid.build(1, 10.0, 1024, t_extent=10.0 / 512)
+        sd = transport._side(1, grid, "dual")
+        base, e_in = sd.base.samples, sd.e_in
+        d = TransportFunction(grid, "spacetime", -base / grid_norm(sd.base, e_in))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ray_distance(*args)
+
+        monkeypatch.setattr(transport, "ray_distance", counted)
+        pts = local_stability_probe(1, d, [0.1, 0.25], grid, "dual")
+        assert len(calls) == 1
+        assert pts[0].dist_sq < 1e-24  # d lies on the ray
+        f = TransportFunction(grid, "spacetime", base + 0.25 * d.samples)
+        dist = ray_distance(f.samples / grid_norm(f, e_in), base, e_in) \
+            * grid.h ** (2.0 / e_in)
+        assert pts[1].dist_sq == dist ** 2
+        assert pts[1].dist_sq == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_zero_distance_is_exact(self, side):
+        base, _, _, _, d = self.side_setup(side)
+        zero = TransportFunction(GRID, d.kind, np.zeros_like(base))
+        for direction, eps_list in ((d, [0.0]), (zero, [0.0, 0.1])):
+            pts = local_stability_probe(1, direction, eps_list, GRID, side)
+            assert [pt.dist_sq for pt in pts] == [0.0] * len(eps_list)
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_one_ray_minimisation_per_call(self, side, monkeypatch):
+        _, _, _, _, d = self.side_setup(side)
+        rhat = ratio_estimate(1, GRID, side)
+        calls = []
+        minimiser = transport._ray_minimiser
+
+        def counted(*args):
+            calls.append(args)
+            return minimiser(*args)
+
+        monkeypatch.setattr(transport, "_ray_minimiser", counted)
+        for eps_list in ([], [0.1], [0.05, 0.1, 0.2], [0.0, 0.05, 0.1, 0.15, 0.2, 0.25]):
+            calls.clear()
+            local_stability_probe(1, d, eps_list, GRID, side, rhat)
+            assert len(calls) == min(len(eps_list), 1), eps_list
 
     @pytest.mark.parametrize("side", ["primal", "dual"])
     def test_one_forward_apply_per_call(self, side, monkeypatch):
