@@ -125,17 +125,21 @@ def _row_norms(X: np.ndarray, r: float) -> np.ndarray:
 def _duality_rows(F: np.ndarray, r: float) -> np.ndarray:
     """The duality map D_r applied to each row of F."""
     absF = np.abs(F)
-    nrm = np.add.reduce(absF ** r, axis=1) ** (1.0 / r)
-    if not nrm.all():
+    nrm = np.add.reduce(absF ** r, axis=1)
+    nrm **= 1.0 / r
+    # fmin skips a NaN norm: as with .all(), only a zero norm raises
+    if not np.fmin.reduce(nrm, initial=np.inf):
         raise ValueError("duality map undefined at the zero vector")
-    nonzero = absF > 0.0
-    if nonzero.all():
-        out = np.power(absF, r - 2.0)
+    if np.minimum.reduce(absF, axis=None, initial=np.inf) > 0.0:
+        # np.power, not **=, which takes numpy's sqrt path at r - 2 = 0.5
+        out = np.power(absF, r - 2.0, out=absF)
         out *= F
     else:   # +0.0 at the zeros, where |0|^{r-2} may be infinite
+        nonzero = absF > 0.0
         out = np.power(absF, r - 2.0, out=np.zeros_like(absF), where=nonzero)
         np.multiply(out, F, out=out, where=nonzero)
-    out /= (nrm ** (r - 1.0))[:, None]
+    nrm **= r - 1.0
+    out /= nrm[:, None]
     return out
 
 
@@ -173,7 +177,10 @@ def _fixed_points(T: FiniteOperator, G0: np.ndarray, tol: float = 1e-12,
         except ValueError:
             raise ValueError("operator annihilates the start vector") from None
         g_new = _duality_rows(np.add.reduce(H[:, :, None] * M, axis=1), T.p_prime)
-        done = _row_norms(g_new - g, 2.0) < tol
+        step = g_new - g
+        step *= step   # its l^2 length, bit for bit _row_norms(step, 2.0)
+        length = np.add.reduce(step, axis=1)
+        done = np.sqrt(length, out=length) < tol
         g = g_new
         if done.any():
             G[rows[done]] = g[done]
@@ -201,10 +208,12 @@ def operator_norm(T: FiniteOperator, starts: int = 8,
     ncol = T.matrix.shape[1]
 
     def sweep(count):
-        G0 = np.empty((count, ncol))
-        for g0 in G0:
-            g0[:] = rng.uniform(0.1, 1.0, size=ncol)
-            if not certified:
+        if certified:   # the same stream as one draw per row
+            G0 = rng.uniform(0.1, 1.0, size=(count, ncol))
+        else:           # each row's sign draws follow its values
+            G0 = np.empty((count, ncol))
+            for g0 in G0:
+                g0[:] = rng.uniform(0.1, 1.0, size=ncol)
                 g0 *= rng.choice([-1.0, 1.0], size=ncol)
         G, its = _fixed_points(T, G0)
         values = _row_norms(_apply_rows(T.matrix, G), T.q)
@@ -252,22 +261,37 @@ def _screen_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray) -> np.ndarray
     sum_k |y_k|^q / ||x||_p^q over its points x = (c_a c_b, s_a c_b, s_b)
     off the pole column b = mesh - 1, with
     y_k = (M_k0 c_a + M_k1 s_a) c_b + M_k2 s_b and
-    ||x||_p^p = (c_a^p + s_a^p) c_b^p + s_b^p built from 1-d factors."""
+    ||x||_p^p = (c_a^p + s_a^p) c_b^p + s_b^p built from 1-d factors.
+    The lines go through in blocks of max(1, 16384 // mesh)."""
     p, q = T.p, T.q
-    acc = np.zeros((len(c), len(c)))
-    buf = np.empty_like(acc)
-    for m0, m1, m2 in T.matrix:
-        np.multiply.outer(m0 * c + m1 * s, c, out=buf)
-        buf += m2 * s
-        np.abs(buf, out=buf)
-        buf **= q
-        acc += buf
+    mesh = len(c)
+    M = T.matrix
+    lead = np.multiply.outer(M[:, 0], c) + np.multiply.outer(M[:, 1], s)
+    tail = np.multiply.outer(M[:, 2], s)
+    signed = not T.nonnegative
     cp, sp = c ** p, s ** p
-    np.multiply.outer(cp + sp, cp, out=buf)
-    buf += sp
-    buf **= -q / p
-    acc *= buf
-    return acc[:, :-1].max(axis=1, initial=0.0)
+    weight = cp + sp
+    block = max(1, 16_384 // mesh)
+    acc = np.empty((min(block, mesh), mesh))
+    buf = np.empty_like(acc)
+    line_max = np.empty(mesh)
+    for a in range(0, mesh, block):
+        lines = slice(a, min(a + block, mesh))
+        acc_a, buf_a = acc[:lines.stop - a], buf[:lines.stop - a]
+        acc_a.fill(0.0)
+        for lead_k, tail_k in zip(lead, tail):
+            np.multiply.outer(lead_k[lines], c, out=buf_a)
+            buf_a += tail_k
+            if signed:
+                np.abs(buf_a, out=buf_a)
+            buf_a **= q
+            acc_a += buf_a
+        np.multiply.outer(weight[lines], cp, out=buf_a)
+        buf_a += sp
+        buf_a **= -q / p
+        acc_a *= buf_a
+        line_max[lines] = acc_a[:, :-1].max(axis=1, initial=0.0)
+    return line_max
 
 
 def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
@@ -282,8 +306,14 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
     dense formula's maximum over the whole mesh:
 
     1. Screen.  _screen_lines ranks every point by val^q from separable
-       1-d factors, with mesh x mesh arrays and no (mesh^2, 3) array: rows + 1
-       powers a point instead of rows + 5.
+       1-d factors, with no (mesh^2, 3) array: rows + 1 powers a point
+       instead of rows + 5.  It takes the mesh in blocks of
+       max(1, 16384 // mesh) whole lines, so for mesh <= 16384 its two
+       buffers hold at most 128 KiB each and stay in cache; each point gets the same operations
+       in the same order as over the whole mesh, so each line's maximum is
+       the same to the bit.  For a nonnegative M it skips |y_k|: every
+       factor of y_k is >= 0, so y_k is >= +0.0 and |y_k| = y_k, or y_k is
+       -0.0 (from a -0.0 entry) and adds a zero to a sum that starts at +0.0.
     2. Re-evaluation.  Every line a whose screen maximum off the pole column
        b = mesh - 1 lies within the slack of the top one goes through
        _mesh_values as whole lines, as in the full mesh.  (A single row
@@ -338,14 +368,14 @@ def extremiser_transfer(T: FiniteOperator, G_star: np.ndarray,
     if norm_value is None:
         norm_value = operator_norm(T).value
     G_star = np.asarray(G_star, dtype=float)
-    achieved = lp_norm(T.apply_adjoint(G_star), T.p_prime)
+    h = T.apply_adjoint(G_star)
+    achieved = lp_norm(h, T.p_prime)
     target = norm_value * lp_norm(G_star, T.q_prime)
     defect = abs(achieved - target) / max(target, 1e-300)
     if defect > 1e-9:
         raise ValueError(
             f"input is not an extremiser of the adjoint (relative defect {defect:.3e})"
         )
-    h = T.apply_adjoint(G_star)
     g = np.abs(h) ** (T.p_prime - 2.0) * h
     if lp_norm(T.apply(g), T.q) < norm_value * lp_norm(g, T.p) * (1.0 - 1e-8):
         raise InconsistencyError("transferred vector fails to achieve the norm")

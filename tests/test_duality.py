@@ -72,6 +72,16 @@ class TestDualityMap:
             return
         assert np.allclose(duality_map(c * F, r), duality_map(F, r), atol=1e-10)
 
+    def test_underflowing_row_is_the_zero_vector(self):
+        # every entry is nonzero, but its r-th power, and so the row norm,
+        # underflows to 0: the map is undefined there, alone or in a batch
+        tiny = [1e-200, 1e-200]
+        with pytest.raises(ValueError, match="undefined at the zero vector"):
+            duality_map(np.array(tiny), 2.5)
+        for F in ([tiny], [tiny, [1.0, 2.0]], [[1.0, 2.0], tiny]):
+            with pytest.raises(ValueError, match="undefined at the zero vector"):
+                duality._duality_rows(np.array(F), 2.5)
+
 
 class TestOperatorNorm:
     def test_rank_one(self):
@@ -176,6 +186,44 @@ class TestBatchedFixedPoints:
         assert cert.value == pytest.approx(0.96603549141913, rel=1e-12)
         assert cert_adj.value == pytest.approx(0.96603549141913, rel=1e-12)
 
+    @staticmethod
+    def per_row_starts(seed, count, ncol, signed):
+        """The starts of operator_norm drawn one row at a time, and the
+        generator left after them."""
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(count):
+            rows.append(rng.uniform(0.1, 1.0, size=ncol))
+            if signed:
+                rows[-1] = rows[-1] * rng.choice([-1.0, 1.0], size=ncol)
+        return np.array(rows), rng
+
+    @pytest.mark.parametrize("M,p,q,seed,starts", [
+        ([[0.5, 0.2, 0.9], [0.3, 0.8, 0.1]], 1.5, 2.5, 3, 8),
+        ([[0.13003169098233525, 0.9639889659405984],
+          [0.8363372324055592, 0.07929188977520729]], 1.5, 2.5, 798, 40),
+        ([[0.5, -0.2, 0.9], [-0.3, 0.8, 0.1], [0.4, 0.6, -0.7]], 1.5, 2.5, 5, 8),
+    ], ids=["certified", "escalating", "signed"])
+    def test_draws_follow_the_per_row_stream(self, monkeypatch, M, p, q, seed, starts):
+        # same-seed duality-sweep reports depend on this stream
+        T = FiniteOperator(np.array(M), p, q)
+        drawn = []
+        fixed_points = duality._fixed_points
+
+        def recording(T, G0, *args):
+            drawn.append(G0.copy())
+            return fixed_points(T, G0, *args)
+
+        monkeypatch.setattr(duality, "_fixed_points", recording)
+        rng = np.random.default_rng(seed)
+        cert = operator_norm(T, rng=rng)
+        assert cert.starts == starts
+        assert cert.certified == T.nonnegative
+        G0, expected = self.per_row_starts(seed, starts, T.matrix.shape[1],
+                                           signed=not cert.certified)
+        assert np.array_equal(np.concatenate(drawn), G0)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
 
 class TestBruteForce:
     @staticmethod
@@ -214,6 +262,44 @@ class TestBruteForce:
                     T = FiniteOperator(rng.uniform(*entries, (rows, 3)),
                                        rng.uniform(1.1, 2.0), rng.uniform(1.1, 4.0))
                     assert brute_force_norm(T, mesh) == self.meshgrid_reference(T, mesh)
+
+    @staticmethod
+    def whole_mesh_screen(T, c, s):
+        """_screen_lines over the whole mesh at once, with |y_k| taken for
+        every sign of M."""
+        p, q = T.p, T.q
+        acc = np.zeros((len(c), len(c)))
+        buf = np.empty_like(acc)
+        for m0, m1, m2 in T.matrix:
+            np.multiply.outer(m0 * c + m1 * s, c, out=buf)
+            buf += m2 * s
+            np.abs(buf, out=buf)
+            buf **= q
+            acc += buf
+        cp, sp = c ** p, s ** p
+        np.multiply.outer(cp + sp, cp, out=buf)
+        buf += sp
+        buf **= -q / p
+        acc *= buf
+        return acc[:, :-1].max(axis=1, initial=0.0)
+
+    @pytest.mark.parametrize("entries", [(-1.0, 1.0), (0.0, 1.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("mesh", [2, 3, 31, 32, 33, 37, 180, 500])
+    def test_screen_blocks_bit_identical_to_whole_mesh(self, rng, entries, mesh):
+        # every line maximum, and so the set of lines re-evaluated, is the
+        # whole-mesh screen's to the bit, below, at and off a block's size
+        t = np.linspace(0.0, 0.5 * math.pi, mesh)
+        c, s = np.cos(t), np.sin(t)
+        ops = [FiniteOperator(rng.uniform(*entries, (rows, 3)),
+                              rng.uniform(1.1, 2.0), rng.uniform(1.1, 4.0))
+               for rows in (1, 3, 5)]
+        # -0.0 counts as nonnegative; a row of it makes y_k = -0.0, a cube -0.0
+        ops.append(FiniteOperator(np.array([[-0.0, -0.0, -0.0], [0.5, -0.0, 0.9]]),
+                                  1.5, 3.0))
+        for T in ops:
+            got = duality._screen_lines(T, c, s)
+            want = self.whole_mesh_screen(T, c, s)
+            assert got.tobytes() == want.tobytes()
 
     def test_zero_matrix(self):
         T = FiniteOperator(np.zeros((3, 3)), 1.5, 2.5)
