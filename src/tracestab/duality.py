@@ -1,8 +1,7 @@
 """Finite-dimensional duality laboratory: duality maps, lp->lq operator
 norms with extremiser certificates, extremiser transfer between an
 operator and its adjoint, stable-Hoelder inequalities, the local
-duality-stability pipeline, the unit-interval counterexample family, and
-stereographic/pushforward identities.
+duality-stability pipeline and the unit-interval counterexample family.
 
 Everything is real-valued; the phase freedom of the continuous theory is
 realised by signs.
@@ -10,7 +9,6 @@ realised by signs.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -30,14 +28,9 @@ __all__ = [
     "extremiser_transfer",
     "cfl3_gap",
     "cfl1_gap",
-    "aldaz_ratio",
     "ray_distance",
     "local_stability_pipeline",
     "sigma_counterexample",
-    "stereographic",
-    "pushforward_isometry",
-    "operator_to_json",
-    "operator_from_json",
 ]
 
 
@@ -418,23 +411,6 @@ def cfl1_gap(h1: np.ndarray, h2: np.ndarray, r: float):
     return abs(pairing), bound
 
 
-def aldaz_ratio(h1: np.ndarray, h2: np.ndarray, r: float) -> float:
-    """Empirical constant of the Aldaz stable-Hoelder inequality:
-    || |h1|^{r/2} - |h2|^{r'/2} ||_2^2  /  (1 - <|h1|, |h2|>)."""
-    if r <= 1.0:
-        raise ValueError(f"requires r > 1, got {r}")
-    h1 = np.abs(np.asarray(h1, dtype=float))
-    h2 = np.abs(np.asarray(h2, dtype=float))
-    rp = _conjugate(r)
-    if abs(lp_norm(h1, r) - 1.0) > 1e-9 or abs(lp_norm(h2, rp) - 1.0) > 1e-9:
-        raise ValueError("inputs must be unit vectors in l^r and l^{r'}")
-    num = lp_norm(h1 ** (r / 2.0) - h2 ** (rp / 2.0), 2.0) ** 2
-    den = 1.0 - float(np.dot(h1, h2))
-    if den <= 1e-15:
-        return 1.0 if num <= 1e-15 else math.inf
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # local duality-stability
 
@@ -591,70 +567,3 @@ def sigma_counterexample(r: float, sigma: float, delta_list,
             }
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# stereographic projection and pushforward isometry
-
-
-def stereographic(x) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse stereographic projection of the rows x in R^{n-1} of an
-    (..., n-1) array onto S^{n-1}, with the jacobian (2/(1+|x|^2))^{n-1}."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    s2 = np.sum(x * x, axis=-1, keepdims=True)
-    point = np.concatenate([2.0 * x / (1.0 + s2), (1.0 - s2) / (1.0 + s2)], axis=-1)
-    jac = (2.0 / (1.0 + s2[..., 0])) ** x.shape[-1]
-    return point, jac
-
-
-def pushforward_isometry(G, q_prime: float, n: int,
-                         n_radial: int = 400, n_azimuth: int = 256):
-    """Check of the flat-side isometry: returns (sphere L^{q'} norm of G,
-    L^{q'} norm of x -> J(x)^{1/q'} G(pi^{-1} x) over R^{n-1}).
-
-    G is a callable taking an (N, n) array of unit vectors."""
-    if n not in (2, 3):
-        raise ValueError("pushforward check supports n in {2, 3}")
-    from .harmonic import sphere_quadrature
-
-    pts, w = sphere_quadrature(n, n_polar=n_radial // 2, n_azimuth=n_azimuth)
-    vals = np.asarray(G(pts), dtype=float)
-    sphere_norm = float(np.sum(w * np.abs(vals) ** q_prime) ** (1.0 / q_prime))
-
-    # flat side in polar coordinates x = rho * u, rho = tan(psi/2), with u
-    # on S^{n-2}: the two points +-1 (n = 2) or n_azimuth rays (n = 3)
-    x_gl, w_gl = np.polynomial.legendre.leggauss(n_radial)
-    psi = 0.5 * math.pi * (x_gl + 1.0)
-    rho = np.tan(0.5 * psi)
-    w_rho = 0.5 * math.pi * w_gl * 0.5 / np.cos(0.5 * psi) ** 2 * rho ** (n - 2)
-    if n == 2:
-        dirs, w_dir = np.array([[1.0], [-1.0]]), 1.0
-    else:
-        phi = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
-        dirs, w_dir = np.stack([np.cos(phi), np.sin(phi)], axis=1), 2.0 * math.pi / n_azimuth
-    sph, jac = stereographic(rho[:, None, None] * dirs)
-    gv = np.asarray(G(sph.reshape(-1, n)), dtype=float).reshape(jac.shape)
-    flat = float(np.sum(w_rho[:, None] * w_dir * jac * np.abs(gv) ** q_prime))
-    return sphere_norm, flat ** (1.0 / q_prime)
-
-
-# ---------------------------------------------------------------------------
-# serialisation
-
-
-def operator_to_json(T: FiniteOperator) -> str:
-    return json.dumps(
-        {
-            "rows": T.matrix.shape[0],
-            "cols": T.matrix.shape[1],
-            "p": T.p,
-            "q": T.q,
-            "entries": T.matrix.ravel().tolist(),
-        }
-    )
-
-
-def operator_from_json(text: str) -> FiniteOperator:
-    doc = json.loads(text)
-    m = np.asarray(doc["entries"], dtype=float).reshape(doc["rows"], doc["cols"])
-    return FiniteOperator(m, doc["p"], doc["q"])

@@ -12,10 +12,7 @@ provides the continuum values.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -40,10 +37,6 @@ __all__ = [
     "reverse_deficit_check",
     "trace_evaluate",
     "random_profile_set",
-    "profile_set_to_json",
-    "profile_set_from_json",
-    "report_to_json",
-    "report_to_csv_row",
 ]
 
 
@@ -289,7 +282,8 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
 
 
 # ---------------------------------------------------------------------------
-# pointwise trace evaluation (n = 2, 3)
+# pointwise trace evaluation (n = 2, 3): the physical-space oracle for
+# _mode_sums, whose sum A must equal the L^2(S^{n-1}) norm^2 of the trace
 
 
 def _real_harmonic(n: int, k: int, m: int, theta: np.ndarray) -> float:
@@ -330,85 +324,28 @@ def trace_evaluate(ps: ProfileSet, weight: WeightSpec, theta) -> complex:
     return total
 
 
-def sphere_quadrature(n: int, n_polar: int = 64, n_azimuth: int = 128):
+_SPHERE_POLAR = 64      # Gauss-Legendre nodes in cos(polar angle), n = 3
+_SPHERE_AZIMUTH = 128   # equispaced azimuths
+
+
+def sphere_quadrature(n: int):
     """Nodes (rows of unit vectors) and weights integrating over S^{n-1}."""
+    phi = np.linspace(0.0, 2.0 * math.pi, _SPHERE_AZIMUTH, endpoint=False)
+    w_phi = np.full(_SPHERE_AZIMUTH, 2.0 * math.pi / _SPHERE_AZIMUTH)
     if n == 2:
-        phi = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
-        pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        w = np.full(n_azimuth, 2.0 * math.pi / n_azimuth)
-        return pts, w
+        return np.stack([np.cos(phi), np.sin(phi)], axis=1), w_phi
     if n == 3:
-        x, wx = np.polynomial.legendre.leggauss(n_polar)
-        phi = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
+        x, wx = np.polynomial.legendre.leggauss(_SPHERE_POLAR)
         ct = x[:, None]
         st = np.sqrt(1.0 - ct ** 2)
         pts = np.stack(
             [
                 (st * np.cos(phi)[None, :]).ravel(),
                 (st * np.sin(phi)[None, :]).ravel(),
-                np.broadcast_to(ct, (n_polar, n_azimuth)).ravel(),
+                np.broadcast_to(ct, (_SPHERE_POLAR, _SPHERE_AZIMUTH)).ravel(),
             ],
             axis=1,
         )
-        w = (wx[:, None] * np.full(n_azimuth, 2.0 * math.pi / n_azimuth)[None, :]).ravel()
+        w = (wx[:, None] * w_phi[None, :]).ravel()
         return pts, w
     raise ValueError("sphere quadrature supports n in {2, 3} only")
-
-
-# ---------------------------------------------------------------------------
-# serialisation
-
-
-def profile_set_to_json(ps: ProfileSet) -> str:
-    doc = {
-        "n": ps.n,
-        "grid": {
-            "r_max": ps.grid.r_max,
-            "panels_per_period": ps.grid.panels_per_period,
-            "nodes_per_panel": ps.grid.nodes_per_panel,
-        },
-        "modes": [
-            {"k": k, "m": m, "samples": np.asarray(g).tolist()}
-            for (k, m), g in sorted(ps.entries.items())
-        ],
-    }
-    return json.dumps(doc)
-
-
-def profile_set_from_json(text: str) -> ProfileSet:
-    doc = json.loads(text)
-    grid = RadialGrid.build(
-        doc["grid"]["r_max"],
-        doc["grid"]["panels_per_period"],
-        doc["grid"].get("nodes_per_panel", 4),
-    )
-    entries = {
-        (mode["k"], mode["m"]): np.asarray(mode["samples"], dtype=float)
-        for mode in doc["modes"]
-    }
-    return ProfileSet(doc["n"], grid, entries)
-
-
-def report_to_json(rep: DeficitReport) -> str:
-    return json.dumps(
-        {
-            "sumB": rep.sumB,
-            "sumA": rep.sumA,
-            "deficit": rep.deficit,
-            "dist_sq": rep.dist_sq,
-            "ratio": None if math.isinf(rep.ratio) else rep.ratio,
-            "constant": rep.constant,
-            "lambda0": rep.lambda0,
-            "satisfied": rep.satisfied,
-        }
-    )
-
-
-def report_to_csv_row(rep: DeficitReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [rep.sumB, rep.sumA, rep.deficit, rep.dist_sq, rep.ratio,
-         rep.constant, rep.satisfied]
-    )
-    return buf.getvalue()

@@ -38,7 +38,6 @@ __all__ = [
     "watson_integral",
     "watson_quadrature",
     "lambda_legendre_form",
-    "legendre_form_calibration",
     "build_spectrum",
     "stability_constant",
     "spectrum_to_json",
@@ -70,7 +69,6 @@ class WeightSpec:
     r_table: np.ndarray | None = None
     w_table: np.ndarray | None = None
     tail_exponent: float | None = None
-    F_w: object | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -110,9 +108,9 @@ class WeightSpec:
         return WeightSpec(kind="inhomogeneous", n=n, s=s)
 
     @staticmethod
-    def custom(n, r_table, w_table, tail_exponent, F_w=None) -> "WeightSpec":
+    def custom(n, r_table, w_table, tail_exponent) -> "WeightSpec":
         return WeightSpec(kind="custom", n=n, r_table=r_table, w_table=w_table,
-                          tail_exponent=tail_exponent, F_w=F_w)
+                          tail_exponent=tail_exponent)
 
     # evaluation -------------------------------------------------------
     def w(self, r):
@@ -383,76 +381,42 @@ def watson_quadrature(n: int, k: int, tau: float, tol: float = 1e-8) -> tuple[fl
 # Legendre-polynomial representation of lambda_k
 
 
-def _profile_F(weight: WeightSpec):
-    """Radial profile F_w with F_w(|xi|^2/2) = hat w(xi), up to one unknown
-    positive constant.  Supplied on the weight, or derived for the
-    inhomogeneous Poisson-kernel exponents s in {(n-1)/2, (n+1)/2}."""
-    if weight.F_w is not None:
-        return weight.F_w
+def _profile_F(weight: WeightSpec) -> tuple[float, float]:
+    """(gamma, C) with hat w(xi) = C |xi|^gamma exp(-|xi|) for the
+    inhomogeneous weight at the Poisson-kernel exponents s = (n +- 1)/2.
+
+    For w = (1 + |x|^2)^{-s} on R^n, hat w(xi) = int w(x) e^{-i x.xi} dx is
+    (2 pi)^{n/2} 2^{1-s} / Gamma(s) |xi|^{s-n/2} K_{n/2-s}(|xi|), and
+    K_{-+1/2}(z) = sqrt(pi/(2z)) e^{-z} at these s gives
+    C = pi^{(n+1)/2} / Gamma((n+1)/2), gamma = 0 at s = (n+1)/2, and
+    C = 2 pi^{(n+1)/2} / Gamma((n-1)/2), gamma = -1 at s = (n-1)/2."""
     n = weight.n
-    if weight.kind == "inhomogeneous" and (
-        abs(weight.s - (n - 1) / 2.0) < 1e-12 or abs(weight.s - (n + 1) / 2.0) < 1e-12
-    ):
-        gamma_exp = weight.s - (n + 1) / 2.0
-
-        def F(u):
-            z = np.sqrt(2.0 * np.asarray(u, float))
-            return z ** gamma_exp * np.exp(-z)
-
-        return F
+    if weight.kind == "inhomogeneous":
+        if abs(weight.s - (n + 1) / 2.0) < 1e-12:
+            return 0.0, math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+        if abs(weight.s - (n - 1) / 2.0) < 1e-12:
+            return -1.0, 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n - 1) / 2.0)
     raise ValueError(
-        "no profile F_w available: supply one on the weight, or use an "
-        "inhomogeneous weight with s in {(n-1)/2, (n+1)/2}"
+        "the Legendre form needs an inhomogeneous weight with s in {(n-1)/2, (n+1)/2}"
     )
 
 
-def _legendre_form_raw(weight: WeightSpec, k: int) -> float:
-    """Uncalibrated |S^{n-2}|/(2 pi)^n int_{-1}^1 F_w(1-t) P_{n,k}(t)
-    (1-t^2)^{(n-3)/2} dt, via the substitution u = sqrt(2(1-t))."""
+def lambda_legendre_form(weight: WeightSpec, k: int) -> float:
+    """lambda_k by Funk-Hecke, |S^{n-2}|/(2 pi)^n int_{-1}^1 F(1-t) P_{n,k}(t)
+    (1-t^2)^{(n-3)/2} dt with F(|xi|^2/2) = hat w(xi): an oracle for
+    lambda_quadrature that shares none of its quadrature.
+
+    With u = sqrt(2(1-t)) the integral becomes
+    C int_0^2 u^{gamma+n-2} (2-u)^{(n-3)/2} G(u) du with the smooth
+    G(u) = exp(-u) P_{n,k}(1 - u^2/2) ((2+u)/4)^{(n-3)/2}, taken by an
+    80-node Gauss-Jacobi rule."""
     n = weight.n
-    F = _profile_F(weight)
-    # With u = sqrt(2(1-t)) the integral becomes
-    #   int_0^2 u^{b} (2-u)^{a} G(u) du,   a = (n-3)/2,  b = gamma_u + n - 2,
-    # where gamma_u is the power-law exponent of F(u^2/2) at u -> 0 and
-    #   G(u) = [F(u^2/2) / u^gamma_u] P_{n,k}(1 - u^2/2) ((2+u)/4)^{a}.
+    gamma_exp, const = _profile_F(weight)
     a_exp = (n - 3) / 2.0
-    u1, u2 = 1e-6, 2e-6
-    f1, f2 = float(F(0.5 * u1 * u1)), float(F(0.5 * u2 * u2))
-    gamma_u = math.log(f2 / f1) / math.log(2.0) if f1 > 0 and f1 != f2 else 0.0
-    b_exp = gamma_u + n - 2.0
-    if b_exp <= -1.0 or a_exp <= -1.0:
-        raise ValueError("legendre-form integrand is non-integrable for this weight")
-    xj, wj = sp.roots_jacobi(80, a_exp, b_exp)
+    xj, wj = sp.roots_jacobi(80, a_exp, gamma_exp + n - 2.0)
     u = xj + 1.0
-    t = np.clip(1.0 - 0.5 * u * u, -1.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = F(0.5 * u * u) / u ** gamma_u * legendre(n, k, t) * (0.25 * (2.0 + u)) ** a_exp
-    val = float(np.sum(wj * g))
-    return sphere_area(n - 1) / (2.0 * math.pi) ** n * val
-
-
-def legendre_form_calibration(weight: WeightSpec, tol: float = 1e-8) -> float:
-    """Multiplicative constant matching the Legendre-form lambda_0 to the
-    direct quadrature; checked for consistency at k = 1."""
-    raw0 = _legendre_form_raw(weight, 0)
-    lam0, _ = lambda_quadrature(weight, 0, tol)
-    if raw0 <= 0:
-        raise InconsistencyError("legendre-form lambda_0 is non-positive")
-    c = lam0 / raw0
-    lam1, _ = lambda_quadrature(weight, 1, tol)
-    pred1 = c * _legendre_form_raw(weight, 1)
-    if abs(pred1 - lam1) > 1e-6 * max(abs(lam1), 1e-30) + 1e-10:
-        raise InconsistencyError(
-            f"legendre-form calibration failed: k=1 residual {abs(pred1 - lam1):.3e}"
-        )
-    return c
-
-
-def lambda_legendre_form(weight: WeightSpec, k: int, calibration: float | None = None) -> float:
-    """lambda_k via the Legendre-polynomial representation (requires F_w)."""
-    if calibration is None:
-        calibration = legendre_form_calibration(weight)
-    return calibration * _legendre_form_raw(weight, k)
+    g = np.exp(-u) * legendre(n, k, 1.0 - 0.5 * u * u) * (0.25 * (2.0 + u)) ** a_exp
+    return const * sphere_area(n - 1) / (2.0 * math.pi) ** n * float(np.sum(wj * g))
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,15 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from tracestab import duality, harmonic, spectrum as spec_mod, transport
+from tracestab import duality, spectrum as spec_mod, transport
 from tracestab.harmonic import (
     GridSpectrum,
-    ProfileSet,
     RadialGrid,
     deficit_report,
     equality_case_builder,
     extremising_sequence,
     random_profile_set,
-    reverse_deficit_check,
 )
 from tracestab.spectrum import WeightSpec, build_spectrum
 

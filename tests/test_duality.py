@@ -2,7 +2,6 @@
 norms, extremiser transfer, sharpened Hoelder inequalities, the local
 stability pipeline, and the unit-interval counterexample family."""
 
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from tracestab.duality import (
     FiniteOperator,
     _fixed_points,
     _ray_minimiser,
-    aldaz_ratio,
     brute_force_norm,
     cfl1_gap,
     cfl3_gap,
@@ -23,13 +21,9 @@ from tracestab.duality import (
     extremiser_transfer,
     local_stability_pipeline,
     lp_norm,
-    operator_from_json,
-    operator_to_json,
     operator_norm,
-    pushforward_isometry,
     ray_distance,
     sigma_counterexample,
-    stereographic,
 )
 from tracestab.errors import ConvergenceError
 
@@ -401,22 +395,6 @@ class TestSharpenedHoelder:
             pairing, bound = cfl1_gap(h1, h2, r)
             assert pairing <= bound + 1e-12
 
-    def test_aldaz_trivial(self):
-        h = np.full(4, (1.0 / 4.0) ** (1.0 / 3.0))  # unit in l^3
-        g = duality_map(h, 3.0)
-        assert aldaz_ratio(h, g, 3.0) == pytest.approx(1.0)
-
-    def test_aldaz_sweep_bounded(self, rng):
-        for _ in range(200):
-            r = rng.uniform(1.2, 4.0)
-            rp = r / (r - 1.0)
-            h1 = np.abs(rng.normal(size=5)) + 1e-3
-            h2 = np.abs(rng.normal(size=5)) + 1e-3
-            h1 = h1 / lp_norm(h1, r)
-            h2 = h2 / lp_norm(h2, rp)
-            ratio = aldaz_ratio(h1, h2, r)
-            assert 0.0 <= ratio <= max(r, rp) + 1e-9
-
 
 def _bisection_minimiser(u, b, p, lo, hi):
     """Oracle for _ray_minimiser: bisect phi(c) = -<b, |u - cb|^{p-1} sign(u - cb)>,
@@ -597,59 +575,3 @@ class TestCounterexample:
             sigma_counterexample(1.0, 1.0, [0.1])
         with pytest.raises(ValueError):
             sigma_counterexample(1.5, 1.5, [0.6])
-
-
-class TestStereographic:
-    def test_origin_maps_to_north_pole(self):
-        pt, jac = stereographic(np.zeros(2))
-        assert np.allclose(pt, [0.0, 0.0, 1.0])
-        assert jac == pytest.approx(4.0)
-
-    def test_unit_vectors(self, rng):
-        for _ in range(20):
-            x = rng.normal(size=2) * rng.uniform(0.1, 20)
-            pt, jac = stereographic(x)
-            assert np.linalg.norm(pt) == pytest.approx(1.0, rel=1e-14)
-            assert jac > 0
-
-    def test_south_pole_limit(self):
-        pt, jac = stereographic(np.array([1e8, 0.0]))
-        assert pt[2] == pytest.approx(-1.0, abs=1e-10)
-        assert jac < 1e-15
-
-    def test_rows_match_single_points(self, rng):
-        x = rng.normal(size=(4, 5, 2)) * 3.0
-        pts, jac = stereographic(x)
-        assert pts.shape == (4, 5, 3) and jac.shape == (4, 5)
-        for idx in np.ndindex(4, 5):  # one point at a time, the formula spelled out
-            xi = x[idx]
-            s2 = float(np.dot(xi, xi))
-            ref = np.concatenate([2.0 * xi / (1.0 + s2), [(1.0 - s2) / (1.0 + s2)]])
-            assert np.allclose(pts[idx], ref, rtol=1e-15, atol=1e-300)
-            assert jac[idx] == pytest.approx((2.0 / (1.0 + s2)) ** 2, rel=1e-15)
-
-
-class TestPushforward:
-    @pytest.mark.parametrize("n,qp", [(2, 4.0), (3, 3.0)])
-    def test_constant_function(self, n, qp):
-        area = 2.0 * math.pi if n == 2 else 4.0 * math.pi
-        sphere, flat = pushforward_isometry(lambda pts: np.ones(len(pts)), qp, n)
-        assert sphere == pytest.approx(area ** (1.0 / qp), rel=1e-10)
-        assert flat == pytest.approx(area ** (1.0 / qp), rel=1e-5)
-
-    def test_zonal_function(self):
-        G = lambda pts: 1.0 + 0.5 * pts[:, 2]
-        sphere, flat = pushforward_isometry(G, 3.0, 3)
-        assert flat == pytest.approx(sphere, rel=1e-5)
-
-
-class TestSerialization:
-    def test_round_trip(self, rng):
-        T = random_operator(rng)
-        back = operator_from_json(operator_to_json(T))
-        assert np.allclose(back.matrix, T.matrix)
-        assert back.p == T.p and back.q == T.q
-
-    def test_schema(self, rng):
-        doc = json.loads(operator_to_json(random_operator(rng)))
-        assert set(doc) == {"rows", "cols", "p", "q", "entries"}

@@ -2,7 +2,6 @@
 reports, equality cases, extremising sequences, the reverse inequality,
 and pointwise trace evaluation on the sphere."""
 
-import json
 import math
 
 import numpy as np
@@ -19,11 +18,7 @@ from tracestab.harmonic import (
     deficit_report,
     equality_case_builder,
     extremising_sequence,
-    profile_set_from_json,
-    profile_set_to_json,
     random_profile_set,
-    report_to_csv_row,
-    report_to_json,
     reverse_deficit_check,
     sphere_quadrature,
     trace_evaluate,
@@ -282,25 +277,7 @@ class TestGridSpectrumCache:
             gs.kernel(0)[0] = 1.0
 
 
-class TestSerialization:
-    def test_profile_roundtrip(self, rng):
-        ps = random_profile_set(W3, GRID, rng)
-        back = profile_set_from_json(profile_set_to_json(ps))
-        assert back.n == ps.n
-        assert set(back.entries) == set(ps.entries)
-        for key in ps.entries:
-            assert np.allclose(back.entries[key], ps.entries[key])
-
-    def test_report_export(self, rng):
-        ps = random_profile_set(W3, GRID, rng)
-        rep = deficit_report(ps, W3)
-        doc = json.loads(report_to_json(rep))
-        for key in ("sumB", "sumA", "deficit", "dist_sq", "ratio", "constant",
-                    "lambda0", "satisfied"):
-            assert key in doc
-        row = report_to_csv_row(rep)
-        assert len(row.split(",")) >= 6
-
+class TestProfileSet:
     def test_dimension_bound_enforced(self):
         gs = GridSpectrum(W2, GRID)
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from tracestab.spectrum import (
     lambda_inhomogeneous_s1,
     lambda_legendre_form,
     lambda_quadrature,
-    legendre_form_calibration,
     spectrum_to_csv,
     spectrum_to_json,
     stability_constant,
@@ -307,28 +306,27 @@ class TestWeightSpec:
 class TestLegendreForm:
     def test_matches_product_form_n3_s1(self):
         w = WeightSpec.inhomogeneous(3, 1.0)
-        cal = legendre_form_calibration(w)
         for k in range(7):
-            val = lambda_legendre_form(w, k, cal)
+            val = lambda_legendre_form(w, k)
             assert val == pytest.approx(lambda_inhomogeneous_s1(3, k), rel=1e-7)
 
     def test_matches_quadrature_n3_s2(self):
-        w = WeightSpec.inhomogeneous(3, 2.0)
-        cal = legendre_form_calibration(w)
-        for k in (0, 1, 2):
-            ref, _ = lambda_quadrature(w, k, 1e-8)
-            assert lambda_legendre_form(w, k, cal) == pytest.approx(ref, rel=1e-6)
+        # every Poisson-kernel pair s = (n +- 1)/2 for n = 2..5; lambda_0
+        # and lambda_1 included, since no constant is fitted to them
+        for n, s in [(2, 1.5), (3, 1.0), (3, 2.0), (4, 1.5), (4, 2.5), (5, 2.0), (5, 3.0)]:
+            w = WeightSpec.inhomogeneous(n, s)
+            for k in range(7):
+                ref, _ = lambda_quadrature(w, k, 1e-8)
+                assert lambda_legendre_form(w, k) == pytest.approx(ref, rel=1e-6)
 
     def test_n2_endpoint_weight(self):
         w = WeightSpec.inhomogeneous(2, 0.5 + 1.0)  # s = (n+1)/2 at n = 2
-        cal = legendre_form_calibration(w)
         ref, _ = lambda_quadrature(w, 1, 1e-8)
-        assert lambda_legendre_form(w, 1, cal) == pytest.approx(ref, rel=1e-6)
+        assert lambda_legendre_form(w, 1) == pytest.approx(ref, rel=1e-6)
 
     def test_gap_below_lambda0(self):
         w = WeightSpec.inhomogeneous(3, 1.0)
-        cal = legendre_form_calibration(w)
-        assert lambda_legendre_form(w, 1, cal) < lambda_legendre_form(w, 0, cal)
+        assert lambda_legendre_form(w, 1) < lambda_legendre_form(w, 0)
 
 
 class TestBuildSpectrum:

@@ -8,7 +8,6 @@ import pytest
 
 from tracestab import transport
 from tracestab.duality import ray_distance
-from tracestab.errors import InconsistencyError
 from tracestab.transport import (
     PhaseGrid,
     TransportFunction,
