@@ -164,8 +164,17 @@ def validate_args(args) -> list[str]:
 
 
 def _lambda_twin_check(checks: list[Check], w, spectrum, kq: int, tol: float) -> None:
-    quadv, _ = spec_mod.lambda_quadrature(w, kq, tol)
-    rel = abs(quadv - spectrum.values[kq]) / spectrum.values[kq]
+    """lambda_kq against a route the spectrum did not take: the quadrature
+    for closed-form values, the Legendre form for quadrature values; no line
+    where the Legendre form does not apply."""
+    if spectrum.certificate.method == "monotone-closed-form":
+        twin, _ = spec_mod.lambda_quadrature(w, kq, tol)
+    else:
+        try:
+            twin = spec_mod.lambda_legendre_form(w, kq)
+        except ValueError:  # s is not a Poisson-kernel exponent (n +- 1)/2
+            return
+    rel = abs(twin - spectrum.values[kq]) / spectrum.values[kq]
     _check(checks, "eigenvalue-quadrature-twin", rel < 1e-6, rel, 1e-6,
            f"lambda_{kq} twin-route agreement")
 

@@ -76,9 +76,6 @@ class WeightSpec:
         if self.kind in ("homogeneous", "inhomogeneous"):
             if not self.s > 0.5:
                 raise ValueError(f"s > 1/2 required; got s={self.s}")
-            if self.kind == "homogeneous" and not self.s < self.n / 2.0:
-                raise ValueError(
-                    f"s < n/2 required for r^(-2s); got s={self.s}, n={self.n}")
         elif self.kind == "custom":
             r = np.asarray(self.r_table, dtype=float)
             w = np.asarray(self.w_table, dtype=float)
@@ -101,6 +98,8 @@ class WeightSpec:
     # constructors -----------------------------------------------------
     @staticmethod
     def homogeneous(n: int, s: float) -> "WeightSpec":
+        if not s < n / 2.0:
+            raise ValueError(f"s < n/2 required for r^(-2s); got s={s}, n={n}")
         return WeightSpec(kind="homogeneous", n=n, s=s)
 
     @staticmethod
@@ -264,36 +263,32 @@ def _knot_panels(a: float, b: float, knots: np.ndarray) -> np.ndarray:
     return np.union1d(ratio_125, knots[(knots > a) & (knots < b)])
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first call: scipy.integrate also
-    loads scipy.optimize, which tracestab otherwise never needs."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
-
-
-def _envelope_integral(nu: float, weight, r_cut: float) -> tuple[float, float]:
+def _envelope_integral(nu: float, weight: WeightSpec, r_cut: float) -> tuple[float, float]:
     """int_{r_cut}^infty r w(r) / (pi sqrt(r^2 - nu^2)) dr and its error.
 
-    One quad meets round-off at the knots of a custom table (a weight with
-    `r_table`).  So past its last knot R the power law c r^{-a} takes the closed
-    form int_R^infty w dr 2F1(1/2, (a-1)/2; (a+1)/2; nu^2/R^2) / pi, and below R
-    Gauss rules (12 points; 6 for the error) take panels between knots, at
-    most a quarter radius long."""
-
-    def model(r):
-        return r * weight.w(r) / np.sqrt(r * r - nu * nu) / math.pi
-
-    knots = getattr(weight, "r_table", None)
-    if knots is None:
-        return quad(lambda r: float(model(r)), r_cut, np.inf, limit=400,
-                    epsabs=1e-13, epsrel=1e-11)
-    R, a = max(r_cut, float(knots[-1])), weight.tail_exponent
+    (1 + r^2)^{-s}: with a = 1 + nu^2 and X = r_cut^2 - nu^2, t = r^2 - nu^2
+    gives a^{1/2-s} B(s-1/2, 1/2) I_{a/(a+X)}(s-1/2, 1/2) / (2 pi) (DLMF 8.17).
+    A power law c r^{-a} past R (r^{-2s} from r_cut; a custom table's declared
+    tail past its last knot) gives int_R^infty w dr 2F1(1/2, (a-1)/2; (a+1)/2;
+    nu^2/R^2) / pi.  Both are closed forms, with error 0.  Between r_cut and a
+    table's last knot, Gauss rules (12 points; 6 for the error) take panels
+    between knots, at most a quarter radius long."""
+    if weight.kind == "inhomogeneous":
+        a, b = 1.0 + nu * nu, weight.s - 0.5
+        x = a / (a + r_cut * r_cut - nu * nu)
+        return float(a ** -b * sp.beta(b, 0.5) * sp.betainc(b, 0.5, x)) / (2.0 * math.pi), 0.0
+    if weight.kind == "homogeneous":
+        R, a, fine, err = r_cut, 2.0 * weight.s, 0.0, 0.0
+    else:
+        knots = weight.r_table
+        R, a = max(r_cut, float(knots[-1])), weight.tail_exponent
+        edges = _knot_panels(r_cut, R, knots)
+        fine, coarse = (float(np.sum(wq * (r * weight.w(r) / np.sqrt(r * r - nu * nu) / math.pi)))
+                        for r, wq in (_gauss_panels(edges, m) for m in (12, 6)))
+        err = abs(fine - coarse)
     power = weight.tail_integral(R) * sp.hyp2f1(0.5, (a - 1.0) / 2.0, (a + 1.0) / 2.0,
                                                 (nu / R) ** 2) / math.pi
-    edges = _knot_panels(r_cut, R, knots)
-    fine, coarse = (float(np.sum(wq * model(r))) for r, wq in
-                    (_gauss_panels(edges, m) for m in (12, 6)))
-    return float(power) + fine, abs(fine - coarse)
+    return float(power) + fine, err
 
 
 def _tail_integral(nu: float, weight, r_cut: float, envelope: tuple[float, float],
@@ -330,9 +325,7 @@ def check_tol(tol: float) -> None:
 def lambda_quadrature(weight: WeightSpec, k: int, tol: float = 1e-8) -> tuple[float, float]:
     """lambda_k(w) by direct quadrature; returns (value, error bound).
 
-    Uses only the weight's `n`, vectorised `w(r)`, `tail_integral(R)` and
-    `small_r_exponent()`.  Raises ConvergenceError if the tail machinery
-    cannot reach tol."""
+    Raises ConvergenceError if the tail machinery cannot reach tol."""
     check_tol(tol)
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -352,29 +345,12 @@ def lambda_quadrature(weight: WeightSpec, k: int, tol: float = 1e-8) -> tuple[fl
     )
 
 
-class _PowerWeight:
-    """Pure power weight r^{-tau}, letting watson_quadrature reuse the
-    lambda machinery outside the WeightSpec validation range."""
-
-    def __init__(self, n: int, tau: float):
-        self.n = n
-        self.tau = tau
-
-    def w(self, r):
-        return np.asarray(r, float) ** (-self.tau)
-
-    def tail_integral(self, R: float) -> float:
-        return R ** (1.0 - self.tau) / (self.tau - 1.0)
-
-    def small_r_exponent(self) -> float:
-        return -self.tau
-
-
 def watson_quadrature(n: int, k: int, tau: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Quadrature twin of watson_integral (weight r^{-tau})."""
+    """Quadrature twin of watson_integral: lambda_quadrature of r^{-tau}, the
+    homogeneous kind at s = tau/2 with no s < n/2 bound."""
     if tau <= 1.0:
         raise ValueError("tau > 1 required")
-    return lambda_quadrature(_PowerWeight(n, tau), k, tol)
+    return lambda_quadrature(WeightSpec(kind="homogeneous", n=n, s=tau / 2.0), k, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,19 @@ class TestAnchors:
                     seen.add(line.split()[1].rstrip(":"))
         assert seen == set(ANCHORS)
 
+    def test_quadrature_spectrum_twin_is_independent(self, tmp_path, capsys):
+        # a spectrum built by lambda_quadrature is checked by the Legendre
+        # form at s = (n + 1)/2, and at s = 0.6 by nothing, never by itself
+        def twin_values(argv):
+            assert main([*argv, "--weight", "inhomogeneous", "--output", str(tmp_path)]) == 0
+            return [float(line.split("value=")[1].split()[0])
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("CHECK eigenvalue-quadrature-twin:")]
+
+        (gap,) = twin_values(["spectrum", "--n", "3", "--s", "2.0"])
+        assert 0.0 < gap < 1e-9
+        assert twin_values(["constants", "--n", "2", "--s", "0.6"]) == []
+
 
 class TestValidate:
     def test_validate_reports_violations(self, tmp_path, capsys):
@@ -299,17 +312,55 @@ class TestOneParser:
         assert main(["--config", str(cfg), "validate", "--target", "counterexample"]) == 0
 
 
+# Builds each weight family's spectrum, with the twins the CLI computes, and
+# prints which scipy subpackages are loaded after each step.
+SPECTRUM_STEPS = """
+import json, sys
+import numpy as np
+from tracestab import spectrum as sm
+
+def loaded():
+    return {sub: any(m == sub or m.startswith(sub + ".") for m in sys.modules)
+            for sub in ("scipy.integrate", "scipy.optimize")}
+
+steps = {}
+w = sm.WeightSpec.homogeneous(3, 1.0)
+sm.build_spectrum(w, 14)
+sm.lambda_quadrature(w, 3)
+steps["homogeneous"] = loaded()
+sm.build_spectrum(sm.WeightSpec.inhomogeneous(3, 2.0), 14)
+steps["inhomogeneous"] = loaded()
+sm.watson_quadrature(2, 1, 2.5)
+steps["watson"] = loaded()
+r = np.logspace(-2.0, np.log10(400.0), 60)
+sm.build_spectrum(sm.WeightSpec.custom(3, r, (1.0 + r * r) ** -2.0, 4.0), 14)
+steps["table"] = loaded()
+print(json.dumps(steps))
+"""
+
+
 class TestImports:
-    def test_cli_loads_only_scipy_special(self, tmp_path):
-        # quad and PchipInterpolator are imported on first use, and
-        # scipy.integrate would also load scipy.optimize
+    def _run(self, tmp_path, argv):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-c", "import tracestab.cli"],
-            capture_output=True, text=True, cwd=tmp_path, env=env, check=True)
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              cwd=tmp_path, env=env, check=True)
+
+    def test_cli_loads_only_scipy_special(self, tmp_path):
+        # PchipInterpolator is imported on first use, and scipy.interpolate
+        # would also load scipy.optimize
+        proc = self._run(tmp_path, ["-X", "importtime", "-c", "import tracestab.cli"])
         loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                   if line.startswith("import time:")}
         assert {"tracestab.cli", "scipy.special"} <= loaded
         for sub in ("scipy.optimize", "scipy.integrate", "scipy.interpolate"):
             assert not [m for m in loaded if m == sub or m.startswith(sub + ".")], sub
+
+    def test_spectra_never_load_scipy_integrate(self, tmp_path):
+        # every envelope is a closed form or a Gauss rule; scipy.optimize may
+        # come in only with the table's PchipInterpolator
+        steps = json.loads(self._run(tmp_path, ["-c", SPECTRUM_STEPS]).stdout)
+        assert list(steps) == ["homogeneous", "inhomogeneous", "watson", "table"]
+        for step, loaded in steps.items():
+            assert not loaded["scipy.integrate"], step
+            assert step == "table" or not loaded["scipy.optimize"], step

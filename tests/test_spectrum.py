@@ -158,14 +158,27 @@ def _table_weight(r_table):
     return WeightSpec.custom(3, r_table, (1.0 + r_table ** 2) ** -2.0, tail_exponent=4.0)
 
 
+ENVELOPE_WEIGHTS = {
+    "log-60": _table_weight(TABLE_R),
+    "linear-10": _table_weight(np.linspace(0.1, 1000.0, 10)),
+    "homogeneous-2-0.75": WeightSpec.homogeneous(2, 0.75),
+    "homogeneous-3-1.0": WeightSpec.homogeneous(3, 1.0),
+    "homogeneous-5-2.4": WeightSpec.homogeneous(5, 2.4),
+    "inhomogeneous-2-0.6": WeightSpec.inhomogeneous(2, 0.6),
+    "inhomogeneous-3-2.0": WeightSpec.inhomogeneous(3, 2.0),
+    "inhomogeneous-5-3.0": WeightSpec.inhomogeneous(5, 3.0),
+    "inhomogeneous-2-5.0": WeightSpec.inhomogeneous(2, 5.0),
+}
+
+
 class TestLambdaQuadrature:
     def test_envelope_integrated_once_per_lambda(self, monkeypatch):
         # s = 0.6 decays slowly: the tail climbs 160 -> 480 -> 1440 half-periods
-        quads = _counting(monkeypatch, "quad")
+        envelopes = _counting(monkeypatch, "_envelope_integral")
         tails = _counting(monkeypatch, "_tail_integral")
         lambda_quadrature(WeightSpec.inhomogeneous(2, 0.6), 0)
         assert [t[-1] for t in tails] == [160, 480, 1440]
-        assert len(quads) == 1
+        assert len(envelopes) == 1
 
     def test_convergence_error_after_every_level(self, monkeypatch):
         tails = _counting(monkeypatch, "_tail_integral")
@@ -173,32 +186,30 @@ class TestLambdaQuadrature:
             lambda_quadrature(WeightSpec.inhomogeneous(3, 1.0), 3, 1e-15)
         assert [t[-1] for t in tails] == [160, 480, 1440, 4320]
 
-    @pytest.mark.parametrize("r_table", [TABLE_R, np.linspace(0.1, 1000.0, 10)],
-                             ids=["log-60", "linear-10"])
-    def test_table_envelope_matches_piecewise_quad(self, r_table):
-        # one quad per knot interval and one on the power tail; the sparse
-        # linear table has knot intervals far longer than a quarter radius
-        w = _table_weight(r_table)
-        for k in (0, 7, 14):
-            nu = k + 0.5
+    @pytest.mark.parametrize("weight", ENVELOPE_WEIGHTS.values(), ids=ENVELOPE_WEIGHTS.keys())
+    def test_table_envelope_matches_piecewise_quad(self, weight):
+        # quad in u = r_cut / r on (0, 1], one piece per knot interval of a
+        # table; the sparse linear table has knot intervals far longer than a
+        # quarter radius.  Power laws and (1 + r^2)^{-s} are closed forms with
+        # error 0, held to the oracle up to k = 40 at s = 5.
+        for k in (0, 7, 14, 40):
+            nu = k + (weight.n - 2.0) / 2.0
             r_cut = max(24.0, 2.5 * nu + 12.0)
 
-            def model(r):
-                return r * float(w.w(r)) / math.sqrt(r * r - nu * nu) / math.pi
+            def model(u):
+                r = r_cut / u
+                return r * float(weight.w(r)) / math.sqrt(r * r - nu * nu) / math.pi * r_cut / u ** 2
 
-            edges = [r_cut, *r_table[r_table > r_cut], np.inf]
+            knots = weight.r_table if weight.kind == "custom" else np.array([])
+            edges = [0.0, *(r_cut / knots[knots > r_cut])[::-1], 1.0]
             ref = sum(quad(model, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                       for a, b in zip(edges[:-1], edges[1:]))
-            val, err = spec_mod._envelope_integral(nu, w, r_cut)
+            val, err = spec_mod._envelope_integral(nu, weight, r_cut)
             assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
-            assert err < 1e-12 * ref
-
-    def test_table_build_makes_no_scalar_quad(self, monkeypatch):
-        # the Hoelder moments and tail_integral take knot panels, and the
-        # envelope of a table never called quad
-        quads = _counting(monkeypatch, "quad")
-        build_spectrum(_table_weight(TABLE_R), 14)
-        assert quads == []
+            if weight.kind == "custom":
+                assert err < 1e-12 * ref
+            else:
+                assert err == 0.0
 
     def test_gauss_rule_cached_read_only(self):
         x, wgt = spec_mod._gauss_rule(12)
