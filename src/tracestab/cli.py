@@ -4,7 +4,9 @@ kinetic-transport probe.
 
 Exit codes: 0 = all checks pass, 1 = some check failed, 2 = bad config.
 Every check line carries an anchor id from ANCHORS identifying the
-mathematical statement being exercised.
+mathematical statement being exercised.  A command appends its checks and
+writes its data file; `main` prints the checks, writes the report and
+returns the exit code.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,33 +66,26 @@ def _check(checks: list[Check], anchor: str, passed: bool, value: float,
     checks.append(Check(anchor, bool(passed), float(value), float(tol), detail))
 
 
-def _out_dir(args) -> str:
+def _write(args, name: str, text: str) -> None:
+    """Write one output file into --output, else $TRACESTAB_OUTPUT_DIR, else ."""
     d = args.output or os.environ.get(OUTPUT_DIR_ENV) or "."
     os.makedirs(d, exist_ok=True)
-    return d
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
+    with open(os.path.join(d, name), "w") as fh:
         fh.write(text)
 
 
-def _report(checks: list[Check], args, name: str) -> None:
-    d = _out_dir(args)
+def _report(checks: list[Check], args, name: str) -> int:
+    """Print the check lines, write the report file; the exit code."""
     for c in checks:
         print(c.line())
     if args.format == "json":
-        doc = [
-            {"anchor": c.anchor, "passed": c.passed, "value": c.value,
-             "tol": c.tol, "detail": c.detail}
-            for c in checks
-        ]
-        _write(os.path.join(d, f"{name}.json"), json.dumps(doc, indent=2) + "\n")
+        text = json.dumps([asdict(c) for c in checks], indent=2)
     else:
-        lines = ["anchor,passed,value,tol,detail"]
-        for c in checks:
-            lines.append(f"{c.anchor},{int(c.passed)},{c.value:.12g},{c.tol:.3g},{c.detail}")
-        _write(os.path.join(d, f"{name}.csv"), "\n".join(lines) + "\n")
+        text = "\n".join(["anchor,passed,value,tol,detail", *(
+            f"{c.anchor},{int(c.passed)},{c.value:.12g},{c.tol:.3g},{c.detail}"
+            for c in checks)])
+    _write(args, f"{name}.{args.format}", text + "\n")
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _weight(args) -> spec_mod.WeightSpec:
@@ -144,8 +139,6 @@ def validate_args(args) -> list[str]:
         if len(args.deltas) < 2:  # the decay check compares successive deltas
             v.append("at least 2 deltas required")
     elif cmd == "transport-probe":
-        if args.n != 1:
-            v.append("transport probe is certified for n = 1 only")
         build(transport.PhaseGrid.build, 1, args.L, args.points)
         if args.directions < 1:
             v.append("directions >= 1 required")
@@ -179,15 +172,11 @@ def _lambda_twin_check(checks: list[Check], w, spectrum, kq: int, tol: float) ->
            f"lambda_{kq} twin-route agreement")
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, checks: list[Check]) -> None:
     w = _weight(args)
     spectrum = spec_mod.build_spectrum(w, args.K, args.tol)
-    d = _out_dir(args)
-    if args.format == "json":
-        _write(os.path.join(d, "spectrum.json"), spec_mod.spectrum_to_json(spectrum))
-    else:
-        _write(os.path.join(d, "spectrum.csv"), spec_mod.spectrum_to_csv(spectrum))
-    checks: list[Check] = []
+    to_text = spec_mod.spectrum_to_json if args.format == "json" else spec_mod.spectrum_to_csv
+    _write(args, f"spectrum.{args.format}", to_text(spectrum))
     if args.tau is not None:
         closed = spec_mod.watson_integral(args.n, 0, args.tau)
         quadv, _ = spec_mod.watson_quadrature(args.n, 0, args.tau)
@@ -195,22 +184,18 @@ def cmd_spectrum(args) -> int:
         _check(checks, "eigenvalue-quadrature-twin", rel < 1e-6, rel, 1e-6,
                f"power-weight identity at tau={args.tau}")
     _lambda_twin_check(checks, w, spectrum, min(3, args.K), args.tol)
-    _report(checks, args, "spectrum_report")
-    return 0 if all(c.passed for c in checks) else 1
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args, checks: list[Check]) -> None:
     w = _weight(args)
     spectrum = spec_mod.build_spectrum(w, args.K, args.tol)
     c_sq = spectrum.lambda0
     c_prime = spec_mod.stability_constant(spectrum)
-    checks: list[Check] = []
     _check(checks, "sharp-constant-eigenvalue", c_sq > 0, c_sq, 0.0,
            "C(w)^2 = lambda_0")
     _check(checks, "stability-eigenvalue-gap", 0.0 < c_prime < c_sq, c_prime, 0.0,
            f"C'(w) = lambda_0 - lambda_star, attaining set {list(spectrum.K_set)}")
     _lambda_twin_check(checks, w, spectrum, min(2, args.K), args.tol)
-    d = _out_dir(args)
     doc = {
         "n": args.n,
         "s": args.s,
@@ -220,12 +205,10 @@ def cmd_constants(args) -> int:
         "lambda_star": spectrum.lambda_star,
         "attaining_set": list(spectrum.K_set),
     }
-    _write(os.path.join(d, "constants.json"), json.dumps(doc, indent=2) + "\n")
-    _report(checks, args, "constants_report")
-    return 0 if all(c.passed for c in checks) else 1
+    _write(args, "constants.json", json.dumps(doc, indent=2) + "\n")
 
 
-def cmd_verify_trace(args) -> int:
+def cmd_verify_trace(args, checks: list[Check]) -> None:
     w = _weight(args)
     spectrum = spec_mod.build_spectrum(w, args.K, args.tol)
     grid = harmonic.RadialGrid.build()
@@ -239,7 +222,6 @@ def cmd_verify_trace(args) -> int:
         holds, _ = harmonic.reverse_deficit_check(ps, w)
         if holds:
             ok_rev += 1
-    checks: list[Check] = []
     _check(checks, "stability-inequality", ok_fwd == args.trials, ok_fwd,
            args.trials, f"{ok_fwd}/{args.trials} random profile sets")
     _check(checks, "reverse-inequality", ok_rev == args.trials, ok_rev,
@@ -258,13 +240,10 @@ def cmd_verify_trace(args) -> int:
     )
     _check(checks, "extremising-sequences", worst < 1e-8, worst, 1e-8,
            "pure-mode ratios vs lambda_0 - lambda_k")
-    _report(checks, args, "verify_trace_report")
-    return 0 if all(c.passed for c in checks) else 1
 
 
-def cmd_duality_sweep(args) -> int:
+def cmd_duality_sweep(args, checks: list[Check]) -> None:
     rng = np.random.default_rng(args.seed)
-    checks: list[Check] = []
     worst_transfer = 0.0
     for _ in range(args.trials):
         M = rng.uniform(0.0, 1.0, size=(int(rng.integers(2, 6)), int(rng.integers(2, 5))))
@@ -304,21 +283,17 @@ def cmd_duality_sweep(args) -> int:
            f"{args.trials} random pairs")
     _check(checks, "sharpened-hoelder", bad1 == 0, bad1, 0,
            f"{args.trials} random unit pairs")
-    _report(checks, args, "duality_report")
-    return 0 if all(c.passed for c in checks) else 1
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args, checks: list[Check]) -> None:
     rows = duality.sigma_counterexample(args.r, args.sigma, args.deltas)
-    d = _out_dir(args)
     lines = ["delta,ratio,numerator,identity_residual"]
     for row in rows:
         lines.append(
             f"{row['delta']:.6g},{row['ratio']:.12g},{row['numerator']:.12g},"
             f"{row['identity_residual']:.3g}"
         )
-    _write(os.path.join(d, "counterexample.csv"), "\n".join(lines) + "\n")
-    checks: list[Check] = []
+    _write(args, "counterexample.csv", "\n".join(lines) + "\n")
     worst_id = max(row["identity_residual"] for row in rows)
     _check(checks, "counterexample-identity", worst_id < 1e-14, worst_id,
            1e-14, "closed-form two-delta identity")
@@ -326,14 +301,11 @@ def cmd_counterexample(args) -> int:
     decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
     _check(checks, "counterexample-decay", decreasing, ratios[-1] / ratios[0],
            1.0, "ratios strictly decreasing along the delta list")
-    _report(checks, args, "counterexample_report")
-    return 0 if all(c.passed for c in checks) else 1
 
 
-def cmd_transport_probe(args) -> int:
+def cmd_transport_probe(args, checks: list[Check]) -> None:
     grid = transport.PhaseGrid.build(1, args.L, args.points)
     p, q, _ = transport.exponents(1)
-    checks: list[Check] = []
     gauss_grid = transport.PhaseGrid(1, args.L, 2.0 * args.L / args.points, 2.0)
     f = transport.TransportFunction.from_callable(
         gauss_grid, "phase", lambda x, v: np.exp(-x ** 2 - v ** 2))
@@ -380,12 +352,9 @@ def cmd_transport_probe(args) -> int:
         worst_band = max(worst_band, max(quad_coef) / min(quad_coef))
     _check(checks, "transport-quadratic-deficit", worst_band <= 2.0,
            worst_band, 2.0, f"{args.directions} seeded directions, eps {args.eps}")
-    d = _out_dir(args)
-    _write(os.path.join(d, "transport_probe.csv"), transport.probe_to_csv(
+    _write(args, "transport_probe.csv", transport.probe_to_csv(
         [pt for pts in curves for pt in pts],
         [i for i, pts in enumerate(curves) for _ in pts]))
-    _report(checks, args, "transport_report")
-    return 0 if all(c.passed for c in checks) else 1
 
 
 def cmd_validate(args) -> int:
@@ -458,7 +427,6 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("transport-probe", help="kinetic-transport stability probe")
-    p.add_argument("--n", type=int, default=1)
     p.add_argument("--seed", type=int, required=required)
     p.add_argument("--L", type=float, default=40.0)
     p.add_argument("--points", type=int, default=256)
@@ -474,13 +442,14 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     return ap
 
 
+# command -> (function appending its checks, report file name)
 _DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "constants": cmd_constants,
-    "verify-trace": cmd_verify_trace,
-    "duality-sweep": cmd_duality_sweep,
-    "counterexample": cmd_counterexample,
-    "transport-probe": cmd_transport_probe,
+    "spectrum": (cmd_spectrum, "spectrum_report"),
+    "constants": (cmd_constants, "constants_report"),
+    "verify-trace": (cmd_verify_trace, "verify_trace_report"),
+    "duality-sweep": (cmd_duality_sweep, "duality_report"),
+    "counterexample": (cmd_counterexample, "counterexample_report"),
+    "transport-probe": (cmd_transport_probe, "transport_report"),
 }
 
 
@@ -542,11 +511,14 @@ def main(argv=None) -> int:
         for msg in violations:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
+    run, report = _DISPATCH[args.command]
+    checks: list[Check] = []
     try:
-        return _DISPATCH[args.command](args)
+        run(args, checks)
     except (ConvergenceError, InconclusiveError, InconsistencyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return _report(checks, args, report)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,7 @@ accelerated alternating correction.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -569,9 +567,5 @@ def spectrum_to_json(spectrum: LambdaSpectrum) -> str:
 
 
 def spectrum_to_csv(spectrum: LambdaSpectrum) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "lambda_k"])
-    for k, v in enumerate(spectrum.values):
-        writer.writerow([k, repr(float(v))])
-    return buf.getvalue()
+    rows = [f"{k},{float(v)!r}" for k, v in enumerate(spectrum.values)]
+    return "\n".join(["k,lambda_k", *rows]) + "\n"

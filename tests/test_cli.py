@@ -69,17 +69,28 @@ class TestExitCodes:
 
 class TestDeterminism:
     # both runs share one process, so state cached by the first (the grid
-    # Bessel kernels of verify-trace) must not change the second
-    @pytest.mark.parametrize("args,report", [
-        (["duality-sweep", "--trials", "5", "--seed", "7"], "duality_report.csv"),
-        (["verify-trace", "--trials", "20", "--seed", "7"], "verify_trace_report.csv"),
-    ], ids=["duality-sweep", "verify-trace"])
-    def test_same_seed_byte_identical(self, tmp_path, capsys, args, report):
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        assert main([*args, "--output", str(out1)]) == 0
-        assert main([*args, "--output", str(out2)]) == 0
-        assert (out1 / report).read_bytes() == (out2 / report).read_bytes()
+    # Bessel kernels of verify-trace, the transport extremiser) must not
+    # change the second; every file a run writes is compared, with stdout
+    @pytest.mark.parametrize("args,files", [
+        (["spectrum", "--n", "3", "--s", "1.0", "--K", "6", "--tau", "1.5"],
+         {"spectrum.csv", "spectrum_report.csv"}),
+        (["constants", "--n", "3", "--s", "1.0"], {"constants.json", "constants_report.csv"}),
+        (["verify-trace", "--trials", "20", "--seed", "7"], {"verify_trace_report.csv"}),
+        (["duality-sweep", "--trials", "5", "--seed", "7"], {"duality_report.csv"}),
+        (["counterexample", "--r", "1.5", "--deltas", "0.1,0.01,0.001"],
+         {"counterexample.csv", "counterexample_report.csv"}),
+        (["transport-probe", "--seed", "7", "--trials", "2", "--directions", "1"],
+         {"transport_probe.csv", "transport_report.csv"}),
+    ], ids=["spectrum", "constants", "verify-trace", "duality-sweep", "counterexample",
+            "transport-probe"])
+    def test_same_seed_byte_identical(self, tmp_path, capsys, args, files):
+        runs = []
+        for sub in ("a", "b"):
+            assert main([*args, "--output", str(tmp_path / sub)]) == 0
+            runs.append((capsys.readouterr().out,
+                         {f.name: f.read_bytes() for f in (tmp_path / sub).iterdir()}))
+        assert set(runs[0][1]) == files
+        assert runs[0] == runs[1]
 
     def test_seed_is_required(self, tmp_path):
         proc = run_cli(["duality-sweep", "--trials", "2"], tmp_path)
@@ -190,13 +201,15 @@ class TestValidate:
         assert validate_args(args) == ["tau > 1 required"]
 
     def test_validate_takes_the_target_default_n(self, tmp_path, capsys):
-        # transport-probe defaults to n = 1, the weight commands to n = 3
+        # transport-probe has no --n (it is n = 1), the weight commands default to n = 3
         argv = ["validate", "--target", "transport-probe", "--L", "80", "--points", "256",
                 "--output", str(tmp_path)]
         assert main(argv) == 0
         assert capsys.readouterr().out == "config ok\n"
-        assert main(argv + ["--n", "3"]) == 1
-        assert "transport probe is certified for n = 1 only" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--n", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 3" in capsys.readouterr().err
         assert main(["validate", "--target", "spectrum", "--s", "2.0",
                      "--output", str(tmp_path)]) == 1
         assert "s < n/2 required" in capsys.readouterr().out
@@ -259,10 +272,13 @@ class TestOneParser:
     def test_config_supplies_r_beside_other_commands_keys(self, tmp_path, capsys):
         # one file serves several commands; a key binds only where it is a flag
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"r": 1.5, "K": 5, "seed": 2, "trials": 0,
+        cfg.write_text(json.dumps({"r": 1.5, "K": 5, "seed": 2, "trials": 0, "n": 3,
                                    "tau": 0.5, "output": str(tmp_path)}))
         assert main(["--config", str(cfg), "counterexample"]) == 0
         assert (tmp_path / "counterexample.csv").exists()
+        # "n" names no transport-probe flag; its "trials": 0 is overridden here
+        assert main(["--config", str(cfg), "validate", "--target", "transport-probe",
+                     "--trials", "2"]) == 0
         assert main(["--config", str(cfg), "validate", "--target", "constants"]) == 0
         assert main(["--config", str(cfg), "validate", "--target", "spectrum"]) == 1
         assert capsys.readouterr().out.endswith("config ok\nviolation: tau > 1 required\n")
