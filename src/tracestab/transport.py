@@ -155,17 +155,24 @@ def extremiser_G(n: int, t, x):
     return 1.0 / (1.0 + t ** 2 + x2)
 
 
-class _ShiftTable(NamedTuple):
-    """Where each output line of a sampled kernel reads its source lines.
+class _Run(NamedTuple):
+    """Output lines o0:o1 of a shift table, each fed by the same number c of
+    pairs: pair p of line o0 + i reads the window rows[i c + p] of
+    `_windows`, with weights weights[i, :, p] = (1 - w, w)."""
 
-    Pairs starts[o]:starts[o+1] feed output line o: pair p adds
-    weights[0, p] win[start[p], :-1] + weights[1, p] win[start[p], 1:] of
-    the windows `_windows` lays over the source lines, that is, the source
-    line shifted by k and by k + 1 rows, with weights 1 - w and w."""
-
-    starts: np.ndarray
-    start: np.ndarray
+    lines: slice
+    rows: np.ndarray
     weights: np.ndarray
+
+
+class _ShiftTable(NamedTuple):
+    """Where each output line of a sampled kernel reads its source lines,
+    laid out as runs of consecutive output lines that have the same pair
+    count c.  A pair adds its source line shifted by k rows at weight 1 - w
+    and by k + 1 rows at weight w; a line with no pairs is in no run."""
+
+    lines: int
+    runs: tuple[_Run, ...]
 
 
 @functools.lru_cache(maxsize=8)
@@ -178,16 +185,31 @@ def _shift_table(hx: float, nx: int, a_key: bytes, b_key: bytes) -> _ShiftTable:
     source line r, s = a_o b_r / hx: cell k = floor(s) at weight w = s - k,
     between rows i + k and i + k + 1.  Rows outside [0, nx) read zero, so
     the rule at -s is the transpose of the rule at s.  Pairs whose rows all
-    lie off the grid (k < -nx or k >= nx) are dropped."""
+    lie off the grid (k < -nx or k >= nx) are dropped.
+
+    A run holds at most max(c, nx) pairs, so the gather `_shifted_sum`
+    makes for it stays within max(c, nx) (nx + 1) values: one line's worth
+    where c >= nx, as if each line were gathered on its own."""
     a, b = np.frombuffer(a_key), np.frombuffer(b_key)
     s = a[:, None] * b[None, :] / hx
     k = np.floor(s)
     out, src = np.nonzero((k >= -nx) & (k < nx))
     w = (s - k)[out, src]
-    return _ShiftTable(
-        starts=np.searchsorted(out, np.arange(a.size + 1)),
-        start=(2 * src + 1) * nx + k[out, src].astype(np.int64),
-        weights=np.stack([1.0 - w, w]))
+    rows = (2 * src + 1) * nx + k[out, src].astype(np.int64)
+    weights = np.stack([1.0 - w, w])
+    starts = np.searchsorted(out, np.arange(a.size + 1))
+    count = np.diff(starts).tolist()
+    runs, o0 = [], 0
+    while o0 < a.size:
+        c, o1 = count[o0], o0 + 1
+        while o1 < a.size and count[o1] == c and (o1 + 1 - o0) * c <= max(c, nx):
+            o1 += 1
+        if c:
+            pairs = slice(starts[o0], starts[o1])
+            runs.append(_Run(slice(o0, o1), rows[pairs], np.ascontiguousarray(
+                weights[:, pairs].reshape(2, o1 - o0, c).transpose(1, 0, 2))))
+        o0 = o1
+    return _ShiftTable(a.size, tuple(runs))
 
 
 def _windows(lines: np.ndarray) -> np.ndarray:
@@ -200,16 +222,21 @@ def _windows(lines: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(block.ravel(), nx + 1)
 
 
-def _shifted_sum(src: np.ndarray, table: _ShiftTable) -> np.ndarray:
-    """acc[o] = sum over the table's pairs into output line o of their
-    shifted, weighted source lines (rows along axis 1 of src)."""
+def _shifted_sum(src: np.ndarray, table: _ShiftTable, scale: float) -> np.ndarray:
+    """acc[o] = scale times the sum over the table's pairs into output line
+    o of their shifted, weighted source lines (rows along axis 1 of src).
+
+    Each run makes one gather and one stacked matmul.  Its items are the
+    unpadded (2 x c) @ (c x (nx + 1)) products that a loop over single lines
+    makes, and numpy hands each item to the same dgemm call as that 2-d
+    product, so acc is the loop's bit for bit (tests/test_transport.py
+    keeps the loop as the oracle)."""
     win = _windows(src)
-    acc = np.zeros((table.starts.size - 1, src.shape[1]))
-    for o in range(acc.shape[0]):
-        sl = slice(table.starts[o], table.starts[o + 1])
-        if sl.start < sl.stop:
-            lo, hi = table.weights[:, sl] @ win[table.start[sl]]
-            acc[o] = lo[:-1] + hi[1:]
+    acc = np.zeros((table.lines, src.shape[1]))
+    for run in table.runs:
+        lo_hi = run.weights @ win[run.rows].reshape(len(run.weights), -1, win.shape[1])
+        np.add(lo_hi[:, 0, :-1], lo_hi[:, 1, 1:], out=acc[run.lines])
+    acc *= scale
     return acc
 
 
@@ -222,13 +249,13 @@ def _vel_avg_sampled(fs, hx, v, t):
     # x_i - t v_j is x_i + (-t) v_j to the last bit, so the table takes -t
     table = _shift_table(hx, fs.shape[0], _axis_key(-np.asarray(t, dtype=float)),
                          _axis_key(v))
-    return (v[1] - v[0]) * _shifted_sum(fs.T, table)
+    return _shifted_sum(fs.T, table, v[1] - v[0])
 
 
 def _xray_sampled(Gs, t, hx, v):
     """rho* G(x_i, v_j) = h_t sum_s G(t_s, x_i + v_j t_s), linear interp in x."""
     table = _shift_table(hx, Gs.shape[1], _axis_key(v), _axis_key(t))
-    return (t[1] - t[0]) * np.ascontiguousarray(_shifted_sum(Gs, table).T)
+    return np.ascontiguousarray(_shifted_sum(Gs, table, t[1] - t[0]).T)
 
 
 def _require_resolved(tf: TransportFunction, tail_tol: float) -> None:

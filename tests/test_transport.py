@@ -316,6 +316,94 @@ class TestShiftKernels:
                         _xray_reference(Gs, t, x0, hx, v)) <= 1e-12
 
 
+def _line_pairs(hx, nx, a, b):
+    """The shift table one output line at a time: pairs starts[o]:starts[o+1]
+    feed line o, pair p at window start[p] with weights weights[:, p]."""
+    s = a[:, None] * b[None, :] / hx
+    k = np.floor(s)
+    out, src = np.nonzero((k >= -nx) & (k < nx))
+    w = (s - k)[out, src]
+    return (np.searchsorted(out, np.arange(a.size + 1)),
+            (2 * src + 1) * nx + k[out, src].astype(np.int64), np.stack([1.0 - w, w]))
+
+
+def _per_line_sum(src, hx, a, b):
+    """The kernel as one gather and one (2 x c) @ (c x (nx + 1)) product per
+    output line: the oracle the run layout must match bit for bit."""
+    nx = src.shape[1]
+    starts, start, weights = _line_pairs(hx, nx, a, b)
+    win = transport._windows(src)
+    acc = np.zeros((a.size, nx))
+    for o in range(a.size):
+        sl = slice(starts[o], starts[o + 1])
+        if sl.start < sl.stop:
+            lo, hi = weights[:, sl] @ win[start[sl]]
+            acc[o] = lo[:-1] + hi[1:]
+    return acc
+
+
+def _kernel_cases(rng):
+    """(hx, v, t, fs, Gs) on the 192-, 256- and 512-point grids, random and
+    extremiser inputs, and the x0 = -300 case of 24 rows."""
+    for points in (192, 256, 512):
+        g = PhaseGrid.build(1, 40.0, points)
+        X, V = np.meshgrid(g.x, g.v, indexing="ij")
+        T, Xt = np.meshgrid(g.t, g.x, indexing="ij")
+        yield g.h, g.v, g.t, rng.normal(size=X.shape), rng.normal(size=T.shape)
+        yield g.h, g.v, g.t, extremiser_f(1, X, V), extremiser_G(1, T, Xt)
+    hx, nx = 5.0 / 12.0, 24
+    v, t = hx * np.arange(-nx, nx + 1), hx * np.arange(-3, 4)
+    yield hx, v, t, rng.normal(size=(nx, v.size)), rng.normal(size=(t.size, nx))
+
+
+class TestShiftRuns:
+    # The kernel makes one gather and one stacked matmul per run of output
+    # lines with the same pair count; each stacked item is the product the
+    # per-line loop makes, so the two agree bit for bit.
+    def test_bit_identical_to_per_line_loop(self, rng):
+        key = transport._axis_key
+        for hx, v, t, fs, Gs in _kernel_cases(rng):
+            nx = fs.shape[0]
+            vel = _per_line_sum(fs.T, hx, -t, v)
+            xray = _per_line_sum(Gs, hx, v, t)
+            table = transport._shift_table(hx, nx, key(-t), key(v))
+            assert np.array_equal(transport._shifted_sum(fs.T, table, 1.0), vel), (nx, "vel")
+            table = transport._shift_table(hx, nx, key(v), key(t))
+            assert np.array_equal(transport._shifted_sum(Gs, table, 1.0), xray), (nx, "xray")
+            # the h scale in place, and the x-ray result in (x, v) layout
+            assert np.array_equal(transport._vel_avg_sampled(fs, hx, v, t),
+                                  (v[1] - v[0]) * vel)
+            assert np.array_equal(transport._xray_sampled(Gs, t, hx, v),
+                                  (t[1] - t[0]) * np.ascontiguousarray(xray.T))
+
+    def test_run_layout(self, rng):
+        # every output line with pairs sits in exactly one run, a run has one
+        # pair count, and its gather holds at most max(c, nx) pairs, which
+        # is no more than the largest per-line gather
+        key = transport._axis_key
+        for hx, v, t, fs, _ in _kernel_cases(rng):
+            nx = fs.shape[0]
+            for a, b in ((-t, v), (v, t)):
+                starts, start, weights = _line_pairs(hx, nx, a, b)
+                count = np.diff(starts)
+                table = transport._shift_table(hx, nx, key(a), key(b))
+                assert table.lines == a.size
+                owner = np.full(a.size, -1)
+                for i, run in enumerate(table.runs):
+                    lines = np.arange(a.size)[run.lines]
+                    c = run.weights.shape[2]
+                    assert lines.size >= 1 and np.all(owner[lines] == -1)
+                    owner[lines] = i
+                    assert np.all(count[lines] == c) and c > 0
+                    assert run.weights.shape == (lines.size, 2, c)
+                    assert run.rows.size == lines.size * c <= max(c, nx)
+                    pairs = slice(starts[lines[0]], starts[lines[-1] + 1])
+                    assert np.array_equal(run.rows, start[pairs])
+                    assert np.array_equal(run.weights.transpose(1, 0, 2).reshape(2, -1),
+                                          weights[:, pairs])
+                assert np.array_equal(owner >= 0, count > 0)
+
+
 class TestSideCache:
     def test_probe_state_computed_once_per_grid_and_side(self, monkeypatch):
         applies = []
