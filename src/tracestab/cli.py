@@ -16,11 +16,17 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import duality, harmonic, specfun, spectrum as spec_mod, transport
+# harmonic and spectrum, which load scipy, are imported by the commands
+# that use them, so the duality and transport commands start without it
+from . import duality, specfun, transport
 from .errors import ConvergenceError, InconclusiveError, InconsistencyError
+
+if TYPE_CHECKING:
+    from .spectrum import WeightSpec
 
 OUTPUT_DIR_ENV = "TRACESTAB_OUTPUT_DIR"
 
@@ -88,7 +94,8 @@ def _report(checks: list[Check], args, name: str) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _weight(args) -> spec_mod.WeightSpec:
+def _weight(args) -> WeightSpec:
+    from . import spectrum as spec_mod
     make = {"homogeneous": spec_mod.WeightSpec.homogeneous,
             "inhomogeneous": spec_mod.WeightSpec.inhomogeneous}.get(args.weight)
     if make is None:
@@ -118,6 +125,7 @@ def validate_args(args) -> list[str]:
     if cmd in ("verify-trace", "duality-sweep", "transport-probe") and args.trials < 1:
         v.append("trials >= 1 required")
     if cmd in ("spectrum", "constants", "verify-trace"):
+        from . import spectrum as spec_mod
         build(_weight, args)
         build(spec_mod.check_tol, args.tol)
         if cmd == "spectrum" and args.tau is not None:
@@ -160,6 +168,7 @@ def _lambda_twin_check(checks: list[Check], w, spectrum, kq: int, tol: float) ->
     """lambda_kq against a route the spectrum did not take: the quadrature
     for closed-form values, the Legendre form for quadrature values; no line
     where the Legendre form does not apply."""
+    from . import spectrum as spec_mod
     if spectrum.certificate.method == "monotone-closed-form":
         twin, _ = spec_mod.lambda_quadrature(w, kq, tol)
     else:
@@ -173,6 +182,7 @@ def _lambda_twin_check(checks: list[Check], w, spectrum, kq: int, tol: float) ->
 
 
 def cmd_spectrum(args, checks: list[Check]) -> None:
+    from . import spectrum as spec_mod
     w = _weight(args)
     spectrum = spec_mod.build_spectrum(w, args.K, args.tol)
     to_text = spec_mod.spectrum_to_json if args.format == "json" else spec_mod.spectrum_to_csv
@@ -187,6 +197,7 @@ def cmd_spectrum(args, checks: list[Check]) -> None:
 
 
 def cmd_constants(args, checks: list[Check]) -> None:
+    from . import spectrum as spec_mod
     w = _weight(args)
     spectrum = spec_mod.build_spectrum(w, args.K, args.tol)
     c_sq = spectrum.lambda0
@@ -209,6 +220,7 @@ def cmd_constants(args, checks: list[Check]) -> None:
 
 
 def cmd_verify_trace(args, checks: list[Check]) -> None:
+    from . import harmonic, spectrum as spec_mod
     w = _weight(args)
     spectrum = spec_mod.build_spectrum(w, args.K, args.tol)
     grid = harmonic.RadialGrid.build()

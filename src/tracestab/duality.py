@@ -156,25 +156,41 @@ def _fixed_points(T: FiniteOperator, G0: np.ndarray, tol: float = 1e-12,
                   max_iter: int = 10_000):
     """Iterate g -> D_{p'}(T* D_q(T g)) from every row of G0 at once.
 
+    D_{p'} is positively homogeneous of degree zero, so the normalisation
+    inside D_q changes nothing, and each step is g -> W / ||W||_p with
+    Z = M^T (|M g|^{q-1} sgn M g) and W = |Z|^{p'-1} sgn Z.  As
+    |W|^p = |Z|^{p'} = W Z, ||W||_p^p = sum_j W_j Z_j reuses that product.
+    Every exponent is positive, so |x|^e sgn x, written
+    copysign(|x|^e, x), is 0 at x = 0 and one formula serves signed and
+    nonnegative matrices.  Unnormalised, the powers scale with M, so M is
+    first multiplied by the power of two that brings its largest entry into
+    [1/2, 1).  That is exact, and the extremisers do not depend on it: M
+    and 2^k M follow the same trajectory bit for bit.
+
     A row stops on the first step whose l^2 length falls below tol.  Every
     operation acts on each row alone, so a row follows the trajectory it
     would follow in a batch of one.  Returns the fixed points (one per row)
     and each row's iteration count."""
-    M = T.matrix
+    M = np.ldexp(T.matrix, -np.frexp(np.max(np.abs(T.matrix), initial=0.0))[1])
+    e_q, e_p, inv_p = T.q - 1.0, T.p_prime - 1.0, 1.0 / T.p
     G = G0 / _row_norms(G0, T.p)[:, None]
     its = np.zeros(len(G), dtype=int)
     rows, g = np.arange(len(G)), G
     for it in range(max_iter):
-        try:
-            H = _duality_rows(_apply_rows(M, g), T.q)
-        except ValueError:
-            raise ValueError("operator annihilates the start vector") from None
-        g_new = _duality_rows(np.add.reduce(H[:, :, None] * M, axis=1), T.p_prime)
-        step = g_new - g
+        Y = _apply_rows(M, g)
+        H = np.copysign(np.abs(Y) ** e_q, Y)
+        Z = np.add.reduce(H[:, :, None] * M, axis=1)
+        W = np.copysign(np.abs(Z) ** e_p, Z)
+        norm = np.add.reduce(W * Z, axis=1)   # ||W||_p^p
+        if not np.minimum.reduce(norm, initial=np.inf) > 0.0:   # NaN fails too
+            raise ValueError("operator annihilates the start vector")
+        norm **= inv_p
+        W /= norm[:, None]
+        step = W - g
         step *= step   # its l^2 length, bit for bit _row_norms(step, 2.0)
         length = np.add.reduce(step, axis=1)
         done = np.sqrt(length, out=length) < tol
-        g = g_new
+        g = W
         if done.any():
             G[rows[done]] = g[done]
             its[rows[done]] = it + 1

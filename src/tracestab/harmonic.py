@@ -119,6 +119,7 @@ class GridSpectrum:
         self.weight = weight
         self.grid = grid
         self._kernels: dict[int, np.ndarray] = {}
+        self._lams: dict[int, float] = {}
         r = grid.r
         self._sqrt_rw = np.sqrt(r * weight.w(r))
 
@@ -132,8 +133,11 @@ class GridSpectrum:
         return self._kernels[k]
 
     def lam(self, k: int) -> float:
-        ker = self.kernel(k)
-        return self.grid.integrate(ker * ker)
+        """lambda_k under the grid rule, computed once per k."""
+        if k not in self._lams:
+            ker = self.kernel(k)
+            self._lams[k] = self.grid.integrate(ker * ker)
+        return self._lams[k]
 
 
 @functools.lru_cache(maxsize=8)

@@ -230,6 +230,16 @@ def _accelerated_alternating_sum(d: np.ndarray) -> tuple[float, float]:
     return float(prev), float(err)
 
 
+@functools.lru_cache(maxsize=64)
+def _jacobi_rule(beta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 40-node Gauss-Jacobi nodes and weights for (1 + x)^beta0 on
+    [-1, 1], one per exponent."""
+    x, wgt = sp.roots_jacobi(40, 0.0, beta0)
+    x.setflags(write=False)
+    wgt.setflags(write=False)
+    return x, wgt
+
+
 def _head_integral(nu: float, wfun, beta0: float, r_cut: float) -> float:
     """int_0^{r_cut} J_nu(r)^2 r w(r) dr with the r^{beta0} behaviour at the
     origin absorbed into a Gauss-Jacobi rule on (0, c]."""
@@ -241,7 +251,7 @@ def _head_integral(nu: float, wfun, beta0: float, r_cut: float) -> float:
         r, wq = _gauss_panels(np.linspace(0.0, c, math.ceil(c / 0.25) + 1), nodes=20)
         total += float(np.sum(wq * sp.jv(nu, r) ** 2 * r * wfun(r)))
     else:
-        xj, wj = sp.roots_jacobi(40, 0.0, beta0)
+        xj, wj = _jacobi_rule(beta0)
         r = 0.5 * c * (xj + 1.0)
         jac_weight = (0.5 * c) ** (beta0 + 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):

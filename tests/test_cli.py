@@ -363,14 +363,24 @@ class TestImports:
                               cwd=tmp_path, env=env, check=True)
 
     def test_cli_loads_only_scipy_special(self, tmp_path):
+        # the spectrum commands import harmonic, which imports spectrum;
         # PchipInterpolator is imported on first use, and scipy.interpolate
         # would also load scipy.optimize
-        proc = self._run(tmp_path, ["-X", "importtime", "-c", "import tracestab.cli"])
+        proc = self._run(tmp_path, ["-X", "importtime", "-c",
+                                    "import tracestab.cli, tracestab.harmonic"])
         loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                   if line.startswith("import time:")}
-        assert {"tracestab.cli", "scipy.special"} <= loaded
+        assert {"tracestab.cli", "tracestab.spectrum", "scipy.special"} <= loaded
         for sub in ("scipy.optimize", "scipy.integrate", "scipy.interpolate"):
             assert not [m for m in loaded if m == sub or m.startswith(sub + ".")], sub
+
+    def test_duality_sweep_starts_without_scipy(self, tmp_path):
+        # harmonic and spectrum load scipy; only the spectrum commands import them
+        proc = self._run(tmp_path, ["-c", (
+            "import sys; from tracestab.cli import build_parser; "
+            "build_parser().parse_args(['duality-sweep', '--seed', '1']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")])
+        assert proc.stdout == "[]\n"
 
     def test_spectra_never_load_scipy_integrate(self, tmp_path):
         # every envelope is a closed form or a Gauss rule; scipy.optimize may

@@ -156,6 +156,38 @@ class TestBatchedFixedPoints:
                     lp_norm(T.apply(g[0]), q), rel=1e-14)
                 assert np.max(np.abs(G[i] - g[0])) <= 1e-12
 
+    @pytest.mark.parametrize("M", [
+        [[0.5, 0.2, 0.9], [0.3, 0.8, 0.1]],
+        [[0.5, -0.2, 0.9], [-0.3, 0.8, 0.1], [0.4, 0.6, -0.7]],
+    ], ids=["nonnegative", "signed"])
+    def test_extremisers_do_not_depend_on_scale(self, rng, M):
+        # the step runs on M scaled to a largest entry in [1/2, 1), so these
+        # scales, where unscaled powers overflow or underflow, change no bit
+        M = np.array(M)
+        G0 = rng.uniform(0.1, 1.0, (8, 3)) * rng.choice([-1.0, 1.0], (8, 3))
+        G, its = _fixed_points(FiniteOperator(M, 1.5, 2.5), G0)
+        for scale in (2.0 ** 500, 2.0 ** -500):
+            G_s, its_s = _fixed_points(FiniteOperator(M * scale, 1.5, 2.5), G0)
+            assert np.array_equal(G_s, G) and np.array_equal(its_s, its)
+
+    @pytest.mark.parametrize("M", [
+        [[1.0, 0.0, 0.0], [0.0, 0.5, 0.3]],
+        [[0.0, 0.7, 0.0], [0.0, 0.0, 0.0], [0.2, 0.0, 0.9]],
+        [[0.5, -0.2, 0.0], [0.0, 0.8, -0.1], [0.4, 0.0, -0.7]],
+        [[0.0, -0.6], [0.9, 0.0], [-0.3, 0.4]],
+    ], ids=["sparse", "zero-row-and-column", "signed", "signed-tall"])
+    @pytest.mark.parametrize("p,q", [(1.5, 2.5), (1.25, 3.0), (2.0, 2.0)])
+    def test_rows_are_fixed_points_of_the_duality_maps(self, rng, M, p, q):
+        # the step without the inner normalisation has the fixed points of
+        # g -> D_{p'}(T* D_q(T g)), zeros of M and signs included
+        T = FiniteOperator(np.array(M), p, q)
+        ncol = T.matrix.shape[1]
+        G0 = rng.uniform(0.1, 1.0, (8, ncol)) * rng.choice([-1.0, 1.0], (8, ncol))
+        G, _ = _fixed_points(T, G0)
+        for g in G:
+            image = duality_map(T.apply_adjoint(duality_map(T.apply(g), q)), T.p_prime)
+            assert np.max(np.abs(image - g)) <= 1e-12
+
     def test_zero_operator_annihilates(self):
         T = FiniteOperator(np.zeros((2, 3)), 1.5, 2.5)
         with pytest.raises(ValueError, match="annihilates"):

@@ -271,6 +271,21 @@ class TestGridSpectrumCache:
         assert len(built) == 3
         assert rep.satisfied
 
+    def test_lambda_is_integrated_once_per_k(self, monkeypatch):
+        gs = GridSpectrum(W3, GRID)
+        integrate = RadialGrid.integrate
+        calls = []
+
+        def counting(grid, samples):
+            calls.append(1)
+            return integrate(grid, samples)
+
+        monkeypatch.setattr(RadialGrid, "integrate", counting)
+        for k in (0, 3, 0, 1, 3, 1):
+            ker = gs.kernel(k)
+            assert gs.lam(k).hex() == integrate(GRID, ker * ker).hex()
+        assert len(calls) == 3
+
     def test_kernels_are_read_only(self):
         gs = harmonic.grid_spectrum(W3, GRID)
         with pytest.raises(ValueError):

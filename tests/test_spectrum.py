@@ -219,6 +219,22 @@ class TestLambdaQuadrature:
         with pytest.raises(ValueError):
             x[0] = 0.0
 
+    def test_jacobi_rule_drawn_once_per_exponent(self, monkeypatch):
+        # each lambda_k keeps the bits it has with a freshly drawn rule
+        w = WeightSpec.inhomogeneous(3, 2.0)
+        spec_mod._jacobi_rule.cache_clear()
+        first = [lambda_quadrature(w, k) for k in range(4)]
+        roots, calls = spec_mod.sp.roots_jacobi, []
+        monkeypatch.setattr(spec_mod.sp, "roots_jacobi",
+                            lambda *args: calls.append(args) or roots(*args))
+        assert [lambda_quadrature(w, k) for k in range(4)] == first
+        assert not calls
+        x, wgt = spec_mod._jacobi_rule(2.0)
+        ref_x, ref_w = roots(40, 0.0, 2.0)
+        assert np.array_equal(x, ref_x) and np.array_equal(wgt, ref_w)
+        with pytest.raises(ValueError):
+            wgt[0] = 0.0
+
     def test_table_weight_builds_without_integration_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
