@@ -137,6 +137,8 @@ def validate_args(args) -> list[str]:
         build(duality.FiniteOperator, np.ones((1, 1)), args.p, args.q)
         if not args.q >= args.p:
             v.append("q >= p required")
+        if not args.q >= 2.0:   # T*: l^{q'} -> l^{p'} needs q' = q / (q - 1) <= 2
+            v.append(f"q >= 2 required for the adjoint, got {args.q}")
     elif cmd == "counterexample":
         if args.r is None:
             v.append("--r required")

@@ -35,10 +35,10 @@ __all__ = [
 
 
 def lp_norm(x: np.ndarray, p: float) -> float:
-    x = np.asarray(x, dtype=float)
+    x = np.abs(np.asarray(x, dtype=float))
     if math.isinf(p):
-        return float(np.max(np.abs(x)))
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+        return float(np.max(x))
+    return float(np.add.reduce(x ** p, axis=None) ** (1.0 / p))
 
 
 def _conjugate(r: float) -> float:
@@ -225,35 +225,37 @@ def operator_norm(T: FiniteOperator, starts: int = 8,
                 g0[:] = rng.uniform(0.1, 1.0, size=ncol)
                 g0 *= rng.choice([-1.0, 1.0], size=ncol)
         G, its = _fixed_points(T, G0)
-        values = _row_norms(_apply_rows(T.matrix, G), T.q)
-        return values.tolist(), list(G), int(its.sum())
+        return _row_norms(_apply_rows(T.matrix, G), T.q), G, int(its.sum())
 
     values, extremisers, total_it = sweep(starts)
     used = starts
-    if certified and (max(values) - min(values)) > 1e-9 * max(values):
+    top = values.max()
+    if certified and (top - values.min()) > 1e-9 * top:
         more_v, more_g, more_it = sweep(4 * starts)
-        values += more_v
-        extremisers += more_g
+        values = np.concatenate([values, more_v])
+        extremisers = np.concatenate([extremisers, more_g])
         total_it += more_it
         used += 4 * starts
     best = int(np.argmax(values))
-    best_val, best_g = values[best], extremisers[best]
-    top_hits = sum(1 for v in values if v >= best_val * (1.0 - 1e-9))
-    clusters = []
-    for v in sorted(values):
-        if not clusters or v > clusters[-1] * (1.0 + 1e-9):
-            clusters.append(v)
+    best_val, best_g = float(values[best]), extremisers[best]
+    top_hits = np.count_nonzero(values >= best_val * (1.0 - 1e-9))
     if certified and top_hits < 2:
         raise InconsistencyError(
             f"top stationary value {best_val!r} seen only once in {used} starts; "
-            f"values span {min(values)!r}..{max(values)!r}"
+            f"values span {float(values.min())!r}..{best_val!r}"
         )
+    # each cluster starts at the least value above 1 + 1e-9 times the last start
+    ordered, clusters, i = np.sort(values), 0, 0
+    while i < len(ordered):
+        clusters += 1
+        i = np.searchsorted(ordered, ordered[i] * (1.0 + 1e-9), side="right")
     residual = best_val * lp_norm(best_g, T.p) - lp_norm(T.apply(best_g), T.q)
     return NormCertificate(best_val, best_g, residual, used, total_it, certified,
-                           len(clusters))
+                           clusters)
 
 
-_SCREEN_ROUNDING = 2.0 ** -46   # 128 u; the slack of brute_force_norm's screen
+_SCREEN_ROUNDING = 2.0 ** -46   # 128 u; the slack of brute_force_norm's float64 screen
+_PRESCREEN_ROUNDING = 2.0 ** -17   # 128 u32; the slack of its float32 pre-screen
 
 
 def _mesh_values(pts: np.ndarray, T: FiniteOperator) -> np.ndarray:
@@ -265,42 +267,82 @@ def _mesh_values(pts: np.ndarray, T: FiniteOperator) -> np.ndarray:
     return np.sum(np.abs(pts @ T.matrix.T) ** T.q, axis=1) ** (1.0 / T.q)
 
 
-def _screen_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """For each line a of the 3-column mesh, the largest screen value
-    sum_k |y_k|^q / ||x||_p^q over its points x = (c_a c_b, s_a c_b, s_b)
-    off the pole column b = mesh - 1, with
+def _screen_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray,
+                  lines: np.ndarray | None = None, dtype=np.float64) -> np.ndarray:
+    """For each line a of the 3-column mesh (each a in lines, default all),
+    the largest screen value sum_k |y_k|^q / ||x||_p^q over its points
+    x = (c_a c_b, s_a c_b, s_b) off the pole column b = mesh - 1, with
     y_k = (M_k0 c_a + M_k1 s_a) c_b + M_k2 s_b and
-    ||x||_p^p = (c_a^p + s_a^p) c_b^p + s_b^p built from 1-d factors.
-    The lines go through in blocks of max(1, 16384 // mesh)."""
+    ||x||_p^p = (c_a^p + s_a^p) c_b^p + s_b^p built from 1-d factors: rows + 1
+    powers a point, against rows + 5 in the dense formula.  In float32, M, c
+    and s are rounded to within u32 = 2^-24 and the powers take p, q and
+    -q/p rounded too (a Python float exponent takes the array's dtype); the
+    maxima come back as float64, which holds them exactly.
+
+    The lines go through in blocks of at most 128 KiB a buffer, which stay
+    in cache.  Each point gets the same operations in the same
+    order whatever its block and whichever lines are asked for, so each
+    line's maximum is the whole-mesh screen's to the bit.  For a nonnegative
+    M the screen skips |y_k|: y_k is >= +0.0, or -0.0 (from a -0.0 entry),
+    which adds a zero to a sum that starts at +0.0."""
     p, q = T.p, T.q
     mesh = len(c)
-    M = T.matrix
-    lead = np.multiply.outer(M[:, 0], c) + np.multiply.outer(M[:, 1], s)
+    M = T.matrix.astype(dtype, copy=False)
+    c, s = c.astype(dtype, copy=False), s.astype(dtype, copy=False)
+    lines = slice(None) if lines is None else lines
+    lead = np.multiply.outer(M[:, 0], c[lines]) + np.multiply.outer(M[:, 1], s[lines])
     tail = np.multiply.outer(M[:, 2], s)
     signed = not T.nonnegative
     cp, sp = c ** p, s ** p
-    weight = cp + sp
-    block = max(1, 16_384 // mesh)
-    acc = np.empty((min(block, mesh), mesh))
+    weight = (cp + sp)[lines]
+    count = len(weight)
+    block = max(1, 131_072 // (mesh * M.itemsize))   # 128 KiB a buffer
+    acc = np.empty((min(block, count), mesh), dtype)
     buf = np.empty_like(acc)
-    line_max = np.empty(mesh)
-    for a in range(0, mesh, block):
-        lines = slice(a, min(a + block, mesh))
-        acc_a, buf_a = acc[:lines.stop - a], buf[:lines.stop - a]
+    line_max = np.empty(count)
+    for a in range(0, count, block):
+        part = slice(a, min(a + block, count))
+        acc_a, buf_a = acc[:part.stop - a], buf[:part.stop - a]
         acc_a.fill(0.0)
         for lead_k, tail_k in zip(lead, tail):
-            np.multiply.outer(lead_k[lines], c, out=buf_a)
+            np.multiply.outer(lead_k[part], c, out=buf_a)
             buf_a += tail_k
             if signed:
                 np.abs(buf_a, out=buf_a)
             buf_a **= q
             acc_a += buf_a
-        np.multiply.outer(weight[lines], cp, out=buf_a)
+        np.multiply.outer(weight[part], cp, out=buf_a)
         buf_a += sp
         buf_a **= -q / p
         acc_a *= buf_a
-        line_max[lines] = acc_a[:, :-1].max(axis=1, initial=0.0)
+        line_max[part] = acc_a[:, :-1].max(axis=1, initial=0.0)
     return line_max
+
+
+def _near_top(T: FiniteOperator, line_max: np.ndarray, weight: float,
+              rounding: float, floor: float) -> np.ndarray:
+    """Indices of the line maxima within the slack
+    rounding (q + q/p + rows + 1) (top + weight) + floor of the top one;
+    every index when the slack is not finite."""
+    top = line_max.max()
+    slack = (rounding * (T.q + T.q / T.p + T.matrix.shape[0] + 1) * (top + weight)
+             + floor)
+    if not np.isfinite(slack):
+        return np.arange(len(line_max))
+    return np.flatnonzero(line_max >= top - slack)
+
+
+def _candidate_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The lines of the 3-column mesh that the float32 pre-screen of
+    brute_force_norm keeps."""
+    rows, q = T.matrix.shape[0], T.q
+    e = np.frexp(np.max(np.abs(T.matrix), initial=0.0))[1]
+    scaled = FiniteOperator(np.ldexp(T.matrix, -e), T.p, q)
+    with np.errstate(over="ignore"):   # an infinite floor keeps every line
+        floor = (rows + 1) * (2.0 ** -23 + q * np.exp2(-1018.0 - e * q))
+    return _near_top(scaled, _screen_lines(scaled, c, s, dtype=np.float32),
+                     np.sum(np.sum(np.abs(scaled.matrix), axis=1) ** q),
+                     _PRESCREEN_ROUNDING, floor)
 
 
 def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
@@ -311,42 +353,65 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
     points (c_i, s_i) for 2 columns, (c_a c_b, s_a c_b, s_b) for 3.  Each
     point is normalised in l^p and its value ||M x||_q taken by
     _mesh_values; the result is the largest value.  For 3 columns the
-    mesh^2 points go through two stages, and the result is bit for bit the
-    dense formula's maximum over the whole mesh:
+    mesh^2 points go through three stages, and the result is bit for bit
+    the dense formula's maximum over the whole mesh:
 
-    1. Screen.  _screen_lines ranks every point by val^q from separable
-       1-d factors, with no (mesh^2, 3) array: rows + 1 powers a point
-       instead of rows + 5.  It takes the mesh in blocks of
-       max(1, 16384 // mesh) whole lines, so for mesh <= 16384 its two
-       buffers hold at most 128 KiB each and stay in cache; each point gets the same operations
-       in the same order as over the whole mesh, so each line's maximum is
-       the same to the bit.  For a nonnegative M it skips |y_k|: every
-       factor of y_k is >= 0, so y_k is >= +0.0 and |y_k| = y_k, or y_k is
-       -0.0 (from a -0.0 entry) and adds a zero to a sum that starts at +0.0.
-    2. Re-evaluation.  Every line a whose screen maximum off the pole column
-       b = mesh - 1 lies within the slack of the top one goes through
-       _mesh_values as whole lines, as in the full mesh.  (A single row
-       would take numpy's one-row matmul route, which can differ from the
-       full-mesh product in the last bit.)  The pole column, where every
-       line ends near (0, 0, 1), goes through once as a batch of mesh rows.
-       Nothing assumes that few lines pass: a zero matrix or a flat
-       maximum re-evaluates more of them.
+    1. _candidate_lines screens every line in float32 on 2^-e M, where 2^e
+       brings the largest entry of M into [1/2, 1) as in _fixed_points, and
+       keeps the lines within the float32 slack of the top one.
+    2. _screen_lines screens those lines again in float64 on M, each line
+       to the bit as in a screen of the whole mesh, and keeps the lines
+       within the float64 slack of the top one.
+    3. _mesh_values re-evaluates those lines whole, as in the full mesh (a
+       single row would take numpy's one-row matmul route, which can differ
+       in the last bit), and the pole column b = mesh - 1, where every line
+       ends near (0, 0, 1), once as a batch of mesh rows.  Nothing assumes
+       that few lines pass: a zero matrix or a flat maximum passes them all.
 
-    Slack.  Both stages approximate the same real V^q = ||M x||_q^q /
-    ||x||_p^q, and u = 2^-53.  Every coordinate lies in [0, 1], and each
-    step is correctly rounded or a power good to 4 ulps.  So each computed
-    y_k is within 25 u m_k of the true one (4 u m_k in the screen), with
-    m_k = sum_l |M_kl|; its q-th power is then within 26 q u m_k^q (5 q u m_k^q)
-    plus 8 u relative.  The row sum and the closing powers bring the
-    relative part to (8 + rows + 8 q) u for the dense value and to
-    (17 + rows + 19 q/p) u for the screen.  The absolute part is there for
-    a signed M, where y_k can cancel and its relative error is unbounded.
-    The line holding the dense maximum off the pole column therefore
-    screens within 2 (e_screen + e_dense) of the screen's top value S, that
-    is within (50 + 4 rows + 16 q + 38 q/p) u S + 62 q u sum_k m_k^q.  The
-    slack used is _SCREEN_ROUNDING (q + q/p + rows + 1) (S + sum_k m_k^q),
-    with _SCREEN_ROUNDING = 2^-46 = 128 u, which is at least twice that,
-    plus the smallest normal float for values that underflow."""
+    Float64 slack.  Both float64 stages approximate the same real
+    V^q = ||M x||_q^q / ||x||_p^q, and u = 2^-53.  Every coordinate lies in
+    [0, 1], and each step is correctly rounded or a power good to 4 ulps.
+    So each computed y_k is within 25 u m_k of the true one (4 u m_k in the
+    screen), with m_k = sum_l |M_kl|; its q-th power is then within
+    26 q u m_k^q (5 q u m_k^q) plus 8 u relative.  The row sum and the
+    closing powers bring the relative part to (8 + rows + 8 q) u for the
+    dense value and to (17 + rows + 19 q/p) u for the screen.  The absolute
+    part is there for a signed M, where y_k can cancel and its relative
+    error is unbounded.  The line holding the dense maximum off the pole
+    column therefore screens within 2 (e_screen + e_dense) of the screen's
+    top value S, that is within (50 + 4 rows + 16 q + 38 q/p) u S
+    + 62 q u sum_k m_k^q.  The slack used is
+    _SCREEN_ROUNDING (q + q/p + rows + 1) (S + sum_k m_k^q), with
+    _SCREEN_ROUNDING = 2^-46 = 128 u, which is at least twice that, plus
+    the smallest normal float for values that underflow.
+
+    Float32 slack.  Here m_k, S and the values are those of 2^-e M, 2^-eq
+    times those of M, and u32 = 2^-24.  Rounding M, c and s to float32 puts
+    y_k within 7 u32 m_k.  A float32 power x^r is good to 4 ulps plus u32 |r ln x| x^r
+    (numpy's vectorised powf loses accuracy in proportion to |r ln x|), and
+    rounding r to float32 costs as much again.  As y^q q ln(1/y) <= 1/exp(1)
+    for y < 1, |y_k|^q is within 10 q u32 m_k^q + 0.74 u32 plus 8 u32
+    relative, and ||x||_p^-q, whose base lies in [1, 3^(1/2)], within
+    (2 q + 25 q/p + 8) u32 relative.  Each line value is then within
+    e32 = 25 (q + q/p + rows + 1) u32 (S + sum_k m_k^q) + 0.74 rows u32 + F32,
+    F32 = (rows (9 q + 1) + 1) 2^-126 for underflow; the float64 screen's
+    error, in these units, is below 2^-28 e32 plus its own underflow,
+    (rows (5 q + 1) + 1) 2^(-1022 - e q).  A line that the float64 slack
+    passes thus screens within twice both errors plus the float64 slack of
+    the float32 top.  The slack used, _PRESCREEN_ROUNDING (q + q/p + rows + 1)
+    (S + sum_k m_k^q) + (rows + 1) (2^-23 + q 2^(-1018 - e q)) with
+    _PRESCREEN_ROUNDING = 2^-17 = 128 u32, covers that for q up to 2^90.
+    The candidates therefore hold every line that the float64 slack passes
+    in a float64 screen of the whole mesh: the float64 top line, so stage 2
+    finds that screen's top value, slack and lines, and the line of the
+    dense maximum off the pole column.
+
+    Overflow.  Scaled, |y_k| <= m_k <= 3 and ||x||_p >= 1, so the float32
+    screen cannot overflow.  It runs while sum_k m_k^q <= DBL_MAX / 4 for M
+    itself, where no float64 screen value or slack overflows; past that every
+    line is a candidate, and all are re-evaluated if the float64 slack is
+    not finite.  A float32 slack that overflows, as 2^(-1022 - e q) does for
+    entries far below 1, keeps every line."""
     ncol = T.matrix.shape[1]
     t = np.linspace(0.0, 0.5 * math.pi, mesh)
     c, s = np.cos(t), np.sin(t)
@@ -354,16 +419,13 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
         return float(np.max(_mesh_values(np.stack([c, s], axis=1), T)))
     if ncol != 3:
         raise ValueError("brute force supports 2 or 3 columns")
-    line_max = _screen_lines(T, c, s)
-    top = line_max.max()
-    rows = T.matrix.shape[0]
     weight = np.sum(np.sum(np.abs(T.matrix), axis=1) ** T.q)
-    slack = (_SCREEN_ROUNDING * (T.q + T.q / T.p + rows + 1) * (top + weight)
-             + np.finfo(float).tiny)
-    if np.isfinite(slack):
-        lines = np.flatnonzero(line_max >= top - slack)
-    else:   # an overflow: every line
+    if weight <= np.finfo(float).max / 4.0:
+        lines = _candidate_lines(T, c, s)
+    else:   # the float64 screen may overflow
         lines = np.arange(mesh)
+    lines = lines[_near_top(T, _screen_lines(T, c, s, lines), weight,
+                            _SCREEN_ROUNDING, np.finfo(float).tiny)]
     # point (a, b) is (cos t_a cos t_b, sin t_a cos t_b, sin t_b)
     pts = np.stack([np.outer(c[lines], c).ravel(), np.outer(s[lines], c).ravel(),
                     np.tile(s, len(lines))], axis=1)
@@ -401,11 +463,18 @@ def cfl_constant(r: float) -> float:
 
 def cfl3_gap(g1: np.ndarray, g2: np.ndarray, r: float):
     """Duality-map continuity: returns (lhs, rhs) with
-    lhs = ||D_r g1 - D_r g2||_{r'} and rhs the explicit-constant bound."""
-    lhs = lp_norm(duality_map(g1, r) - duality_map(g2, r), _conjugate(r))
-    ratio = lp_norm(np.asarray(g1, float) - np.asarray(g2, float), r) / (
-        lp_norm(g1, r) + lp_norm(g2, r)
-    )
+    lhs = ||D_r g1 - D_r g2||_{r'} and rhs the explicit-constant bound.
+
+    g1 and g2 go through _duality_rows and the r-norm sums as rows of one
+    array: each row gets the operations it would get alone."""
+    if r <= 1.0:
+        raise ValueError(f"requires r > 1, got {r}")
+    g = np.array([g1, g2], dtype=float)
+    D = _duality_rows(g, r)
+    lhs = lp_norm(D[0] - D[1], _conjugate(r))
+    sums = np.add.reduce(np.abs(np.vstack([g[0] - g[1], g])) ** r, axis=1)
+    dist, n1, n2 = sums.tolist()
+    ratio = dist ** (1.0 / r) / (n1 ** (1.0 / r) + n2 ** (1.0 / r))
     rhs = cfl_constant(r) * ratio ** (min(r, 2.0) - 1.0)
     return lhs, rhs
 

@@ -189,6 +189,15 @@ class TestValidate:
         assert code == 1
         assert "s < n/2 required" in out
 
+    def test_validate_rejects_q_below_2(self, capsys):
+        # q >= p holds, but T* would map from l^{q'} with q' = 3 > 2
+        assert main(["validate", "--target", "duality-sweep", "--p", "1.02",
+                     "--q", "1.5"]) == 1
+        assert capsys.readouterr().out == (
+            "violation: q >= 2 required for the adjoint, got 1.5\n")
+        assert main(["validate", "--target", "duality-sweep", "--p", "1.02",
+                     "--q", "2"]) == 0
+
     def test_validate_clean_config(self, tmp_path, capsys):
         code = main(["validate", "--target", "spectrum", "--n", "3",
                      "--s", "1.0", "--output", str(tmp_path)])
@@ -243,7 +252,10 @@ class TestOneParser:
          "at least 2 deltas required"),
         (["counterexample", "--r", "1.5", "--deltas", ","],
          "at least 2 deltas required"),
-    ], ids=["trials", "directions", "empty-eps", "one-eps", "one-delta", "empty-deltas"])
+        (["duality-sweep", "--p", "1.02", "--q", "1.5", "--trials", "30",
+          "--seed", "3"], "q >= 2 required for the adjoint, got 1.5"),
+    ], ids=["trials", "directions", "empty-eps", "one-eps", "one-delta", "empty-deltas",
+            "adjoint-q"])
     def test_vacuous_runs_are_config_errors(self, tmp_path, capsys, argv, message):
         assert validate_args(build_parser().parse_args(argv)) == [message]
         assert main([*argv, "--output", str(tmp_path)]) == 2

@@ -289,6 +289,41 @@ class TestBruteForce:
                                        rng.uniform(1.1, 2.0), rng.uniform(1.1, 4.0))
                     assert brute_force_norm(T, mesh) == self.meshgrid_reference(T, mesh)
 
+    @pytest.mark.parametrize("scale", [2.0 ** -120, 1.0, 2.0 ** 120])
+    @pytest.mark.parametrize("entries", [(-1.0, 1.0), (0.0, 1.0)])
+    def test_bit_identical_at_extreme_scales(self, rng, scale, entries):
+        # entries near 2^-120, 1 and 2^120, with rows that mix 1e-20 and 1,
+        # a zero row and q up to 8: no overflow (a RuntimeWarning fails the
+        # suite), and no underflow that hides the dense maximum's line
+        for mesh in (37, 180):
+            for rows in range(2, 6):
+                M = rng.uniform(*entries, (rows, 3))
+                M[rng.random(M.shape) < 0.4] *= 1e-20
+                if rows > 2:
+                    M[rng.integers(rows)] = 0.0
+                T = FiniteOperator(scale * M, rng.uniform(1.1, 2.0),
+                                   rng.uniform(1.1, 8.0))
+                assert brute_force_norm(T, mesh) == self.meshgrid_reference(T, mesh)
+
+    @pytest.mark.parametrize("M,p,q", [(np.zeros((3, 3)), 1.5, 2.5),
+                                       (np.eye(3), 2.0, 2.0)], ids=["zero", "flat"])
+    def test_flat_maximum_reevaluates_every_line(self, monkeypatch, M, p, q):
+        # every point of the mesh has the same value, so no line may be
+        # screened out, in float32 or in float64
+        evaluated = []
+        mesh_values = duality._mesh_values
+
+        def counting(pts, T):
+            evaluated.append(len(pts))
+            return mesh_values(pts, T)
+
+        monkeypatch.setattr(duality, "_mesh_values", counting)
+        T = FiniteOperator(M, p, q)
+        for mesh in (37, 180):
+            evaluated.clear()
+            assert brute_force_norm(T, mesh) == self.meshgrid_reference(T, mesh)
+            assert sum(evaluated) == mesh * mesh + mesh
+
     @staticmethod
     def whole_mesh_screen(T, c, s):
         """_screen_lines over the whole mesh at once, with |y_k| taken for
@@ -361,6 +396,63 @@ class TestBruteForce:
         T = FiniteOperator(np.eye(3), 1.5, 2.5)
         assert brute_force_norm(T, mesh) == self.meshgrid_reference(T, mesh)
         assert sum(evaluated) < mesh ** 2 / 2
+
+
+class TestPrescreen:
+    """brute_force_norm's float32 pre-screen against the float64 screen, and
+    the float32 powers its slack assumes."""
+
+    def test_float32_powers(self, rng):
+        # the bound the slack assumes for a float32 power x^e: 4 ulps plus
+        # u32 |e ln x| x^e, as numpy's vectorised powf loses accuracy in
+        # proportion to |e ln x|.  The screen's three powers, with e rounded
+        # to float32 as a Python float exponent is: |y|^q, c^p, and
+        # ||x||_p^p ** (-q/p) on [1, 3^(1/2)]
+        def log_uniform(lo, hi):
+            x = np.exp(rng.uniform(math.log(lo), math.log(hi), 4096))
+            return x.astype(np.float32)
+
+        y, c = log_uniform(1e-30, 3.0), log_uniform(1e-17, 1.0)
+        norm = log_uniform(1.0, 1.75)
+        for _ in range(50):
+            p, q = rng.uniform(1.01, 2.0), rng.uniform(1.01, 8.0)
+            for x, e in [(y, q), (y, 2.0), (c, p), (norm, -q / p)]:
+                e = float(np.float32(e))
+                exact = x.astype(float) ** e
+                normal = exact >= np.finfo(np.float32).tiny
+                err = np.abs((x ** e).astype(float) - exact)[normal]
+                bound = (4.0 * np.spacing(exact[normal].astype(np.float32))
+                         + 2.0 ** -24 * np.abs(e * np.log(x[normal])) * exact[normal])
+                assert np.all(err <= bound)
+
+    def test_float32_slack(self, rng):
+        for trial in range(160):
+            rows = int(rng.integers(1, 6))
+            M = rng.uniform(-1.0 if trial % 2 else 0.0, 1.0, (rows, 3))
+            if trial % 4 > 1:
+                M *= rng.uniform(0.5, 3.0)
+            T = FiniteOperator(M, rng.uniform(1.01, 2.0), rng.uniform(1.01, 8.0))
+            mesh = int(rng.integers(2, 501))
+            t = np.linspace(0.0, 0.5 * math.pi, mesh)
+            c, s = np.cos(t), np.sin(t)
+            e = np.frexp(np.max(np.abs(M)))[1]
+            scaled = FiniteOperator(np.ldexp(M, -e), T.p, T.q)
+            s32 = duality._screen_lines(scaled, c, s, dtype=np.float32)
+            s64 = duality._screen_lines(T, c, s)
+            # each float32 value within half the slack of 2^-eq times its
+            # float64 value: the error bound the slack doubles
+            w32 = np.sum(np.sum(np.abs(scaled.matrix), axis=1) ** T.q)
+            half = 0.5 * (duality._PRESCREEN_ROUNDING * (T.q + T.q / T.p + rows + 1)
+                          * (s32.max() + w32) + (rows + 1) * 2.0 ** -23)
+            assert np.all(np.abs(s32 - np.exp2(-e * T.q) * s64) <= half)
+            # the candidates hold the float64 top line and every line the
+            # float64 slack passes
+            candidates = duality._candidate_lines(T, c, s)
+            w64 = np.sum(np.sum(np.abs(M), axis=1) ** T.q)
+            passed = duality._near_top(T, s64, w64, duality._SCREEN_ROUNDING,
+                                       np.finfo(float).tiny)
+            assert np.argmax(s64) in candidates
+            assert np.isin(passed, candidates).all()
 
 
 class TestExtremiserTransfer:
