@@ -9,6 +9,7 @@ realised by signs.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -93,8 +94,8 @@ class NormCertificate:
     residual: float
     starts: int
     iterations: int
-    certified: bool   # True only for nonnegative matrices with p <= q
-    distinct_values: int = 1   # local maxima seen across starts
+    certified: bool   # upper <= value (1 + _NORM_EXCESS)
+    upper: float   # an upper bound on the norm; inf when none is known
 
 
 @dataclass(frozen=True)
@@ -200,58 +201,287 @@ def _fixed_points(T: FiniteOperator, G0: np.ndarray, tol: float = 1e-12,
     raise ConvergenceError(f"fixed-point iteration did not converge in {max_iter} steps")
 
 
+_NORM_EXCESS = 2.0 ** -33   # rho: a certified norm lies in [value, value (1 + rho)]
+_BOUND_ROUNDING = 2.0 ** -50   # 8 u; times a count of operations, a bound's rounding slack
+_BRACKET_COLUMNS = 4   # the widest narrower side the bracket takes on
+# The bracket's first cells by the number of columns d, as (bits, levels):
+# they centre on the extremiser rounded to a multiple of 2^-bits and halve
+# `levels` times toward it.  Deep grading closes 2 columns in one pass and
+# 3 in few; at 4 columns the d (d - 1) cells it adds per level each split
+# further, and bisection from a coarse star refines less.
+_GRADING = {1: (16, 17), 2: (16, 17), 3: (16, 17), 4: (4, 1)}
+_BRACKET_CELLS = 20_000   # the most cells one bisection round may hold
+_RESTARTS = 8   # restarts from vertices that beat the search, per call
+_TINY = np.finfo(float).tiny
+
+
+def _search(T: FiniteOperator, G0: np.ndarray):
+    """The fixed points from the rows of G0, their values ||T g||_q / ||g||_p
+    and the iterations they took.  The values are taken on M scaled as in
+    _fixed_points, so that no power of ||T g||_q overflows or, for small
+    entries and large q, underflows to subnormals that lose its digits."""
+    G, its = _fixed_points(T, G0)
+    e = np.frexp(np.maximum.reduce(np.abs(T.matrix), axis=None, initial=0.0))[1]
+    values = np.ldexp(_row_norms(_apply_rows(np.ldexp(T.matrix, -e), G), T.q), e)
+    return values, G, int(its.sum())
+
+
+def _norms(X: np.ndarray, r: float, axis: int) -> np.ndarray:
+    """l^r norm of a nonnegative array along axis, each line divided by its
+    largest entry first, so that no power overflows or underflows."""
+    top = np.maximum.reduce(X, axis=axis, keepdims=True)
+    sums = np.add.reduce((X / np.maximum(top, _TINY)) ** r, axis=axis)
+    return np.squeeze(top, axis) * sums ** (1.0 / r)
+
+
+def _contraction_upper(T: FiniteOperator, g: np.ndarray, value: float) -> float:
+    """An upper bound on ||T|| from the search's fixed point g, for a
+    positive matrix that passes Birkhoff's contraction test; inf otherwise.
+
+    Let Delta = max ln(M_ik M_jl / (M_il M_jk)), the projective diameter of
+    M, and kappa = tanh(Delta / 4).  M and M^T contract Hilbert's projective
+    metric d_H by kappa (Birkhoff-Hopf), and the entrywise powers
+    x -> x^{q-1} and x -> x^{p'-1} stretch it by q - 1 and 1/(p - 1).  So
+    S: g -> D_{p'}(T* D_q(T g)) contracts d_H by
+    c = kappa^2 (q - 1) / (p - 1), the same factor for T and T*.  If c < 1,
+    S has one positive fixed point g*, and as every maximiser of
+    ||T g||_q / ||g||_p over g >= 0 is positive and fixed by S, g* is the
+    global maximiser (Gautier, Tudisco and Hein, J. Sci. Comput. 2019).
+    Then d_H(g, g*) <= d_H(g, S g) / (1 - c), and alpha g <= g* <= beta g
+    with ln(beta / alpha) = d_H(g, g*) gives
+    ||T|| <= value exp(d_H(g, S g) / (1 - c)).
+
+    Rounding, with u = 2^-53 and powers good to 4 ulps.  S g is computed in
+    nonnegative sums, and each power is taken on entries scaled into [0, 1],
+    so each entry is within (p' - 1)((q - 1)(cols + 1) + rows + 5) u + 4 u
+    of the exact one.  d_H takes twice that plus 3 u for the ratio and the
+    logarithm, below the slack added, _BOUND_ROUNDING (p' q (rows + cols + 2) + 2).
+    Delta gains _BOUND_ROUNDING (max |ln M_ik| + 1) for its logarithms, c a
+    factor 1 + _BOUND_ROUNDING for the rest, and value, computed within
+    (rows + cols + 6) 8 u, that factor too."""
+    M = T.matrix
+    least, most = np.minimum.reduce(M, axis=None), np.maximum.reduce(M, axis=None)
+    if not (least > 0.0 and np.minimum.reduce(g) > 0.0):
+        return math.inf
+    L = np.log(M.T)
+    # top[i, j] = max_k ln(M_ik / M_jk), and Delta = max_ij top[i, j] + top[j, i]
+    top = np.maximum.reduce(L[:, :, None] - L[:, None, :], axis=0)
+    delta = np.maximum.reduce(top + top.T, axis=None)
+    delta += _BOUND_ROUNDING * (max(-math.log(least), math.log(most), 0.0) + 1.0)
+    c = math.tanh(delta / 4.0) ** 2 * (T.q - 1.0) / (T.p - 1.0) * (1.0 + _BOUND_ROUNDING)
+    if not c < 1.0:
+        return math.inf
+    rows, cols = M.shape
+    Y = M @ g
+    Z = (Y / np.maximum.reduce(Y)) ** (T.q - 1.0) @ M
+    ratio = (Z / np.maximum.reduce(Z)) ** (T.p_prime - 1.0) / g
+    lo, hi = np.minimum.reduce(ratio), np.maximum.reduce(ratio)
+    if not lo > 0.0:   # an entry of S g underflowed
+        return math.inf
+    d = math.log(hi / lo) + _BOUND_ROUNDING * (T.p_prime * T.q * (rows + cols + 2) + 2.0)
+    if not d < 1.0 - c:
+        return math.inf
+    return value * math.exp(d / (1.0 - c)) * (1.0 + _BOUND_ROUNDING * (rows + cols + 6))
+
+
+def _vertices(A: np.ndarray, a: float, b: float, V: np.ndarray) -> np.ndarray:
+    """The record of each column v of V: v, then v^{a/2}, then
+    f(v) = ||A v||_b / ||v||_a, then ||v||_a, stacked along the first axis."""
+    length = _norms(V, a, 0)
+    f = _norms(A @ V, b, 0) / length
+    return np.concatenate([V, V ** (0.5 * a), f[None], length[None]])
+
+
+@functools.lru_cache(maxsize=None)
+def _grading(d: int, levels: int):
+    """The cells of _graded_cells for d coordinates, as indices into the
+    points x + 2^-l (e_k - x), numbered l d + k, and x, numbered
+    (levels + 1) d; and the facet of each cell's star."""
+    x, cells, facets = (levels + 1) * d, [], []
+    for j in range(d):
+        others = [k for k in range(d) if k != j]
+        for level in range(levels):
+            for i in range(d - 1):
+                cells.append([(level + 1) * d + k for k in others[:i + 1]]
+                             + [level * d + k for k in others[i:]])
+        cells.append([x] + [levels * d + k for k in others])
+        facets += [j] * (levels * (d - 1) + 1)
+    return np.array(cells), np.array(facets)
+
+
+def _graded_cells(A: np.ndarray, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Simplices that cover the standard simplex, graded geometrically
+    around the point x / sum(x) rounded to a multiple of 2^-bits, as an
+    array (vertex, record, cell) of _vertices records; bits and levels come
+    from _GRADING.  The largest coordinate, at least 1/d, keeps the rounded
+    point off 0.
+
+    Joining x to each facet F_j = {y_j = 0} that x is off splits the
+    simplex into star cells.  Each is cut by the copies of its facet scaled
+    toward x by 2^-l, l = 1..levels, into an inner simplex and layers.  A
+    layer, a frustum over a (d-2)-simplex, splits into the d - 1 simplices
+    (t_0..t_i, b_i..b_{d-2}) of its inner vertices t and outer vertices b.
+    Each vertex, x + 2^-l (e_k - x), is computed exactly as a multiple of
+    2^-(bits + l)."""
+    d = len(x)
+    bits, levels = _GRADING[d]
+    x = np.ldexp(np.rint(np.ldexp(x / np.add.reduce(x), bits)), -bits)
+    scales = np.ldexp(1.0, -np.arange(levels + 1))[:, None, None]
+    points = x + (np.eye(d) - x) * scales   # points[l, k] = x + 2^-l (e_k - x)
+    records = _vertices(A, a, b, np.vstack([points.reshape(-1, d), x]).T)
+    cells, facets = _grading(d, levels)
+    return records[:, cells[x[facets] > 0.0]].transpose(2, 0, 1).copy()
+
+
+def _split(A: np.ndarray, a: float, b: float, cells: np.ndarray):
+    """Halve each simplex at the midpoint of its longest edge, as measured
+    in the coordinates v^{a/2}, which map the l^a sphere onto the l^2 sphere
+    and so spread the bound's slack evenly near the faces.  Returns the
+    halves and whether every midpoint is a multiple of 2^-52: vertices in
+    [0, 1] on that grid sum and halve exactly, so the halves of a cell cover
+    it exactly."""
+    d, records, n = cells.shape
+    i, j = np.triu_indices(d, 1)
+    s = cells[:, d:2 * d]
+    diff = s[i] - s[j]
+    edge = np.argmax(np.add.reduce(diff * diff, axis=1), axis=0)
+    a_k, b_k, col = i[edge], j[edge], np.arange(n)
+    mid = (cells[a_k, :d, col] + cells[b_k, :d, col]) * 0.5   # (cell, coordinate)
+    scaled = np.ldexp(mid, 52)
+    record = _vertices(A, a, b, mid.T).T
+    halves = np.empty((d, records, 2, n))
+    np.copyto(halves, cells[:, :, None])
+    halves[a_k, :, 0, col] = record
+    halves[b_k, :, 1, col] = record
+    return halves.reshape(d, records, 2 * n), bool(np.all(np.rint(scaled) == scaled))
+
+
+def _cell_bounds(cells: np.ndarray, a: float, rounding: float) -> np.ndarray:
+    """For y >= 0 in the cone of a cell's vertices v_k, and z >= 0 the
+    duality map of the cell's centroid,
+
+        ||A y||_b / ||y||_a <= ||z||_{a'} max_k f(v_k) ||v_k||_a / <v_k, z>
+
+    with f(v) = ||A v||_b / ||v||_a: for y = sum_k l_k v_k, l >= 0, the
+    triangle inequality bounds ||A y||_b by sum_k l_k f(v_k) ||v_k||_a, and
+    Hoelder bounds ||y||_a below by sum_k l_k <v_k, z> / ||z||_{a'}; a ratio
+    of such sums is at most the largest ratio of their terms.  Returns each
+    cell's bound times rounding.
+
+    Rounding, with u = 2^-53 and powers good to 4 ulps.  Every sum is of
+    nonnegative terms and every power is taken on entries scaled into
+    [0, 1] (_norms), so f(v_k) comes out within (4 d + rows + 21) u, each
+    pairing within (2 d + 11) u and ||z||_{a'} within (d + 10) u.  The
+    bound, within (7 d + rows + 45) u, is below its computed value times
+    1 + _BOUND_ROUNDING (rows + d + 6), the rounding the caller passes."""
+    d = cells.shape[0]
+    V, f, length = cells[:, :d], cells[:, 2 * d], cells[:, 2 * d + 1]
+    C = np.add.reduce(V, axis=0)
+    z = (C / np.maximum.reduce(C, axis=0)) ** (a - 1.0)
+    pairing = np.add.reduce(V * z, axis=1) / length
+    with np.errstate(divide="ignore"):   # a pairing of 0 leaves the cell unbounded
+        bound = np.maximum.reduce(f / pairing, axis=0)
+    bound *= _norms(z, a / (a - 1.0), 0) * rounding
+    return bound
+
+
+def _bracket(T: FiniteOperator, g: np.ndarray, value: float):
+    """Bound ||T|| above on the narrower of M and M^T, on cells graded
+    around the extremiser.  Returns (upper, None) when every cell's bound is
+    at most value (1 + rho), or when the cells cannot be refined further
+    (upper is then above that); or (inf, start) when a vertex beats
+    value (1 + rho), with start a vector on T's side whose value is at least
+    the vertex's.
+
+    For a nonnegative A the norm is the maximum of ||A y||_b / ||y||_a over
+    y >= 0.  The side with fewer columns, d, has the smaller search space,
+    the (d-1)-simplex.  On M^T the exponents are (q', p') and the
+    extremiser is D_q(M g); a vertex h there maps to D_{p'}(M^T h), which
+    scores ||M D_{p'}(M^T h)||_q >= <h, M D_{p'}(M^T h)> / ||h||_{q'}
+    = ||M^T h||_{p'} / ||h||_{q'}.  A is scaled by the power of two that
+    brings its largest entry into [1/2, 1), exactly, so that only an image
+    far below the others reaches the subnormal floats.  The first pass
+    covers the simplex with _graded_cells; each later pass halves the cells
+    whose bound is too high, all of them as one batch."""
+    M = T.matrix
+    if M.shape[1] <= M.shape[0]:
+        A, a, b, x = M, T.p, T.q, g
+    else:
+        A, a, b = M.T, T.q_prime, T.p_prime
+        y = M @ g
+        x = (y / np.maximum.reduce(y)) ** (T.q - 1.0)
+    e = np.frexp(np.maximum.reduce(A, axis=None))[1]
+    A_e = np.ldexp(A, -e)
+    target = np.ldexp(value * (1.0 + _NORM_EXCESS), -e)
+    rounding = 1.0 + _BOUND_ROUNDING * (A.shape[0] + A.shape[1] + 6)
+    cells, upper, d = _graded_cells(A_e, a, b, x), 0.0, len(x)
+    while True:
+        f = cells[:, 2 * d]
+        if np.maximum.reduce(f, axis=None) > target:
+            k, i = np.unravel_index(np.argmax(f), f.shape)
+            v = cells[k, :d, i]
+            if A is M:
+                return math.inf, v
+            y = M.T @ v
+            return math.inf, (y / np.maximum.reduce(y)) ** (T.p_prime - 1.0)
+        bound = _cell_bounds(cells, a, rounding)
+        done = bound <= target
+        upper = max(upper, np.ldexp(np.maximum.reduce(bound[done], initial=0.0), e))
+        cells = cells[:, :, ~done]
+        if not cells.shape[2]:
+            return upper, None
+        halves, exact = _split(A_e, a, b, cells)
+        if not exact or halves.shape[2] > _BRACKET_CELLS:
+            return max(upper, np.ldexp(np.maximum.reduce(bound[~done]), e)), None
+        cells = halves
+
+
 def operator_norm(T: FiniteOperator, starts: int = 8,
                   rng: np.random.Generator | None = None) -> NormCertificate:
-    """Multistart duality-map iteration for ||T||: l^p -> l^q.
+    """||T||: l^p -> l^q by the fixed-point iteration g -> D_{p'}(T* D_q(T g)).
 
-    For entrywise-nonnegative matrices with p <= q the iteration converges
-    to positive stationary points; distinct local maxima can still exist
-    when p < q, so on disagreement the search escalates and certifies only
-    if the top value is reproduced by an independent start.  For general
-    matrices the best stationary value is a flagged lower bound.  The
-    starts of a sweep iterate as one batch."""
+    A nonnegative matrix with p <= q takes one start.  Its value is
+    certified when an upper bound within a factor 1 + rho of it is found:
+    first from Birkhoff's contraction test (_contraction_upper), else from
+    the cell bracket on the narrower side (_bracket), if that side has at
+    most _BRACKET_COLUMNS columns.  A bracket vertex that beats the value
+    restarts the iteration from it.  Signed matrices, p > q, and the
+    nonnegative operators that no bound closes take the best of `starts`
+    random starts instead, a lower bound with certified False; the starts of
+    that sweep iterate as one batch."""
     if starts < 1:
         raise ValueError("starts must be >= 1")
     rng = rng or np.random.default_rng(0)
-    certified = T.nonnegative and T.p <= T.q
     ncol = T.matrix.shape[1]
-
-    def sweep(count):
-        if certified:   # the same stream as one draw per row
-            G0 = rng.uniform(0.1, 1.0, size=(count, ncol))
-        else:           # each row's sign draws follow its values
-            G0 = np.empty((count, ncol))
-            for g0 in G0:
-                g0[:] = rng.uniform(0.1, 1.0, size=ncol)
+    provable = T.nonnegative and T.p <= T.q
+    value, g, upper, used, total_it = -math.inf, None, math.inf, 0, 0
+    if provable:
+        values, G, total_it = _search(T, rng.uniform(0.1, 1.0, size=(1, ncol)))
+        value, g, used = float(values[0]), G[0], 1
+        upper = _contraction_upper(T, g, value)
+        if upper > value * (1.0 + _NORM_EXCESS) and min(T.matrix.shape) <= _BRACKET_COLUMNS:
+            for _ in range(_RESTARTS):
+                bound, start = _bracket(T, g, value)
+                upper = min(upper, bound)
+                if start is None:
+                    break
+                values, G, its = _search(T, start[None])
+                value, g, used, total_it = float(values[0]), G[0], used + 1, total_it + its
+    certified = bool(upper <= value * (1.0 + _NORM_EXCESS) < math.inf)
+    if not certified:
+        G0 = np.empty((starts, ncol))
+        for g0 in G0:   # each row's sign draws follow its values
+            g0[:] = rng.uniform(0.1, 1.0, size=ncol)
+            if not provable:
                 g0 *= rng.choice([-1.0, 1.0], size=ncol)
-        G, its = _fixed_points(T, G0)
-        return _row_norms(_apply_rows(T.matrix, G), T.q), G, int(its.sum())
-
-    values, extremisers, total_it = sweep(starts)
-    used = starts
-    top = values.max()
-    if certified and (top - values.min()) > 1e-9 * top:
-        more_v, more_g, more_it = sweep(4 * starts)
-        values = np.concatenate([values, more_v])
-        extremisers = np.concatenate([extremisers, more_g])
-        total_it += more_it
-        used += 4 * starts
-    best = int(np.argmax(values))
-    best_val, best_g = float(values[best]), extremisers[best]
-    top_hits = np.count_nonzero(values >= best_val * (1.0 - 1e-9))
-    if certified and top_hits < 2:
-        raise InconsistencyError(
-            f"top stationary value {best_val!r} seen only once in {used} starts; "
-            f"values span {float(values.min())!r}..{best_val!r}"
-        )
-    # each cluster starts at the least value above 1 + 1e-9 times the last start
-    ordered, clusters, i = np.sort(values), 0, 0
-    while i < len(ordered):
-        clusters += 1
-        i = np.searchsorted(ordered, ordered[i] * (1.0 + 1e-9), side="right")
-    residual = best_val * lp_norm(best_g, T.p) - lp_norm(T.apply(best_g), T.q)
-    return NormCertificate(best_val, best_g, residual, used, total_it, certified,
-                           clusters)
+        values, G, its = _search(T, G0)
+        used, total_it = used + starts, total_it + its
+        best = int(np.argmax(values))
+        if values[best] > value:
+            value, g = float(values[best]), G[best]
+    e = int(np.frexp(value)[1])   # as in _search, no power overflows
+    residual = value * lp_norm(g, T.p) - math.ldexp(lp_norm(np.ldexp(T.apply(g), -e), T.q), e)
+    return NormCertificate(value, g, residual, used, total_it, certified, float(upper))
 
 
 _SCREEN_ROUNDING = 2.0 ** -46   # 128 u; the slack of brute_force_norm's float64 screen
