@@ -156,6 +156,8 @@ def validate_args(args) -> list[str]:
             v.append("at least 1 eps required")
         elif len(args.eps) < 2:  # the quadratic-deficit check compares eps values
             v.append("at least 2 eps required")
+        elif len(set(args.eps)) < len(args.eps):
+            v.append("eps values must be distinct")
         for e in args.eps:
             if not 0.0 < e <= 0.25:
                 v.append(f"eps {e} outside (0, 0.25]")

@@ -91,7 +91,6 @@ class FiniteOperator:
 class NormCertificate:
     value: float
     extremiser: np.ndarray = field(repr=False)
-    residual: float
     starts: int
     iterations: int
     certified: bool   # upper <= value (1 + _NORM_EXCESS)
@@ -124,14 +123,8 @@ def _duality_rows(F: np.ndarray, r: float) -> np.ndarray:
     # fmin skips a NaN norm: as with .all(), only a zero norm raises
     if not np.fmin.reduce(nrm, initial=np.inf):
         raise ValueError("duality map undefined at the zero vector")
-    if np.minimum.reduce(absF, axis=None, initial=np.inf) > 0.0:
-        # np.power, not **=, which takes numpy's sqrt path at r - 2 = 0.5
-        out = np.power(absF, r - 2.0, out=absF)
-        out *= F
-    else:   # +0.0 at the zeros, where |0|^{r-2} may be infinite
-        nonzero = absF > 0.0
-        out = np.power(absF, r - 2.0, out=np.zeros_like(absF), where=nonzero)
-        np.multiply(out, F, out=out, where=nonzero)
+    # |F|^{r-2} F as copysign(|F|^{r-1}, F): r - 1 > 0, so zeros stay zero
+    out = np.copysign(np.power(absF, r - 1.0, out=absF), F, out=absF)
     nrm **= r - 1.0
     out /= nrm[:, None]
     return out
@@ -212,6 +205,7 @@ _BRACKET_COLUMNS = 4   # the widest narrower side the bracket takes on
 _GRADING = {1: (16, 17), 2: (16, 17), 3: (16, 17), 4: (4, 1)}
 _BRACKET_CELLS = 20_000   # the most cells one bisection round may hold
 _RESTARTS = 8   # restarts from vertices that beat the search, per call
+_STARTS = 8   # random starts of the uncertified fallback
 _TINY = np.finfo(float).tiny
 
 
@@ -436,7 +430,7 @@ def _bracket(T: FiniteOperator, g: np.ndarray, value: float):
         cells = halves
 
 
-def operator_norm(T: FiniteOperator, starts: int = 8,
+def operator_norm(T: FiniteOperator,
                   rng: np.random.Generator | None = None) -> NormCertificate:
     """||T||: l^p -> l^q by the fixed-point iteration g -> D_{p'}(T* D_q(T g)).
 
@@ -446,11 +440,9 @@ def operator_norm(T: FiniteOperator, starts: int = 8,
     the cell bracket on the narrower side (_bracket), if that side has at
     most _BRACKET_COLUMNS columns.  A bracket vertex that beats the value
     restarts the iteration from it.  Signed matrices, p > q, and the
-    nonnegative operators that no bound closes take the best of `starts`
-    random starts instead, a lower bound with certified False; the starts of
-    that sweep iterate as one batch."""
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    nonnegative operators that no bound closes take the best of 8 random
+    starts instead, a lower bound with certified False; the starts of that
+    sweep iterate as one batch."""
     rng = rng or np.random.default_rng(0)
     ncol = T.matrix.shape[1]
     provable = T.nonnegative and T.p <= T.q
@@ -469,19 +461,17 @@ def operator_norm(T: FiniteOperator, starts: int = 8,
                 value, g, used, total_it = float(values[0]), G[0], used + 1, total_it + its
     certified = bool(upper <= value * (1.0 + _NORM_EXCESS) < math.inf)
     if not certified:
-        G0 = np.empty((starts, ncol))
+        G0 = np.empty((_STARTS, ncol))
         for g0 in G0:   # each row's sign draws follow its values
             g0[:] = rng.uniform(0.1, 1.0, size=ncol)
             if not provable:
                 g0 *= rng.choice([-1.0, 1.0], size=ncol)
         values, G, its = _search(T, G0)
-        used, total_it = used + starts, total_it + its
+        used, total_it = used + _STARTS, total_it + its
         best = int(np.argmax(values))
         if values[best] > value:
             value, g = float(values[best]), G[best]
-    e = int(np.frexp(value)[1])   # as in _search, no power overflows
-    residual = value * lp_norm(g, T.p) - math.ldexp(lp_norm(np.ldexp(T.apply(g), -e), T.q), e)
-    return NormCertificate(value, g, residual, used, total_it, certified, float(upper))
+    return NormCertificate(value, g, used, total_it, certified, float(upper))
 
 
 _SCREEN_ROUNDING = 2.0 ** -46   # 128 u; the slack of brute_force_norm's float64 screen
@@ -664,10 +654,8 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
 
 
 def extremiser_transfer(T: FiniteOperator, G_star: np.ndarray,
-                        norm_value: float | None = None) -> np.ndarray:
+                        norm_value: float) -> np.ndarray:
     """Map an extremiser of T* to one of T via g = |T* G|^{p'-2} (T* G)."""
-    if norm_value is None:
-        norm_value = operator_norm(T).value
     G_star = np.asarray(G_star, dtype=float)
     h = T.apply_adjoint(G_star)
     achieved = lp_norm(h, T.p_prime)
@@ -803,23 +791,23 @@ def _ray_minimiser(u: np.ndarray, b: np.ndarray, p: float, lo: float, hi: float,
     return c, norm(residual(c))
 
 
+_REGIME = 0.25   # the relative distance below which the chain is asserted
+
+
 def local_stability_pipeline(T: FiniteOperator, g: np.ndarray,
-                             extremiser_samples, cert: NormCertificate | None = None,
-                             regime: float = 0.25) -> LocalStabilityReport:
+                             extremiser_samples, cert: NormCertificate) -> LocalStabilityReport:
     """Evaluate each link of the local stability chain at g.
 
     deficit >= (||T|| - ||T* G||) + (p-1)/4 ||T* G|| ||g/||g|| - D_{p'}(T* G)||_p^2
     with G = D_q(T g); outside the relative-distance regime the report is
     returned unasserted (in_regime False)."""
-    if cert is None:
-        cert = operator_norm(T)
     g = np.asarray(g, dtype=float)
     gn = lp_norm(g, T.p)
     if gn == 0.0:
         raise ValueError("g must be nonzero")
     u = g / gn
     dist = min(ray_distance(u, np.asarray(gs, float), T.p) for gs in extremiser_samples)
-    in_regime = dist < regime
+    in_regime = dist < _REGIME
     G = duality_map(T.apply(u), T.q)
     TsG = T.apply_adjoint(G)
     TsG_norm = lp_norm(TsG, T.p_prime)
@@ -844,8 +832,10 @@ def local_stability_pipeline(T: FiniteOperator, g: np.ndarray,
 # the [0,1] counterexample family
 
 
-def sigma_counterexample(r: float, sigma: float, delta_list,
-                         grid_points: int = 4000) -> list[dict]:
+_SIGMA_GRID = 4000   # midpoints of the cross-check grid on (0, 1)
+
+
+def sigma_counterexample(r: float, sigma: float, delta_list) -> list[dict]:
     """Unit-interval pair h1 = 1, h2 = (1-d)^{-2/r'} on (0, (1-d)^2):
     closed-form ratios ||h1 - h2^{r'-1}||_r^sigma / (2 d) per delta, with
     the exact 2-delta identity residual and a midpoint-grid cross-check of
@@ -853,7 +843,7 @@ def sigma_counterexample(r: float, sigma: float, delta_list,
     if not 1.0 < r < math.inf:
         raise ValueError(f"requires r in (1, inf), got {r}")
     rp = _conjugate(r)
-    mid = (np.arange(grid_points) + 0.5) / grid_points
+    mid = (np.arange(_SIGMA_GRID) + 0.5) / _SIGMA_GRID
     out = []
     for d in delta_list:
         if not 0.0 < d < 0.5:

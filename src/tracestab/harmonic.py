@@ -40,29 +40,33 @@ __all__ = [
 ]
 
 
+_PANELS_PER_PERIOD = 40   # Gauss-Legendre panels per 2*pi of radius
+_NODES_PER_PANEL = 4
+_DEFICIT_TOL = 1e-8   # slack of the stability check, relative to sum B
+_REVERSE_TOL = 1e-9   # slack of the reverse check, relative to sum B
+_MAX_M = 3   # random profiles use harmonic indices m <= 3
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Composite Gauss-Legendre rule on (0, r_max], resolving the Bessel
-    oscillation with `panels_per_period` panels per 2*pi."""
+    oscillation with _PANELS_PER_PERIOD panels per 2*pi."""
 
     r_max: float
-    panels_per_period: int
-    nodes_per_panel: int
     r: np.ndarray = field(repr=False, compare=False)
     wq: np.ndarray = field(repr=False, compare=False)
 
     @staticmethod
-    def build(r_max: float = 200.0, panels_per_period: int = 40,
-              nodes_per_panel: int = 4) -> "RadialGrid":
-        panel_len = 2.0 * math.pi / panels_per_period
+    def build(r_max: float = 200.0) -> "RadialGrid":
+        panel_len = 2.0 * math.pi / _PANELS_PER_PERIOD
         npan = int(math.ceil(r_max / panel_len))
         edges = np.linspace(0.0, r_max, npan + 1)
-        x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+        x, w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
         half = 0.5 * (edges[1] - edges[0])
         mid = 0.5 * (edges[:-1] + edges[1:])
         r = (mid[:, None] + half * x[None, :]).ravel()
         wq = np.tile(half * w, npan)
-        return RadialGrid(r_max, panels_per_period, nodes_per_panel, r, wq)
+        return RadialGrid(r_max, r, wq)
 
     @property
     def size(self) -> int:
@@ -87,9 +91,6 @@ class ProfileSet:
             if np.asarray(g).shape != self.grid.r.shape:
                 raise ValueError(f"profile ({k},{m}) does not match the grid")
 
-    def modes(self):
-        return sorted(self.entries.keys())
-
     def max_degree(self) -> int:
         return max((k for k, _ in self.entries), default=0)
 
@@ -101,7 +102,6 @@ class ProfileSet:
 @dataclass(frozen=True)
 class DeficitReport:
     sumB: float
-    sumA: float
     deficit: float          # lambda_0 * sumB - sumA
     dist_sq: float          # sumB - A_{0,1}/lambda_0
     ratio: float            # deficit / dist_sq (inf when dist_sq == 0)
@@ -143,7 +143,7 @@ class GridSpectrum:
 @functools.lru_cache(maxsize=8)
 def grid_spectrum(weight: WeightSpec, grid: RadialGrid) -> GridSpectrum:
     """The one GridSpectrum of (weight, grid).  Weights key by identity;
-    grids by their build parameters, which fix their nodes."""
+    grids by r_max, which fixes their nodes."""
     return GridSpectrum(weight, grid)
 
 
@@ -175,8 +175,7 @@ def _mode_sums(ps: ProfileSet, gs: GridSpectrum):
 
 
 def deficit_report(ps: ProfileSet, weight: WeightSpec,
-                   spectrum: LambdaSpectrum | None = None,
-                   tol: float = 1e-8) -> DeficitReport:
+                   spectrum: LambdaSpectrum | None = None) -> DeficitReport:
     """Evaluate deficit, squared distance to the extremiser ray, their
     ratio and whether the stability inequality holds with C' = grid-level
     lambda_0 - lambda_star.
@@ -196,19 +195,17 @@ def deficit_report(ps: ProfileSet, weight: WeightSpec,
     deficit = lam0 * sumB - sumA
     dist_sq = sumB - a01 / lam0
     ratio = deficit / dist_sq if dist_sq > 0 else math.inf
-    satisfied = deficit >= const * dist_sq - tol * sumB
-    return DeficitReport(sumB, sumA, deficit, dist_sq, ratio, const, lam0, satisfied)
+    satisfied = deficit >= const * dist_sq - _DEFICIT_TOL * sumB
+    return DeficitReport(sumB, deficit, dist_sq, ratio, const, lam0, satisfied)
 
 
 def equality_case_builder(weight: WeightSpec, spectrum: LambdaSpectrum,
                           c: float, Y_coeffs: dict[int, float] | None,
-                          grid: RadialGrid | None = None) -> ProfileSet:
+                          grid: RadialGrid) -> ProfileSet:
     """Profiles achieving equality in the stability inequality: the k=0
     extremiser kernel plus kernels on the attaining modes k in K_set."""
     if not spectrum.K_set:
         raise ValueError("no extremiser exists when the attaining set is empty")
-    if grid is None:
-        grid = RadialGrid.build()
     n = weight.n
     gs = grid_spectrum(weight, grid)
     entries = {}
@@ -227,13 +224,11 @@ def equality_case_builder(weight: WeightSpec, spectrum: LambdaSpectrum,
 
 
 def extremising_sequence(weight: WeightSpec, spectrum: LambdaSpectrum,
-                         k_list, grid: RadialGrid | None = None) -> list[float]:
+                         k_list, grid: RadialGrid) -> list[float]:
     """Deficit/distance ratios of the pure-mode kernels; equals the grid
     value of lambda_0 - lambda_k for each k."""
     if not k_list:
         raise ValueError("k_list must be nonempty")
-    if grid is None:
-        grid = RadialGrid.build()
     gs = grid_spectrum(weight, grid)
     ratios = []
     for k in k_list:
@@ -244,13 +239,12 @@ def extremising_sequence(weight: WeightSpec, spectrum: LambdaSpectrum,
     return ratios
 
 
-def reverse_deficit_check(ps: ProfileSet, weight: WeightSpec,
-                          tol: float = 1e-9) -> tuple[bool, float]:
+def reverse_deficit_check(ps: ProfileSet, weight: WeightSpec) -> tuple[bool, float]:
     """deficit <= lambda_0 * dist_sq, i.e. A_{0,1} <= sum A; returns
     (holds, margin) with margin = lambda_0*dist_sq - deficit = sum A - A_{0,1}."""
     sumB, sumA, a01 = _mode_sums(ps, grid_spectrum(weight, ps.grid))
     margin = sumA - a01
-    return margin >= -tol * max(sumB, 1e-300), margin
+    return margin >= -_REVERSE_TOL * max(sumB, 1e-300), margin
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +253,9 @@ def reverse_deficit_check(ps: ProfileSet, weight: WeightSpec,
 
 def random_profile_set(weight: WeightSpec, grid: RadialGrid,
                        rng: np.random.Generator, max_k: int = 6,
-                       max_m: int = 3, n_modes: int | None = None) -> ProfileSet:
+                       n_modes: int | None = None) -> ProfileSet:
     """Random mixture of Gaussian bumps (exactly zero beyond |z| = 27.5) and
-    extremal kernels over modes k <= max_k, m <= min(dim H_k, max_m)."""
+    extremal kernels over modes k <= max_k, m <= min(dim H_k, 3)."""
     n = weight.n
     gs = grid_spectrum(weight, grid)
     if n_modes is None:
@@ -269,7 +263,7 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
     entries = {}
     for _ in range(n_modes):
         k = int(rng.integers(0, max_k + 1))
-        m = int(rng.integers(1, min(dim_harmonic(n, k), max_m) + 1))
+        m = int(rng.integers(1, min(dim_harmonic(n, k), _MAX_M) + 1))
         r = grid.r
         prof = np.zeros_like(r)
         for _ in range(int(rng.integers(1, 4))):

@@ -503,13 +503,15 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     return out
 
 
-def random_phase_function(grid: PhaseGrid, rng: np.random.Generator,
-                          n_bumps: int = 4) -> TransportFunction:
+_PHASE_BUMPS = 4   # Gaussian bumps in a random phase function
+
+
+def random_phase_function(grid: PhaseGrid, rng: np.random.Generator) -> TransportFunction:
     """Random resolved Gaussian mixture on phase space, decaying well inside
     the grid (for sharp-constant comparison sweeps)."""
     x, v = grid.x, grid.v
     s = np.zeros((x.size, v.size))
-    for _ in range(n_bumps):
+    for _ in range(_PHASE_BUMPS):
         cx, cv = rng.uniform(-0.3 * grid.L, 0.3 * grid.L, size=2)
         wx, wv = rng.uniform(0.8, 4.0, size=2)
         amp = rng.uniform(-1.0, 1.0)

@@ -248,14 +248,16 @@ class TestOneParser:
          "directions >= 1 required"),
         (["transport-probe", "--seed", "1", "--eps", ","], "at least 1 eps required"),
         (["transport-probe", "--seed", "1", "--eps", "0.1"], "at least 2 eps required"),
+        (["transport-probe", "--seed", "1", "--eps", "0.1,0.1", "--directions", "1",
+          "--trials", "2"], "eps values must be distinct"),
         (["counterexample", "--r", "1.5", "--deltas", "0.1"],
          "at least 2 deltas required"),
         (["counterexample", "--r", "1.5", "--deltas", ","],
          "at least 2 deltas required"),
         (["duality-sweep", "--p", "1.02", "--q", "1.5", "--trials", "30",
           "--seed", "3"], "q >= 2 required for the adjoint, got 1.5"),
-    ], ids=["trials", "directions", "empty-eps", "one-eps", "one-delta", "empty-deltas",
-            "adjoint-q"])
+    ], ids=["trials", "directions", "empty-eps", "one-eps", "repeated-eps", "one-delta",
+            "empty-deltas", "adjoint-q"])
     def test_vacuous_runs_are_config_errors(self, tmp_path, capsys, argv, message):
         assert validate_args(build_parser().parse_args(argv)) == [message]
         assert main([*argv, "--output", str(tmp_path)]) == 2

@@ -270,6 +270,9 @@ class TestGridSpectrumCache:
         rep = deficit_report(random_profile_set(custom, GRID, rng), custom)
         assert len(built) == 3
         assert rep.satisfied
+        # grids key by r_max alone, which fixes their nodes
+        deficit_report(random_profile_set(weight, RadialGrid.build(100.0), rng), weight)
+        assert len(built) == 4
 
     def test_lambda_is_integrated_once_per_k(self, monkeypatch):
         gs = GridSpectrum(W3, GRID)
