@@ -58,6 +58,8 @@ class FiniteOperator:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or not np.all(np.isfinite(m)):
             raise ValueError("operator matrix must be a finite 2-d array")
+        if not m.size:
+            raise ValueError(f"operator matrix must not be empty, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
         if not 1.0 < self.p <= 2.0:
             raise ValueError(f"requires p in (1, 2], got {self.p}")
@@ -110,11 +112,6 @@ class LocalStabilityReport:
     in_regime: bool
 
 
-def _row_norms(X: np.ndarray, r: float) -> np.ndarray:
-    """l^r norm of each row of a (starts x columns) array."""
-    return np.add.reduce(np.abs(X) ** r, axis=1) ** (1.0 / r)
-
-
 def _duality_rows(F: np.ndarray, r: float) -> np.ndarray:
     """The duality map D_r applied to each row of F."""
     absF = np.abs(F)
@@ -130,13 +127,6 @@ def _duality_rows(F: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-def _apply_rows(M: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """M g for each row g of G, as a broadcast product summed by row.  Unlike
-    a BLAS product, whose blocking depends on the number of rows, each row's
-    result does not depend on the other rows."""
-    return np.add.reduce(G[:, None, :] * M, axis=2)
-
-
 def duality_map(F: np.ndarray, r: float) -> np.ndarray:
     """D_r F = |F|^{r-2} F / ||F||_r^{r-1}; a unit vector of l^{r'} pairing
     maximally with F.  Positively homogeneous of degree zero."""
@@ -146,9 +136,16 @@ def duality_map(F: np.ndarray, r: float) -> np.ndarray:
     return _duality_rows(F.reshape(1, -1), r).reshape(F.shape)
 
 
-def _fixed_points(T: FiniteOperator, G0: np.ndarray, tol: float = 1e-12,
-                  max_iter: int = 10_000):
-    """Iterate g -> D_{p'}(T* D_q(T g)) from every row of G0 at once.
+def _scaled(M: np.ndarray):
+    """(2^-e M, e), with 2^e the power of two that brings the largest
+    entry of |M| into [1/2, 1); exact, as only the exponents change."""
+    e = np.frexp(np.max(np.abs(M), initial=0.0))[1]
+    return np.ldexp(M, -e), e
+
+
+def _fixed_point(T: FiniteOperator, g: np.ndarray, tol: float = 1e-12,
+                 max_iter: int = 10_000):
+    """Iterate g -> D_{p'}(T* D_q(T g)) from the start vector g.
 
     D_{p'} is positively homogeneous of degree zero, so the normalisation
     inside D_q changes nothing, and each step is g -> W / ||W||_p with
@@ -157,40 +154,34 @@ def _fixed_points(T: FiniteOperator, G0: np.ndarray, tol: float = 1e-12,
     Every exponent is positive, so |x|^e sgn x, written
     copysign(|x|^e, x), is 0 at x = 0 and one formula serves signed and
     nonnegative matrices.  Unnormalised, the powers scale with M, so M is
-    first multiplied by the power of two that brings its largest entry into
-    [1/2, 1).  That is exact, and the extremisers do not depend on it: M
-    and 2^k M follow the same trajectory bit for bit.
+    first scaled by _scaled.  That is exact, and the extremisers do not
+    depend on it: M and 2^k M follow the same trajectory bit for bit.
 
-    A row stops on the first step whose l^2 length falls below tol.  Every
-    operation acts on each row alone, so a row follows the trajectory it
-    would follow in a batch of one.  Returns the fixed points (one per row)
-    and each row's iteration count."""
-    M = np.ldexp(T.matrix, -np.frexp(np.max(np.abs(T.matrix), initial=0.0))[1])
+    M g and M^T H are broadcast products summed along an axis, and each
+    norm's power is taken on a 1-element array: a BLAS product, or the
+    power of a numpy scalar, can round differently in the last bit.  The
+    iteration stops on the first step whose l^2 length falls below tol.
+    Returns the fixed point and the iterations it took."""
+    M = _scaled(T.matrix)[0]
     e_q, e_p, inv_p = T.q - 1.0, T.p_prime - 1.0, 1.0 / T.p
-    G = G0 / _row_norms(G0, T.p)[:, None]
-    its = np.zeros(len(G), dtype=int)
-    rows, g = np.arange(len(G)), G
+    norm = np.add.reduce(np.abs(g) ** T.p, keepdims=True)
+    norm **= inv_p
+    g = g / norm
     for it in range(max_iter):
-        Y = _apply_rows(M, g)
+        Y = np.add.reduce(g * M, axis=1)
         H = np.copysign(np.abs(Y) ** e_q, Y)
-        Z = np.add.reduce(H[:, :, None] * M, axis=1)
+        Z = np.add.reduce(H[:, None] * M, axis=0)
         W = np.copysign(np.abs(Z) ** e_p, Z)
-        norm = np.add.reduce(W * Z, axis=1)   # ||W||_p^p
-        if not np.minimum.reduce(norm, initial=np.inf) > 0.0:   # NaN fails too
+        norm = np.add.reduce(W * Z, keepdims=True)   # ||W||_p^p
+        if not norm[0] > 0.0:   # NaN fails too
             raise ValueError("operator annihilates the start vector")
         norm **= inv_p
-        W /= norm[:, None]
+        W /= norm
         step = W - g
-        step *= step   # its l^2 length, bit for bit _row_norms(step, 2.0)
-        length = np.add.reduce(step, axis=1)
-        done = np.sqrt(length, out=length) < tol
+        step *= step
+        if math.sqrt(np.add.reduce(step)) < tol:
+            return W, it + 1
         g = W
-        if done.any():
-            G[rows[done]] = g[done]
-            its[rows[done]] = it + 1
-            rows, g = rows[~done], g[~done]
-            if not rows.size:
-                return G, its
     raise ConvergenceError(f"fixed-point iteration did not converge in {max_iter} steps")
 
 
@@ -209,15 +200,16 @@ _STARTS = 8   # random starts of the uncertified fallback
 _TINY = np.finfo(float).tiny
 
 
-def _search(T: FiniteOperator, G0: np.ndarray):
-    """The fixed points from the rows of G0, their values ||T g||_q / ||g||_p
-    and the iterations they took.  The values are taken on M scaled as in
-    _fixed_points, so that no power of ||T g||_q overflows or, for small
+def _search(T: FiniteOperator, g0: np.ndarray):
+    """The fixed point g from the start g0, its value ||T g||_q / ||g||_p
+    and the iterations it took.  The value is taken on M scaled as in
+    _fixed_point, so that no power of ||T g||_q overflows or, for small
     entries and large q, underflows to subnormals that lose its digits."""
-    G, its = _fixed_points(T, G0)
-    e = np.frexp(np.maximum.reduce(np.abs(T.matrix), axis=None, initial=0.0))[1]
-    values = np.ldexp(_row_norms(_apply_rows(np.ldexp(T.matrix, -e), G), T.q), e)
-    return values, G, int(its.sum())
+    g, its = _fixed_point(T, g0)
+    M, e = _scaled(T.matrix)
+    value = np.add.reduce(np.abs(np.add.reduce(g * M, axis=1)) ** T.q, keepdims=True)
+    value **= 1.0 / T.q
+    return float(np.ldexp(value, e)[0]), g, its
 
 
 def _norms(X: np.ndarray, r: float, axis: int) -> np.ndarray:
@@ -404,8 +396,7 @@ def _bracket(T: FiniteOperator, g: np.ndarray, value: float):
         A, a, b = M.T, T.q_prime, T.p_prime
         y = M @ g
         x = (y / np.maximum.reduce(y)) ** (T.q - 1.0)
-    e = np.frexp(np.maximum.reduce(A, axis=None))[1]
-    A_e = np.ldexp(A, -e)
+    A_e, e = _scaled(A)
     target = np.ldexp(value * (1.0 + _NORM_EXCESS), -e)
     rounding = 1.0 + _BOUND_ROUNDING * (A.shape[0] + A.shape[1] + 6)
     cells, upper, d = _graded_cells(A_e, a, b, x), 0.0, len(x)
@@ -441,15 +432,15 @@ def operator_norm(T: FiniteOperator,
     most _BRACKET_COLUMNS columns.  A bracket vertex that beats the value
     restarts the iteration from it.  Signed matrices, p > q, and the
     nonnegative operators that no bound closes take the best of 8 random
-    starts instead, a lower bound with certified False; the starts of that
-    sweep iterate as one batch."""
+    starts instead, a lower bound with certified False; all 8 are drawn
+    first, and then searched one after another."""
     rng = rng or np.random.default_rng(0)
     ncol = T.matrix.shape[1]
     provable = T.nonnegative and T.p <= T.q
     value, g, upper, used, total_it = -math.inf, None, math.inf, 0, 0
     if provable:
-        values, G, total_it = _search(T, rng.uniform(0.1, 1.0, size=(1, ncol)))
-        value, g, used = float(values[0]), G[0], 1
+        value, g, total_it = _search(T, rng.uniform(0.1, 1.0, size=ncol))
+        used = 1
         upper = _contraction_upper(T, g, value)
         if upper > value * (1.0 + _NORM_EXCESS) and min(T.matrix.shape) <= _BRACKET_COLUMNS:
             for _ in range(_RESTARTS):
@@ -457,8 +448,8 @@ def operator_norm(T: FiniteOperator,
                 upper = min(upper, bound)
                 if start is None:
                     break
-                values, G, its = _search(T, start[None])
-                value, g, used, total_it = float(values[0]), G[0], used + 1, total_it + its
+                value, g, its = _search(T, start)
+                used, total_it = used + 1, total_it + its
     certified = bool(upper <= value * (1.0 + _NORM_EXCESS) < math.inf)
     if not certified:
         G0 = np.empty((_STARTS, ncol))
@@ -466,11 +457,11 @@ def operator_norm(T: FiniteOperator,
             g0[:] = rng.uniform(0.1, 1.0, size=ncol)
             if not provable:
                 g0 *= rng.choice([-1.0, 1.0], size=ncol)
-        values, G, its = _search(T, G0)
-        used, total_it = used + _STARTS, total_it + its
-        best = int(np.argmax(values))
-        if values[best] > value:
-            value, g = float(values[best]), G[best]
+        for g0 in G0:   # the first of equal values wins
+            start_value, start_g, its = _search(T, g0)
+            used, total_it = used + 1, total_it + its
+            if start_value > value:
+                value, g = start_value, start_g
     return NormCertificate(value, g, used, total_it, certified, float(upper))
 
 
@@ -556,8 +547,8 @@ def _candidate_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray) -> np.ndar
     """The lines of the 3-column mesh that the float32 pre-screen of
     brute_force_norm keeps."""
     rows, q = T.matrix.shape[0], T.q
-    e = np.frexp(np.max(np.abs(T.matrix), initial=0.0))[1]
-    scaled = FiniteOperator(np.ldexp(T.matrix, -e), T.p, q)
+    M, e = _scaled(T.matrix)
+    scaled = FiniteOperator(M, T.p, q)
     with np.errstate(over="ignore"):   # an infinite floor keeps every line
         floor = (rows + 1) * (2.0 ** -23 + q * np.exp2(-1018.0 - e * q))
     return _near_top(scaled, _screen_lines(scaled, c, s, dtype=np.float32),
@@ -577,7 +568,7 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
     the dense formula's maximum over the whole mesh:
 
     1. _candidate_lines screens every line in float32 on 2^-e M, where 2^e
-       brings the largest entry of M into [1/2, 1) as in _fixed_points, and
+       brings the largest entry of M into [1/2, 1) as in _fixed_point, and
        keeps the lines within the float32 slack of the top one.
     2. _screen_lines screens those lines again in float64 on M, each line
        to the bit as in a screen of the whole mesh, and keeps the lines

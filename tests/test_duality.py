@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from tracestab import duality
 from tracestab.duality import (
     FiniteOperator,
-    _fixed_points,
+    _fixed_point,
     _ray_minimiser,
     brute_force_norm,
     cfl1_gap,
@@ -77,7 +77,89 @@ class TestDualityMap:
                 duality._duality_rows(np.array(F), 2.5)
 
 
+STUCK = np.array(
+    [[0.9431453228057903, 0.18016846261219888, 0.09169682519562405, 0.026179649286026008],
+     [0.008980974556175303, 0.34755391132841595, 0.500794195885301, 0.18769016529023586],
+     [0.046303106749281286, 0.4694608019567894, 0.6901044159335149, 0.4244528509843073]])
+
+# operator_norm's certificates, recorded from the batched search that the
+# one-start search replaced: (matrix, p, q, seed, whether the certificate
+# is of T* after a call on T, value, upper, extremiser, starts, iterations,
+# certified, then the generator's state, has_uint32 and uinteger after it).
+# For the seeds of "contraction", "identity" and "zeros-5x5" a norm's
+# power taken on a numpy scalar, not a 1-element array, changes some bit
+PINNED = {
+    "contraction": (
+        [[1.5, 1.2, 1.9], [1.3, 1.8, 1.1]], 1.5, 2.5, 1, False,
+        "0x1.663ad3def7dc1p+1", "0x1.663ad3def81e9p+1",
+        ["0x1.c141af40c7581p-2", "0x1.ef005988f243ap-2", "0x1.09732e7027d73p-1"],
+        1, 14, True, 236658695069053534921881806884699931691, 0, 0),
+    "stuck-adjoint": (
+        STUCK, 1.5, 2.5, 10, True,
+        "0x1.e48163eb271ebp-1", "0x1.e48163ec18f1fp-1",
+        ["0x1.ff6497e07bd1ap-1", "0x1.7874ab9c6c22bp-8", "0x1.705f949d71139p-6"],
+        2, 32, True, 329640405292392707750618492515244047650, 0, 0),
+    "bracket-square": (
+        [[0.13003169098233525, 0.9639889659405984],
+         [0.8363372324055592, 0.07929188977520729]], 1.5, 2.5, 798, False,
+        "0x1.ee9c3434d745cp-1", "0x1.ee9c3434e9d2bp-1",
+        ["0x1.b7949ab6bbeb1p-6", "0x1.fe7fb46d3f5ebp-1"],
+        1, 15, True, 162736008361603366864374669654844531121, 0, 0),
+    "signed": (
+        [[0.5, -0.2, 0.9], [-0.3, 0.8, 0.1], [0.4, 0.6, -0.7]], 1.5, 2.5, 5, False,
+        "0x1.1a165098e1088p+0", "inf",
+        ["0x1.cfda05c5b6ab1p-7", "-0x1.c3979e15c3ff8p-3", "0x1.db6bb87ba25e8p-1"],
+        8, 232, False, 105705410879532449520963230723136797146, 0, 1395618031),
+    "p-above-q": (
+        [[0.9, 0.2], [0.3, 0.7], [0.5, 0.6]], 2.0, 1.5, 11, False,
+        "0x1.92e5f8a1b44d0p+0", "inf",
+        ["0x1.84947bf3bce1fp-1", "0x1.4d6419c188013p-1"],
+        8, 108, False, 89093105619512444616308357561074884262, 0, 2077152256),
+    "identity": (
+        np.eye(3), 2.0, 2.0, 0, False,
+        "0x1.0000000000001p+0", "0x1.00a944641ad16p+0",
+        ["0x1.1e0c3cd45c513p-1", "0x1.4f0320d8ed62bp-1", "0x1.04ef8d74932dbp-1"],
+        9, 9, False, 149016169330749493134370448296911543734, 0, 0),
+    "zeros-5x5": (
+        np.eye(5) + 0.1 * (np.arange(25).reshape(5, 5) % 3), 1.5, 2.5, 2, False,
+        "0x1.093687095c1d7p+0", "inf",
+        ["0x1.0535672d974bbp-4", "0x1.5b709b0686416p-4", "0x1.e3bf6720d5d6dp-1",
+         "0x1.0535672d974bbp-4", "0x1.5b709b0686419p-4"],
+        9, 392, False, 108440923582043035961748593436460677287, 0, 0),
+}
+
+
 class TestOperatorNorm:
+    @pytest.mark.parametrize("case", PINNED)
+    def test_certificates_are_pinned_bit_for_bit(self, case):
+        # the contraction test, the bracket with a restart (STUCK's T*), a
+        # square bracketed operator, and the 8-start fallback: signed, with
+        # p > q, at a flat maximum (the identity, p = q = 2) and for a
+        # nonnegative operator with zero entries that no bound closes
+        (M, p, q, seed, adjoint, value, upper, extremiser, starts, iterations,
+         certified, state, has_uint32, uinteger) = PINNED[case]
+        T = FiniteOperator(np.array(M), p, q)
+        rng = np.random.default_rng(seed)
+        if adjoint:
+            operator_norm(T, rng=rng)
+            T = T.adjoint()
+        cert = operator_norm(T, rng=rng)
+        assert cert.value.hex() == value and cert.upper.hex() == upper
+        expected = np.array([float.fromhex(x) for x in extremiser])
+        assert cert.extremiser.dtype == expected.dtype
+        assert cert.extremiser.tobytes() == expected.tobytes()
+        assert (cert.starts, cert.iterations, cert.certified) == (starts, iterations, certified)
+        after = rng.bit_generator.state
+        assert after["state"]["state"] == state
+        assert (after["has_uint32"], after["uinteger"]) == (has_uint32, uinteger)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_rejects_an_empty_matrix(self, shape):
+        # the search would report that it annihilates its start, and the
+        # oracle would read 0
+        with pytest.raises(ValueError, match=rf"empty, got shape \({shape[0]}, {shape[1]}\)"):
+            FiniteOperator(np.zeros(shape), 1.5, 2.5)
+
     def test_rank_one(self):
         # ||a b^T||_{p->q} = ||a||_q ||b||_{p'}
         a = np.array([1.0, 2.0])
@@ -93,13 +175,7 @@ class TestOperatorNorm:
         assert operator_norm(T).value == pytest.approx(2.0, rel=1e-10)
 
     def test_certified_adjoint_norm_reaches_the_oracle(self):
-        T = FiniteOperator(np.array(
-            [[0.9431453228057903, 0.18016846261219888, 0.09169682519562405,
-              0.026179649286026008],
-             [0.008980974556175303, 0.34755391132841595, 0.500794195885301,
-              0.18769016529023586],
-             [0.046303106749281286, 0.4694608019567894, 0.6901044159335149,
-              0.4244528509843073]]), 1.5, 2.5)
+        T = FiniteOperator(STUCK, 1.5, 2.5)
         rng = np.random.default_rng(10)
         operator_norm(T, rng=rng)
         cert = operator_norm(T.adjoint(), rng=rng)
@@ -140,19 +216,6 @@ class TestOperatorNorm:
 
 
 class TestBatchedFixedPoints:
-    @pytest.mark.parametrize("p,q", [(1.5, 2.5), (2.0, 3.0)])
-    def test_rows_match_rows_run_alone(self, rng, p, q):
-        for _ in range(10):
-            T = FiniteOperator(rng.uniform(0.0, 1.0, rng.integers(2, 6, size=2)), p, q)
-            G0 = rng.uniform(0.1, 1.0, size=(8, T.matrix.shape[1]))
-            G, its = _fixed_points(T, G0)
-            for i in range(8):
-                g, it = _fixed_points(T, G0[i:i + 1])
-                assert it[0] == its[i]
-                assert lp_norm(T.apply(G[i]), q) == pytest.approx(
-                    lp_norm(T.apply(g[0]), q), rel=1e-14)
-                assert np.max(np.abs(G[i] - g[0])) <= 1e-12
-
     @pytest.mark.parametrize("M", [
         [[0.5, 0.2, 0.9], [0.3, 0.8, 0.1]],
         [[0.5, -0.2, 0.9], [-0.3, 0.8, 0.1], [0.4, 0.6, -0.7]],
@@ -162,10 +225,11 @@ class TestBatchedFixedPoints:
         # scales, where unscaled powers overflow or underflow, change no bit
         M = np.array(M)
         G0 = rng.uniform(0.1, 1.0, (8, 3)) * rng.choice([-1.0, 1.0], (8, 3))
-        G, its = _fixed_points(FiniteOperator(M, 1.5, 2.5), G0)
-        for scale in (2.0 ** 500, 2.0 ** -500):
-            G_s, its_s = _fixed_points(FiniteOperator(M * scale, 1.5, 2.5), G0)
-            assert np.array_equal(G_s, G) and np.array_equal(its_s, its)
+        for g0 in G0:
+            g, its = _fixed_point(FiniteOperator(M, 1.5, 2.5), g0)
+            for scale in (2.0 ** 500, 2.0 ** -500):
+                g_s, its_s = _fixed_point(FiniteOperator(M * scale, 1.5, 2.5), g0)
+                assert np.array_equal(g_s, g) and its_s == its
 
     @pytest.mark.parametrize("M", [
         [[1.0, 0.0, 0.0], [0.0, 0.5, 0.3]],
@@ -180,20 +244,22 @@ class TestBatchedFixedPoints:
         T = FiniteOperator(np.array(M), p, q)
         ncol = T.matrix.shape[1]
         G0 = rng.uniform(0.1, 1.0, (8, ncol)) * rng.choice([-1.0, 1.0], (8, ncol))
-        G, _ = _fixed_points(T, G0)
-        for g in G:
+        for g0 in G0:
+            g, _ = _fixed_point(T, g0)
             image = duality_map(T.apply_adjoint(duality_map(T.apply(g), q)), T.p_prime)
             assert np.max(np.abs(image - g)) <= 1e-12
 
     def test_zero_operator_annihilates(self):
         T = FiniteOperator(np.zeros((2, 3)), 1.5, 2.5)
-        with pytest.raises(ValueError, match="annihilates"):
-            _fixed_points(T, np.ones((4, 3)))
+        for g0 in np.ones((4, 3)):
+            with pytest.raises(ValueError, match="annihilates"):
+                _fixed_point(T, g0)
 
     def test_iteration_cap(self, rng):
         T = random_operator(rng)
-        with pytest.raises(ConvergenceError):
-            _fixed_points(T, rng.uniform(0.1, 1.0, (4, T.matrix.shape[1])), max_iter=3)
+        for g0 in rng.uniform(0.1, 1.0, (4, T.matrix.shape[1])):
+            with pytest.raises(ConvergenceError):
+                _fixed_point(T, g0, max_iter=3)
 
     def test_escalating_operator(self):
         # 8 starts drawn from default_rng(798) stop at two stationary values
@@ -243,20 +309,20 @@ class TestBatchedFixedPoints:
         # without signs after its first
         T = FiniteOperator(np.array(M), p, q)
         drawn = []
-        fixed_points = duality._fixed_points
+        fixed_point = duality._fixed_point
 
-        def recording(T, G0, *args):
-            drawn.append(G0.copy())
-            return fixed_points(T, G0, *args)
+        def recording(T, g0, *args):
+            drawn.append(g0.copy())
+            return fixed_point(T, g0, *args)
 
-        monkeypatch.setattr(duality, "_fixed_points", recording)
+        monkeypatch.setattr(duality, "_fixed_point", recording)
         rng = np.random.default_rng(seed)
         cert = operator_norm(T, rng=rng)
         assert cert.starts == starts
         assert cert.certified == certified
         G0, expected = self.per_row_starts(seed, starts, T.matrix.shape[1],
                                            signed=not T.nonnegative)
-        assert np.array_equal(np.concatenate(drawn), G0)
+        assert np.array_equal(np.stack(drawn), G0)
         assert rng.bit_generator.state == expected.bit_generator.state
 
 
@@ -311,7 +377,7 @@ class TestCertifiedNorm:
             cert = operator_norm(T, rng=rng)
             assert cert.certified and cert.starts == 1
             assert cert.value <= cert.upper <= cert.value * (1.0 + duality._NORM_EXCESS)
-            G, _ = duality._fixed_points(T, rng.uniform(0.1, 1.0, (64, cols)))
+            G = [_fixed_point(T, g0)[0] for g0 in rng.uniform(0.1, 1.0, (64, cols))]
             best = max(lp_norm(T.apply(g), T.q) / lp_norm(g, T.p) for g in G)
             assert cert.value == pytest.approx(best, rel=1e-12)
             # the mesh's values are lower bounds of the norm
@@ -345,13 +411,7 @@ class TestCertifiedNorm:
         # STUCK: the one start of the T* search stops at the local maximum
         # 0.9160525982; a bracket vertex beats it, and the search restarted
         # from it reaches the norm, which the bracket then certifies
-        T = FiniteOperator(np.array(
-            [[0.9431453228057903, 0.18016846261219888, 0.09169682519562405,
-              0.026179649286026008],
-             [0.008980974556175303, 0.34755391132841595, 0.500794195885301,
-              0.18769016529023586],
-             [0.046303106749281286, 0.4694608019567894, 0.6901044159335149,
-              0.4244528509843073]]), 1.5, 2.5)
+        T = FiniteOperator(STUCK, 1.5, 2.5)
         rng = np.random.default_rng(10)
         cert = operator_norm(T, rng=rng)
         cert_adj = operator_norm(T.adjoint(), rng=rng)
