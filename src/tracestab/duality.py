@@ -161,7 +161,11 @@ def _fixed_point(T: FiniteOperator, g: np.ndarray, tol: float = 1e-12,
     norm's power is taken on a 1-element array: a BLAS product, or the
     power of a numpy scalar, can round differently in the last bit.  The
     iteration stops on the first step whose l^2 length falls below tol.
-    Returns the fixed point and the iterations it took."""
+    Returns the fixed point and the iterations it took.  At large q the
+    powers can leave float64's range: a step norm that is infinite or NaN
+    raises that the search overflows, and a zero one that it underflows if
+    M g != 0, else that T annihilates the start.  _search silences numpy's
+    warnings."""
     M = _scaled(T.matrix)[0]
     e_q, e_p, inv_p = T.q - 1.0, T.p_prime - 1.0, 1.0 / T.p
     norm = np.add.reduce(np.abs(g) ** T.p, keepdims=True)
@@ -173,7 +177,9 @@ def _fixed_point(T: FiniteOperator, g: np.ndarray, tol: float = 1e-12,
         Z = np.add.reduce(H[:, None] * M, axis=0)
         W = np.copysign(np.abs(Z) ** e_p, Z)
         norm = np.add.reduce(W * Z, keepdims=True)   # ||W||_p^p
-        if not norm[0] > 0.0:   # NaN fails too
+        if not 0.0 < norm[0] < math.inf:
+            if norm[0] or Y.any():   # inf, NaN or a power that underflowed
+                raise _range_error(T, "overflows" if norm[0] else "underflows")
             raise ValueError("operator annihilates the start vector")
         norm **= inv_p
         W /= norm
@@ -200,14 +206,22 @@ _STARTS = 8   # random starts of the uncertified fallback
 _TINY = np.finfo(float).tiny
 
 
+def _range_error(T: FiniteOperator, what: str) -> ValueError:
+    return ValueError(f"the norm search {what} float64 at q = {T.q}")
+
+
 def _search(T: FiniteOperator, g0: np.ndarray):
     """The fixed point g from the start g0, its value ||T g||_q / ||g||_p
     and the iterations it took.  The value is taken on M scaled as in
-    _fixed_point, so that no power of ||T g||_q overflows or, for small
-    entries and large q, underflows to subnormals that lose its digits."""
-    g, its = _fixed_point(T, g0)
-    M, e = _scaled(T.matrix)
-    value = np.add.reduce(np.abs(np.add.reduce(g * M, axis=1)) ** T.q, keepdims=True)
+    _fixed_point, so that for small entries and large q no power of
+    ||T g||_q underflows to subnormals that lose its digits.  A value that
+    overflows raises ValueError, as the iteration does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, its = _fixed_point(T, g0)
+        M, e = _scaled(T.matrix)
+        value = np.add.reduce(np.abs(np.add.reduce(g * M, axis=1)) ** T.q, keepdims=True)
+    if value[0] == math.inf:
+        raise _range_error(T, "overflows")
     value **= 1.0 / T.q
     return float(np.ldexp(value, e)[0]), g, its
 
@@ -432,8 +446,10 @@ def operator_norm(T: FiniteOperator,
     most _BRACKET_COLUMNS columns.  A bracket vertex that beats the value
     restarts the iteration from it.  Signed matrices, p > q, and the
     nonnegative operators that no bound closes take the best of 8 random
-    starts instead, a lower bound with certified False; all 8 are drawn
-    first, and then searched one after another."""
+    starts instead, with certified False; all 8 are drawn first, and then
+    searched one after another.  That value is attained by a vector only up
+    to rounding, so it is no rigorous lower bound: the 3 x 3 identity at
+    p = q = 2 gives 1 + 2^-52."""
     rng = rng or np.random.default_rng(0)
     ncol = T.matrix.shape[1]
     provable = T.nonnegative and T.p <= T.q
@@ -465,8 +481,7 @@ def operator_norm(T: FiniteOperator,
     return NormCertificate(value, g, used, total_it, certified, float(upper))
 
 
-_SCREEN_ROUNDING = 2.0 ** -46   # 128 u; the slack of brute_force_norm's float64 screen
-_PRESCREEN_ROUNDING = 2.0 ** -17   # 128 u32; the slack of its float32 pre-screen
+_SCREEN_SLACK = 2.0 ** -18   # 64 u32; the relative slack of brute_force_norm's float32 screen
 
 
 def _mesh_values(pts: np.ndarray, T: FiniteOperator) -> np.ndarray:
@@ -478,41 +493,40 @@ def _mesh_values(pts: np.ndarray, T: FiniteOperator) -> np.ndarray:
     return np.sum(np.abs(pts @ T.matrix.T) ** T.q, axis=1) ** (1.0 / T.q)
 
 
-def _screen_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray,
-                  lines: np.ndarray | None = None, dtype=np.float64) -> np.ndarray:
-    """For each line a of the 3-column mesh (each a in lines, default all),
-    the largest screen value sum_k |y_k|^q / ||x||_p^q over its points
-    x = (c_a c_b, s_a c_b, s_b) off the pole column b = mesh - 1, with
+def _screen_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """For each line a of the 3-column mesh, the largest screen value
+    sum_k |y_k|^q / ||x||_p^q over its points x = (c_a c_b, s_a c_b, s_b)
+    off the pole column b = mesh - 1, with
     y_k = (M_k0 c_a + M_k1 s_a) c_b + M_k2 s_b and
     ||x||_p^p = (c_a^p + s_a^p) c_b^p + s_b^p built from 1-d factors: rows + 1
-    powers a point, against rows + 5 in the dense formula.  In float32, M, c
-    and s are rounded to within u32 = 2^-24 and the powers take p, q and
-    -q/p rounded too (a Python float exponent takes the array's dtype); the
-    maxima come back as float64, which holds them exactly.
+    powers a point, against rows + 5 in the dense formula.  It runs in
+    float32: M, c and s are rounded to within u32 = 2^-24 and the powers
+    take p, q and -q/p rounded too (a Python float exponent takes the
+    array's dtype); the maxima come back as float64, which holds them
+    exactly.  A power that overflows makes its line's maximum infinite or
+    NaN; the caller silences numpy's warning.
 
     The lines go through in blocks of at most 128 KiB a buffer, which stay
-    in cache.  Each point gets the same operations in the same
-    order whatever its block and whichever lines are asked for, so each
-    line's maximum is the whole-mesh screen's to the bit.  For a nonnegative
-    M the screen skips |y_k|: y_k is >= +0.0, or -0.0 (from a -0.0 entry),
-    which adds a zero to a sum that starts at +0.0."""
+    in cache.  Each point gets the same operations in the same order
+    whatever its block, so each line's maximum is the whole-mesh screen's
+    to the bit.  For a nonnegative M the screen skips |y_k|: y_k is >= +0.0,
+    or -0.0 (from a -0.0 entry), which adds a zero to a sum that starts at
+    +0.0."""
     p, q = T.p, T.q
     mesh = len(c)
-    M = T.matrix.astype(dtype, copy=False)
-    c, s = c.astype(dtype, copy=False), s.astype(dtype, copy=False)
-    lines = slice(None) if lines is None else lines
-    lead = np.multiply.outer(M[:, 0], c[lines]) + np.multiply.outer(M[:, 1], s[lines])
+    M = T.matrix.astype(np.float32)
+    c, s = c.astype(np.float32), s.astype(np.float32)
+    lead = np.multiply.outer(M[:, 0], c) + np.multiply.outer(M[:, 1], s)
     tail = np.multiply.outer(M[:, 2], s)
     signed = not T.nonnegative
     cp, sp = c ** p, s ** p
-    weight = (cp + sp)[lines]
-    count = len(weight)
-    block = max(1, 131_072 // (mesh * M.itemsize))   # 128 KiB a buffer
-    acc = np.empty((min(block, count), mesh), dtype)
+    weight = cp + sp
+    block = max(1, 32_768 // mesh)   # 128 KiB a float32 buffer
+    acc = np.empty((min(block, mesh), mesh), np.float32)
     buf = np.empty_like(acc)
-    line_max = np.empty(count)
-    for a in range(0, count, block):
-        part = slice(a, min(a + block, count))
+    line_max = np.empty(mesh)
+    for a in range(0, mesh, block):
+        part = slice(a, min(a + block, mesh))
         acc_a, buf_a = acc[:part.stop - a], buf[:part.stop - a]
         acc_a.fill(0.0)
         for lead_k, tail_k in zip(lead, tail):
@@ -530,30 +544,21 @@ def _screen_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray,
     return line_max
 
 
-def _near_top(T: FiniteOperator, line_max: np.ndarray, weight: float,
-              rounding: float, floor: float) -> np.ndarray:
-    """Indices of the line maxima within the slack
-    rounding (q + q/p + rows + 1) (top + weight) + floor of the top one;
-    every index when the slack is not finite."""
-    top = line_max.max()
-    slack = (rounding * (T.q + T.q / T.p + T.matrix.shape[0] + 1) * (top + weight)
-             + floor)
+def _candidate_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The lines of the 3-column mesh that brute_force_norm re-evaluates:
+    those whose float32 screen of 2^-e M is within the slack of the top
+    value S; every line when S or the slack is infinite or NaN."""
+    M, e = _scaled(T.matrix)
+    rows, p, q = M.shape[0], T.p, T.q
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow keeps every line
+        line_max = _screen_lines(FiniteOperator(M, p, q), c, s)
+        top = line_max.max()
+        weight = 0.0 if T.nonnegative else np.sum(np.sum(np.abs(M), axis=1) ** q)
+        slack = (_SCREEN_SLACK * (q + q / p + rows + 1) * (top + weight)
+                 + (rows + 1) * (2.0 ** -23 + q * np.exp2(-1018.0 - e * q)))
     if not np.isfinite(slack):
         return np.arange(len(line_max))
     return np.flatnonzero(line_max >= top - slack)
-
-
-def _candidate_lines(T: FiniteOperator, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The lines of the 3-column mesh that the float32 pre-screen of
-    brute_force_norm keeps."""
-    rows, q = T.matrix.shape[0], T.q
-    M, e = _scaled(T.matrix)
-    scaled = FiniteOperator(M, T.p, q)
-    with np.errstate(over="ignore"):   # an infinite floor keeps every line
-        floor = (rows + 1) * (2.0 ** -23 + q * np.exp2(-1018.0 - e * q))
-    return _near_top(scaled, _screen_lines(scaled, c, s, dtype=np.float32),
-                     np.sum(np.sum(np.abs(scaled.matrix), axis=1) ** q),
-                     _PRESCREEN_ROUNDING, floor)
 
 
 def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
@@ -563,66 +568,56 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
     The mesh is t = linspace(0, pi/2, mesh), c = cos t, s = sin t: the
     points (c_i, s_i) for 2 columns, (c_a c_b, s_a c_b, s_b) for 3.  Each
     point is normalised in l^p and its value ||M x||_q taken by
-    _mesh_values; the result is the largest value.  For 3 columns the
-    mesh^2 points go through three stages, and the result is bit for bit
-    the dense formula's maximum over the whole mesh:
+    _mesh_values; the result is the largest value.  For 3 columns,
+    _candidate_lines screens every line of the mesh in float32
+    (_screen_lines) on 2^-e M, where 2^e brings the largest entry of M into
+    [1/2, 1) as in _fixed_point, and keeps the lines within the slack below
+    of the top screen value S.  _mesh_values then re-evaluates those lines
+    whole, as in the full mesh (a single row would take numpy's one-row
+    matmul route, which can differ in the last bit), and the pole column
+    b = mesh - 1, where every line ends near (0, 0, 1), once as a batch of
+    mesh rows.  The result is the dense formula's maximum over the whole
+    mesh, bit for bit.  Nothing assumes that few lines pass: a zero matrix
+    or a flat maximum passes them all.
 
-    1. _candidate_lines screens every line in float32 on 2^-e M, where 2^e
-       brings the largest entry of M into [1/2, 1) as in _fixed_point, and
-       keeps the lines within the float32 slack of the top one.
-    2. _screen_lines screens those lines again in float64 on M, each line
-       to the bit as in a screen of the whole mesh, and keeps the lines
-       within the float64 slack of the top one.
-    3. _mesh_values re-evaluates those lines whole, as in the full mesh (a
-       single row would take numpy's one-row matmul route, which can differ
-       in the last bit), and the pole column b = mesh - 1, where every line
-       ends near (0, 0, 1), once as a batch of mesh rows.  Nothing assumes
-       that few lines pass: a zero matrix or a flat maximum passes them all.
-
-    Float64 slack.  Both float64 stages approximate the same real
+    Dense error.  The dense formula approximates the real
     V^q = ||M x||_q^q / ||x||_p^q, and u = 2^-53.  Every coordinate lies in
     [0, 1], and each step is correctly rounded or a power good to 4 ulps.
-    So each computed y_k is within 25 u m_k of the true one (4 u m_k in the
-    screen), with m_k = sum_l |M_kl|; its q-th power is then within
-    26 q u m_k^q (5 q u m_k^q) plus 8 u relative.  The row sum and the
-    closing powers bring the relative part to (8 + rows + 8 q) u for the
-    dense value and to (17 + rows + 19 q/p) u for the screen.  The absolute
-    part is there for a signed M, where y_k can cancel and its relative
-    error is unbounded.  The line holding the dense maximum off the pole
-    column therefore screens within 2 (e_screen + e_dense) of the screen's
-    top value S, that is within (50 + 4 rows + 16 q + 38 q/p) u S
-    + 62 q u sum_k m_k^q.  The slack used is
-    _SCREEN_ROUNDING (q + q/p + rows + 1) (S + sum_k m_k^q), with
-    _SCREEN_ROUNDING = 2^-46 = 128 u, which is at least twice that, plus
-    the smallest normal float for values that underflow.
+    So each computed y_k = (M x)_k is within 25 u m_k of the true one, with
+    m_k = sum_l |M_kl|, and its q-th power within 26 q u m_k^q plus 8 u
+    relative; for a nonnegative M, whose y_k sum nonnegative products, m_k
+    here can be read as |y_k|.  The row sum and the closing powers bring
+    the relative part to (8 + rows + 8 q) u, and underflow adds at most
+    (rows + 1) (q + 2) 2^-1072.
 
-    Float32 slack.  Here m_k, S and the values are those of 2^-e M, 2^-eq
+    Screen error.  From here m_k, S and V^q are those of 2^-e M, 2^-eq
     times those of M, and u32 = 2^-24.  Rounding M, c and s to float32 puts
-    y_k within 7 u32 m_k.  A float32 power x^r is good to 4 ulps plus u32 |r ln x| x^r
-    (numpy's vectorised powf loses accuracy in proportion to |r ln x|), and
-    rounding r to float32 costs as much again.  As y^q q ln(1/y) <= 1/exp(1)
-    for y < 1, |y_k|^q is within 10 q u32 m_k^q + 0.74 u32 plus 8 u32
-    relative, and ||x||_p^-q, whose base lies in [1, 3^(1/2)], within
-    (2 q + 25 q/p + 8) u32 relative.  Each line value is then within
-    e32 = 25 (q + q/p + rows + 1) u32 (S + sum_k m_k^q) + 0.74 rows u32 + F32,
-    F32 = (rows (9 q + 1) + 1) 2^-126 for underflow; the float64 screen's
-    error, in these units, is below 2^-28 e32 plus its own underflow,
-    (rows (5 q + 1) + 1) 2^(-1022 - e q).  A line that the float64 slack
-    passes thus screens within twice both errors plus the float64 slack of
-    the float32 top.  The slack used, _PRESCREEN_ROUNDING (q + q/p + rows + 1)
-    (S + sum_k m_k^q) + (rows + 1) (2^-23 + q 2^(-1018 - e q)) with
-    _PRESCREEN_ROUNDING = 2^-17 = 128 u32, covers that for q up to 2^90.
-    The candidates therefore hold every line that the float64 slack passes
-    in a float64 screen of the whole mesh: the float64 top line, so stage 2
-    finds that screen's top value, slack and lines, and the line of the
-    dense maximum off the pole column.
+    y_k within 7 u32 m_k (|y_k| again for a nonnegative M).  A float32
+    power x^r is good to 4 ulps plus u32 |r ln x| x^r (numpy's vectorised
+    powf loses accuracy in proportion to |r ln x|), and rounding r to
+    float32 costs as much again.  As |y_k| <= ||M_k||_2 <= 3^(1/2) and
+    y^q q ln(1/y) <= 1/exp(1) for y < 1, |y_k|^q is within
+    7 q u32 m_k^q + 0.74 u32 plus (1.1 q + 8) u32 relative, and ||x||_p^-q,
+    whose base lies in [1, 3^(1/2)], within (2 q + 25 q/p + 8) u32 relative.
+    Each screen value is then within E (V^q + W) + 0.74 rows u32 + F32 of
+    V^q, with E = 25 (q + q/p + rows + 1) u32, W = sum_k m_k^q for a signed M
+    and W = 0 for a nonnegative one, and F32 = (rows (9 q + 1) + 1) 2^-126
+    for underflow.  The dense error, in these units, is below
+    2^-24 E (V^q + W) plus (rows + 1) (q + 2) 2^(-1072 - e q).
 
-    Overflow.  Scaled, |y_k| <= m_k <= 3 and ||x||_p >= 1, so the float32
-    screen cannot overflow.  It runs while sum_k m_k^q <= DBL_MAX / 4 for M
-    itself, where no float64 screen value or slack overflows; past that every
-    line is a candidate, and all are re-evaluated if the float64 slack is
-    not finite.  A float32 slack that overflows, as 2^(-1022 - e q) does for
-    entries far below 1, keeps every line."""
+    Slack.  Let S be at the point P, and the dense maximum off the pole
+    column at Q.  As Q's dense value is at least P's, Q screens within
+    twice the screen and the dense errors of S.  While E <= 1/8, that is
+    for q + q/p + rows < 2^16, the largest V^q is below
+    (S + E W + 0.74 rows u32 + F32) / (1 - E), and the slack
+    _SCREEN_SLACK (q + q/p + rows + 1) (S + W)
+    + (rows + 1) (2^-23 + q 2^(-1018 - e q)), with
+    _SCREEN_SLACK = 2^-18 = 64 u32, covers that: Q's line is a candidate.
+
+    Overflow.  |y_k|^q overflows float32 once q ln(3^(1/2)) > 88.7, past
+    q = 160 or so; W and 2^(-1018 - e q) overflow float64 at larger q or
+    for entries far below 1.  The overflows are silent, and an infinite or
+    NaN screen value or slack keeps every line."""
     ncol = T.matrix.shape[1]
     t = np.linspace(0.0, 0.5 * math.pi, mesh)
     c, s = np.cos(t), np.sin(t)
@@ -630,13 +625,7 @@ def brute_force_norm(T: FiniteOperator, mesh: int = 180) -> float:
         return float(np.max(_mesh_values(np.stack([c, s], axis=1), T)))
     if ncol != 3:
         raise ValueError("brute force supports 2 or 3 columns")
-    weight = np.sum(np.sum(np.abs(T.matrix), axis=1) ** T.q)
-    if weight <= np.finfo(float).max / 4.0:
-        lines = _candidate_lines(T, c, s)
-    else:   # the float64 screen may overflow
-        lines = np.arange(mesh)
-    lines = lines[_near_top(T, _screen_lines(T, c, s, lines), weight,
-                            _SCREEN_ROUNDING, np.finfo(float).tiny)]
+    lines = _candidate_lines(T, c, s)
     # point (a, b) is (cos t_a cos t_b, sin t_a cos t_b, sin t_b)
     pts = np.stack([np.outer(c[lines], c).ravel(), np.outer(s[lines], c).ravel(),
                     np.tile(s, len(lines))], axis=1)

@@ -3,6 +3,7 @@ norms, extremiser transfer, sharpened Hoelder inequalities, the local
 stability pipeline, and the unit-interval counterexample family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,31 @@ class TestBatchedFixedPoints:
         for g0 in np.ones((4, 3)):
             with pytest.raises(ValueError, match="annihilates"):
                 _fixed_point(T, g0)
+
+    @pytest.mark.parametrize("M,p,q,what", [
+        # |M g| reaches 0.99 cols^(1/p'), and |M^T |M g|^(q-1)|^p' overflows
+        (np.full((2, 5), 0.99), 1.9, 1000.0, "overflows"),
+        (np.full((3, 4), 0.99), 1.9, 800.0, "overflows"),
+        # a signed start's |M^T |M g|^(q-1)|^p' underflows to 0 though M g != 0
+        (-np.full((3, 4), 0.99), 1.9, 800.0, "underflows"),
+    ])
+    def test_search_names_float64_range_errors(self, M, p, q, what):
+        # a step norm that is not finite, or zero for M g != 0, is not an
+        # operator that annihilates the start: the search names the
+        # failure and q, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=rf"{what} float64 at q = {q}"):
+                operator_norm(FiniteOperator(M, p, q), rng=np.random.default_rng(0))
+
+    def test_large_q_search_that_does_not_overflow(self):
+        # at q = 1000 a search whose powers stay normal still certifies
+        T = FiniteOperator(np.array([[0.99, 0.05], [0.05, 0.99]]), 2.0, 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cert = operator_norm(T, rng=np.random.default_rng(0))
+        assert cert.value <= cert.upper <= cert.value * (1.0 + duality._NORM_EXCESS)
+        assert cert.value == pytest.approx(brute_force_norm(T, 2000), rel=1e-6)
 
     def test_iteration_cap(self, rng):
         T = random_operator(rng)
@@ -575,7 +601,7 @@ class TestBruteForce:
                                        (np.eye(3), 2.0, 2.0)], ids=["zero", "flat"])
     def test_flat_maximum_reevaluates_every_line(self, monkeypatch, M, p, q):
         # every point of the mesh has the same value, so no line may be
-        # screened out, in float32 or in float64
+        # screened out
         evaluated = []
         mesh_values = duality._mesh_values
 
@@ -592,12 +618,13 @@ class TestBruteForce:
 
     @staticmethod
     def whole_mesh_screen(T, c, s):
-        """_screen_lines over the whole mesh at once, with |y_k| taken for
-        every sign of M."""
+        """_screen_lines over the whole mesh at once, in float32, with |y_k|
+        taken for every sign of M."""
         p, q = T.p, T.q
-        acc = np.zeros((len(c), len(c)))
+        c, s = c.astype(np.float32), s.astype(np.float32)
+        acc = np.zeros((len(c), len(c)), np.float32)
         buf = np.empty_like(acc)
-        for m0, m1, m2 in T.matrix:
+        for m0, m1, m2 in T.matrix.astype(np.float32):
             np.multiply.outer(m0 * c + m1 * s, c, out=buf)
             buf += m2 * s
             np.abs(buf, out=buf)
@@ -608,7 +635,7 @@ class TestBruteForce:
         buf += sp
         buf **= -q / p
         acc *= buf
-        return acc[:, :-1].max(axis=1, initial=0.0)
+        return acc[:, :-1].max(axis=1, initial=0.0).astype(float)
 
     @pytest.mark.parametrize("entries", [(-1.0, 1.0), (0.0, 1.0), (1.0, 3.0)])
     @pytest.mark.parametrize("mesh", [2, 3, 31, 32, 33, 37, 180, 500])
@@ -665,10 +692,44 @@ class TestBruteForce:
         assert brute_force_norm(T, mesh) == self.meshgrid_reference(T, mesh)
         assert sum(evaluated) < mesh ** 2 / 2
 
+    def test_nonnegative_operators_reevaluate_few_lines(self, monkeypatch, rng):
+        # operators as the duality-lab benchmark draws them: with no
+        # sum_k m_k^q term in a nonnegative M's slack, few lines pass
+        evaluated = []
+        mesh_values = duality._mesh_values
+
+        def counting(pts, T):
+            evaluated.append(len(pts))
+            return mesh_values(pts, T)
+
+        monkeypatch.setattr(duality, "_mesh_values", counting)
+        mesh = 500
+        for i in range(40):
+            p, q = [(1.5, 2.5), (2.0, 2.0), (1.5, 2.0), (2.0, 3.0)][i % 4]
+            T = FiniteOperator(rng.uniform(1.0, 3.0, (int(rng.integers(2, 6)), 3)), p, q)
+            evaluated.clear()
+            brute_force_norm(T, mesh)
+            assert evaluated[-1] == mesh   # the pole column
+            assert sum(evaluated[:-1]) <= 16 * mesh
+
+    @pytest.mark.parametrize("q", [170.0, 300.0])
+    def test_screen_overflow_keeps_the_result(self, rng, q):
+        # past q = 160 or so |y_k|^q can overflow float32 in the screen; that
+        # is silent, and a non-finite screen re-evaluates every line
+        ops = [np.full((3, 3), 0.99), rng.uniform(0.0, 1.0, (3, 3)),
+               rng.uniform(1.0, 3.0, (4, 3)), rng.uniform(-1.0, 1.0, (2, 3))]
+        for M in ops:
+            T = FiniteOperator(M, 1.5, q)
+            for mesh in (37, 180):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = brute_force_norm(T, mesh)
+                assert got == self.meshgrid_reference(T, mesh)
+
 
 class TestPrescreen:
-    """brute_force_norm's float32 pre-screen against the float64 screen, and
-    the float32 powers its slack assumes."""
+    """brute_force_norm's float32 screen against the dense formula, and the
+    float32 powers its slack assumes."""
 
     def test_float32_powers(self, rng):
         # the bound the slack assumes for a float32 power x^e: 4 ulps plus
@@ -705,22 +766,21 @@ class TestPrescreen:
             c, s = np.cos(t), np.sin(t)
             e = np.frexp(np.max(np.abs(M)))[1]
             scaled = FiniteOperator(np.ldexp(M, -e), T.p, T.q)
-            s32 = duality._screen_lines(scaled, c, s, dtype=np.float32)
-            s64 = duality._screen_lines(T, c, s)
-            # each float32 value within half the slack of 2^-eq times its
-            # float64 value: the error bound the slack doubles
-            w32 = np.sum(np.sum(np.abs(scaled.matrix), axis=1) ** T.q)
-            half = 0.5 * (duality._PRESCREEN_ROUNDING * (T.q + T.q / T.p + rows + 1)
-                          * (s32.max() + w32) + (rows + 1) * 2.0 ** -23)
-            assert np.all(np.abs(s32 - np.exp2(-e * T.q) * s64) <= half)
-            # the candidates hold the float64 top line and every line the
-            # float64 slack passes
-            candidates = duality._candidate_lines(T, c, s)
-            w64 = np.sum(np.sum(np.abs(M), axis=1) ** T.q)
-            passed = duality._near_top(T, s64, w64, duality._SCREEN_ROUNDING,
-                                       np.finfo(float).tiny)
-            assert np.argmax(s64) in candidates
-            assert np.isin(passed, candidates).all()
+            s32 = duality._screen_lines(scaled, c, s)
+            # the dense formula's q-th powers of 2^-e M, line by line off
+            # the pole column
+            pts = np.stack([np.outer(c, c).ravel(), np.outer(s, c).ravel(),
+                            np.tile(s, mesh)], axis=1)
+            dense = duality._mesh_values(pts, T).reshape(mesh, mesh)[:, :-1]
+            dense_q = np.max(np.ldexp(dense, -e) ** T.q, axis=1, initial=0.0)
+            # each float32 line maximum within half the slack of the dense
+            # one: the error bound the slack doubles
+            w = 0.0 if T.nonnegative else np.sum(np.sum(np.abs(scaled.matrix), axis=1) ** T.q)
+            half = 0.5 * (duality._SCREEN_SLACK * (T.q + T.q / T.p + rows + 1)
+                          * (s32.max() + w) + (rows + 1) * 2.0 ** -23)
+            assert np.all(np.abs(s32 - dense_q) <= half)
+            # the candidates hold the line of the dense maximum
+            assert np.argmax(np.max(dense, axis=1, initial=0.0)) in duality._candidate_lines(T, c, s)
 
 
 class TestExtremiserTransfer:
