@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 import scipy.special as sp
@@ -30,12 +31,10 @@ __all__ = [
     "GridSpectrum",
     "grid_spectrum",
     "B_coefficient",
-    "A_coefficient",
     "deficit_report",
     "equality_case_builder",
     "extremising_sequence",
     "reverse_deficit_check",
-    "trace_evaluate",
     "random_profile_set",
 ]
 
@@ -58,6 +57,8 @@ class RadialGrid:
 
     @staticmethod
     def build(r_max: float = 200.0) -> "RadialGrid":
+        if not r_max > 0.0:
+            raise ValueError(f"the grid needs r_max > 0, got {r_max}")
         panel_len = 2.0 * math.pi / _PANELS_PER_PERIOD
         npan = int(math.ceil(r_max / panel_len))
         edges = np.linspace(0.0, r_max, npan + 1)
@@ -78,18 +79,32 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class ProfileSet:
-    """Finite family of radial profiles indexed by harmonic mode (k, m)."""
+    """Finite family of radial profiles indexed by harmonic mode (k, m).
+
+    `entries` is a read-only mapping of read-only float arrays, so the mode
+    sums of the set, kept once per GridSpectrum it meets, cannot go stale.
+    A float array that owns its data is frozen in place, not copied: the
+    caller can no longer write into it.  Any other profile (a view, a list,
+    another dtype) is copied into a fresh float array, which is frozen."""
 
     n: int
     grid: RadialGrid
     entries: dict = field(repr=False)
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        frozen = {}
         for (k, m), g in self.entries.items():
             if k < 0 or not 1 <= m <= dim_harmonic(self.n, k):
                 raise ValueError(f"mode index ({k},{m}) out of range for n={self.n}")
-            if np.asarray(g).shape != self.grid.r.shape:
+            g = np.asarray(g, dtype=float)
+            if g.shape != self.grid.r.shape:
                 raise ValueError(f"profile ({k},{m}) does not match the grid")
+            if g.base is not None:
+                g = g.copy()
+            g.setflags(write=False)
+            frozen[(k, m)] = g
+        object.__setattr__(self, "entries", MappingProxyType(frozen))
 
     def max_degree(self) -> int:
         return max((k for k, _ in self.entries), default=0)
@@ -153,25 +168,23 @@ def B_coefficient(profile: np.ndarray, grid: RadialGrid) -> float:
     return grid.integrate(g * g)
 
 
-def A_coefficient(profile: np.ndarray, weight: WeightSpec, k: int,
-                  grid: RadialGrid) -> float:
-    """Squared inner product of the profile with the Bessel kernel."""
-    kernel = grid_spectrum(weight, grid).kernel(k)
-    inner = grid.integrate(np.asarray(profile, float) * kernel)
-    return inner * inner
-
-
-def _mode_sums(ps: ProfileSet, gs: GridSpectrum):
-    sumB = sumA = a01 = 0.0
-    for (k, m), g in ps.entries.items():
-        b = B_coefficient(g, ps.grid)
-        inner = ps.grid.integrate(g * gs.kernel(k))
-        a = inner * inner
-        sumB += b
-        sumA += a
-        if k == 0 and m == 1:
-            a01 = a
-    return sumB, sumA, a01
+def _mode_sums(ps: ProfileSet, gs: GridSpectrum) -> tuple[float, float, float]:
+    """(sum B, sum A, A_{0,1}) of ps under gs, computed once per (ps, gs)
+    and kept on ps.  The key is gs itself, which the entry keeps alive, so
+    no later GridSpectrum can take over its key."""
+    sums = ps._sums.get(gs)
+    if sums is None:
+        sumB = sumA = a01 = 0.0
+        for (k, m), g in ps.entries.items():
+            b = B_coefficient(g, ps.grid)
+            inner = ps.grid.integrate(g * gs.kernel(k))
+            a = inner * inner
+            sumB += b
+            sumA += a
+            if k == 0 and m == 1:
+                a01 = a
+        sums = ps._sums[gs] = (sumB, sumA, a01)
+    return sums
 
 
 def deficit_report(ps: ProfileSet, weight: WeightSpec,
@@ -256,6 +269,12 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
                        n_modes: int | None = None) -> ProfileSet:
     """Random mixture of Gaussian bumps (exactly zero beyond |z| = 27.5) and
     extremal kernels over modes k <= max_k, m <= min(dim H_k, 3)."""
+    # checked before any draw, so a rejected call leaves rng's stream as it was
+    if max_k < 0:
+        raise ValueError(f"random profiles need max_k >= 0, got {max_k}")
+    if n_modes is not None and n_modes < 1:
+        raise ValueError(f"random profiles need n_modes >= 1, got {n_modes}; "
+                         "the zero function is excluded")
     n = weight.n
     gs = grid_spectrum(weight, grid)
     if n_modes is None:
@@ -277,73 +296,3 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
         else:
             entries[(k, m)] = prof
     return ProfileSet(n, grid, entries)
-
-
-# ---------------------------------------------------------------------------
-# pointwise trace evaluation (n = 2, 3): the physical-space oracle for
-# _mode_sums, whose sum A must equal the L^2(S^{n-1}) norm^2 of the trace
-
-
-def _real_harmonic(n: int, k: int, m: int, theta: np.ndarray) -> float:
-    """Orthonormal real spherical harmonic P^{(k,m)} at a point of S^{n-1},
-    n in {2, 3} (trace_evaluate checks n)."""
-    if n == 2:
-        phi = math.atan2(theta[1], theta[0])
-        if k == 0:
-            return 1.0 / math.sqrt(2.0 * math.pi)
-        return (math.cos(k * phi) if m == 1 else math.sin(k * phi)) / math.sqrt(math.pi)
-    x, y, z = theta
-    pol = math.acos(max(-1.0, min(1.0, z)))
-    az = math.atan2(y, x)
-    mu = m - 1 - k  # m in 1..2k+1  ->  mu in -k..k
-    y_c = sp.sph_harm_y(k, abs(mu), pol, az)
-    if mu == 0:
-        return float(np.real(y_c))
-    if mu > 0:
-        return math.sqrt(2.0) * (-1.0) ** mu * float(np.real(y_c))
-    return math.sqrt(2.0) * (-1.0) ** mu * float(np.imag(y_c))
-
-
-def trace_evaluate(ps: ProfileSet, weight: WeightSpec, theta) -> complex:
-    """Pointwise value of the traced function at theta on S^{n-1} (complex;
-    the phase i^k attaches to each degree block)."""
-    n = ps.n
-    if n not in (2, 3):
-        raise ValueError("pointwise trace evaluation supports n in {2, 3} only")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n,) or abs(np.linalg.norm(theta) - 1.0) > 1e-10:
-        raise ValueError("theta must be a unit vector in R^n")
-    gs = grid_spectrum(weight, ps.grid)
-    total = 0.0 + 0.0j
-    pref = (2.0 * math.pi) ** (-n / 2.0)
-    for (k, m), g in ps.entries.items():
-        inner = ps.grid.integrate(g * gs.kernel(k))
-        total += pref * (1j) ** k * _real_harmonic(n, k, m, theta) * inner
-    return total
-
-
-_SPHERE_POLAR = 64      # Gauss-Legendre nodes in cos(polar angle), n = 3
-_SPHERE_AZIMUTH = 128   # equispaced azimuths
-
-
-def sphere_quadrature(n: int):
-    """Nodes (rows of unit vectors) and weights integrating over S^{n-1}."""
-    phi = np.linspace(0.0, 2.0 * math.pi, _SPHERE_AZIMUTH, endpoint=False)
-    w_phi = np.full(_SPHERE_AZIMUTH, 2.0 * math.pi / _SPHERE_AZIMUTH)
-    if n == 2:
-        return np.stack([np.cos(phi), np.sin(phi)], axis=1), w_phi
-    if n == 3:
-        x, wx = np.polynomial.legendre.leggauss(_SPHERE_POLAR)
-        ct = x[:, None]
-        st = np.sqrt(1.0 - ct ** 2)
-        pts = np.stack(
-            [
-                (st * np.cos(phi)[None, :]).ravel(),
-                (st * np.sin(phi)[None, :]).ravel(),
-                np.broadcast_to(ct, (_SPHERE_POLAR, _SPHERE_AZIMUTH)).ravel(),
-            ],
-            axis=1,
-        )
-        w = (wx[:, None] * w_phi[None, :]).ravel()
-        return pts, w
-    raise ValueError("sphere quadrature supports n in {2, 3} only")

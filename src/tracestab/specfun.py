@@ -74,13 +74,20 @@ def add_gaussian(out: np.ndarray, amp: float, *terms) -> None:
     which the computed z and the window bounds can stray.  There the dense
     formula adds amp * 0.0, which changes no float but -0.0, and out never
     holds -0.0 if it starts at +0.0.  The exponent (-z_0^2) + (-z_1^2) has
-    the bits of -z_0^2 - z_1^2."""
+    the bits of -z_0^2 - z_1^2.  Each step runs in place on a fresh array
+    (for one term the reduce returns that array itself) and is the same
+    IEEE operation as in the dense formula."""
     windows, args = [], []
     for axis, c, w in terms:
-        lo, hi = np.searchsorted(axis, (c - 27.5 * w, c + 27.5 * w))
-        z = (axis[lo:hi] - c) / w
+        lo = axis.searchsorted(c - 27.5 * w)
+        hi = axis.searchsorted(c + 27.5 * w)
+        z = axis[lo:hi] - c
+        z /= w
+        z *= z
+        np.negative(z, out=z)
         windows.append(slice(lo, hi))
-        args.append(-(z * z))
-    bump = np.exp(functools.reduce(np.add.outer, args))
+        args.append(z)
+    bump = functools.reduce(np.add.outer, args)
+    np.exp(bump, out=bump)
     bump *= amp
     out[tuple(windows)] += bump

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import A_coefficient, sphere_quadrature, trace_evaluate
 from tracestab import harmonic
 from tracestab.errors import InconclusiveError
 from tracestab.harmonic import (
-    A_coefficient,
     B_coefficient,
     GridSpectrum,
     ProfileSet,
@@ -20,8 +20,6 @@ from tracestab.harmonic import (
     extremising_sequence,
     random_profile_set,
     reverse_deficit_check,
-    sphere_quadrature,
-    trace_evaluate,
 )
 from tracestab.specfun import dim_harmonic
 from tracestab.spectrum import WeightSpec, build_spectrum
@@ -300,3 +298,71 @@ class TestProfileSet:
         gs = GridSpectrum(W2, GRID)
         with pytest.raises(ValueError):
             ProfileSet(2, GRID, {(1, 3): gs.kernel(1)})  # dim H_1 = 2 at n = 2
+
+    def test_entries_are_read_only(self, rng):
+        ps = random_profile_set(W3, GRID, rng)
+        key, prof = next(iter(ps.entries.items()))
+        with pytest.raises(ValueError):
+            prof[0] = 1.0
+        with pytest.raises(TypeError):
+            ps.entries[key] = np.zeros(GRID.size)
+        with pytest.raises(TypeError):
+            del ps.entries[key]
+
+    def test_views_are_copied_and_owned_arrays_frozen(self):
+        owned = np.exp(-((GRID.r - 6.0) / 1.5) ** 2)
+        base = np.stack([owned, owned])
+        ps = ProfileSet(3, GRID, {(0, 1): owned, (1, 1): base[1]})
+        assert ps.entries[(0, 1)] is owned and not owned.flags.writeable
+        assert ps.entries[(1, 1)] is not base[1] and base.flags.writeable
+        base[1] = 0.0
+        assert np.array_equal(ps.entries[(1, 1)], owned)
+
+    def test_sums_are_kept_per_weight(self, rng):
+        other = WeightSpec.inhomogeneous(3, 2.0)
+        ps = random_profile_set(W3, GRID, rng)
+        got = [deficit_report(ps, w) for w in (W3, other, W3, other)]
+        for w, rep in zip((W3, other, W3, other), got):
+            fresh = deficit_report(ProfileSet(3, GRID, dict(ps.entries)), w)
+            assert repr(rep) == repr(fresh)
+        assert repr(got[0]) != repr(got[1])
+
+    @pytest.mark.parametrize("reverse_first", [False, True])
+    def test_reports_read_one_set_of_sums(self, reverse_first, monkeypatch, rng):
+        ps = random_profile_set(W3, GRID, rng)
+        fresh = ProfileSet(3, GRID, dict(ps.entries))
+        want = (repr(deficit_report(fresh, W3, SPEC3)),
+                repr(reverse_deficit_check(fresh, W3)))
+        integrate = RadialGrid.integrate
+        calls = []
+
+        def counting(grid, samples):
+            calls.append(1)
+            return integrate(grid, samples)
+
+        monkeypatch.setattr(RadialGrid, "integrate", counting)
+        if reverse_first:
+            rev = repr(reverse_deficit_check(ps, W3))
+            n_calls = len(calls)
+            rep = repr(deficit_report(ps, W3, SPEC3))
+        else:
+            rep = repr(deficit_report(ps, W3, SPEC3))
+            n_calls = len(calls)
+            rev = repr(reverse_deficit_check(ps, W3))
+        assert (rep, rev) == want
+        assert n_calls >= 2 * len(ps.entries) and len(calls) == n_calls
+
+
+class TestBadSizes:
+    def test_grid_needs_positive_radius(self):
+        for r_max in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="r_max > 0"):
+                RadialGrid.build(r_max)
+
+    @pytest.mark.parametrize("kwargs,message", [({"n_modes": 0}, "n_modes >= 1"),
+                                                ({"max_k": -1}, "max_k >= 0")])
+    def test_random_profiles_check_before_drawing(self, kwargs, message, rng):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            random_profile_set(W3, GRID, rng, **kwargs)
+        assert rng.bit_generator.state == state
