@@ -69,15 +69,11 @@ class RadialGrid:
         wq = np.tile(half * w, npan)
         return RadialGrid(r_max, r, wq)
 
-    @property
-    def size(self) -> int:
-        return self.r.size
-
     def integrate(self, samples: np.ndarray) -> float:
         return float(np.dot(self.wq, samples))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileSet:
     """Finite family of radial profiles indexed by harmonic mode (k, m).
 
@@ -108,10 +104,6 @@ class ProfileSet:
 
     def max_degree(self) -> int:
         return max((k for k, _ in self.entries), default=0)
-
-    def scaled(self, factor: float) -> "ProfileSet":
-        return ProfileSet(self.n, self.grid,
-                          {km: factor * g for km, g in self.entries.items()})
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ __all__ = [
     "add_gaussian",
 ]
 
+# Safe numeric envelope for sup_r |J_nu(r)| r^{1/3}; the sharp value is about
+# 0.7858 (Landau), 0.8 leaves headroom.
+LANDAU_ENVELOPE = 0.8
+
 
 def legendre(n: int, k: int, t):
     """Legendre polynomial of degree k in dimension n, normalised so that
@@ -46,12 +50,6 @@ def legendre_all(n: int, k_max: int, t: np.ndarray) -> np.ndarray:
     for j in range(1, k_max):
         out[j + 1] = ((2 * j + n - 2) * t * out[j] - j * out[j - 1]) / (j + n - 2)
     return out
-
-
-def landau_envelope_constant() -> float:
-    """Safe numeric envelope for sup_r |J_nu(r)| r^{1/3}; the sharp value
-    is about 0.7858 (Landau), 0.8 leaves headroom."""
-    return 0.8
 
 
 def dim_harmonic(n: int, k: int) -> int:

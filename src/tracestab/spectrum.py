@@ -22,15 +22,13 @@ import numpy as np
 import scipy.special as sp
 
 from .errors import ConvergenceError, InconclusiveError, InconsistencyError
-from .specfun import landau_envelope_constant, legendre
+from .specfun import LANDAU_ENVELOPE, legendre
 
 __all__ = [
     "WeightSpec",
     "LambdaSpectrum",
     "TruncationCertificate",
     "sphere_area",
-    "lambda_homogeneous_closed",
-    "lambda_inhomogeneous_s1",
     "check_tol",
     "lambda_quadrature",
     "watson_integral",
@@ -54,123 +52,210 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
-    """Radial weight w on (0, infty).
+    """Radial weight w on (0, infty), one subclass per family, made by the
+    factories below; the class constant kind names the family in JSON.  Each
+    family holds its own formulas: w, tail_integral (int_R^infty w dr), the
+    envelope of lambda_quadrature's tail, a closed form of lambda_k or None,
+    and, for the certificate where it has none, decay_exponent and
+    holder_moments.  Weights hash and compare by identity (tables hold arrays)."""
 
-    kind is one of 'homogeneous' (r^{-2s}), 'inhomogeneous' ((1+r^2)^{-s})
-    or 'custom' (monotone-spline table with a declared power-law tail).
-    Weights hash and compare by identity, since a custom table holds arrays.
-    """
-
-    kind: str
     n: int
-    s: float | None = None
-    r_table: np.ndarray | None = None
-    w_table: np.ndarray | None = None
-    tail_exponent: float | None = None
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
-        if self.kind in ("homogeneous", "inhomogeneous"):
-            if not self.s > 0.5:
-                raise ValueError(f"s > 1/2 required; got s={self.s}")
-        elif self.kind == "custom":
-            r = np.asarray(self.r_table, dtype=float)
-            w = np.asarray(self.w_table, dtype=float)
-            if r.ndim != 1 or r.shape != w.shape or r.size < 4:
-                raise ValueError("custom weight needs matching 1-d tables, >= 4 points")
-            if np.any(np.diff(r) <= 0) or np.any(r <= 0):
-                raise ValueError("custom weight radii must be positive increasing")
-            if np.any(w <= 0):
-                raise ValueError("custom weight values must be strictly positive")
-            if self.tail_exponent is None or self.tail_exponent <= 1:
-                raise ValueError("custom weight needs a declared tail exponent > 1")
-            object.__setattr__(self, "r_table", r)
-            object.__setattr__(self, "w_table", w)
-            # imported here: only a custom table needs scipy.interpolate
-            from scipy.interpolate import PchipInterpolator
-            object.__setattr__(self, "_spline", PchipInterpolator(r, w, extrapolate=False))
-        else:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
 
-    # constructors -----------------------------------------------------
     @staticmethod
     def homogeneous(n: int, s: float) -> "WeightSpec":
         if not s < n / 2.0:
             raise ValueError(f"s < n/2 required for r^(-2s); got s={s}, n={n}")
-        return WeightSpec(kind="homogeneous", n=n, s=s)
+        return HomogeneousWeight(n, s)
 
     @staticmethod
     def inhomogeneous(n: int, s: float) -> "WeightSpec":
-        return WeightSpec(kind="inhomogeneous", n=n, s=s)
+        return InhomogeneousWeight(n, s)
 
     @staticmethod
     def custom(n, r_table, w_table, tail_exponent) -> "WeightSpec":
-        return WeightSpec(kind="custom", n=n, r_table=r_table, w_table=w_table,
-                          tail_exponent=tail_exponent)
+        return CustomWeight(n, r_table, w_table, tail_exponent)
 
-    # evaluation -------------------------------------------------------
+    def small_r_exponent(self) -> float:
+        """Power-law exponent of w at r -> 0 (0 for bounded weights)."""
+        return 0.0
+
+    def closed_form(self, k: int) -> float | None:
+        """lambda_k (k >= 0) in closed form, or None where there is none."""
+        return None
+
+
+@dataclass(frozen=True, eq=False)
+class _SWeight(WeightSpec):
+    """A family with one exponent s > 1/2 and w ~ r^{-2s} as r -> infty."""
+
+    s: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.s > 0.5:
+            raise ValueError(f"s > 1/2 required; got s={self.s}")
+
+    def decay_exponent(self) -> float:
+        return self.s
+
+    def summary(self) -> dict:
+        return {"kind": self.kind, "n": self.n, "s": self.s}
+
+
+@dataclass(frozen=True, eq=False)
+class HomogeneousWeight(_SWeight):
+    """w = r^{-2s}; the factory also asks s < n/2, where lambda_0 is finite."""
+
+    kind = "homogeneous"
+
+    def w(self, r):
+        return np.asarray(r, dtype=float) ** (-2.0 * self.s)
+
+    def tail_integral(self, R: float) -> float:
+        return R ** (1.0 - 2.0 * self.s) / (2.0 * self.s - 1.0)
+
+    def small_r_exponent(self) -> float:
+        return -2.0 * self.s
+
+    def envelope(self, nu: float, r_cut: float) -> tuple[float, float]:
+        return _power_envelope(nu, self, r_cut, 2.0 * self.s), 0.0
+
+    def closed_form(self, k: int) -> float:
+        """Gamma-ratio lambda_k: watson_integral at tau = 2s."""
+        return watson_integral(self.n, k, 2.0 * self.s)
+
+
+@dataclass(frozen=True, eq=False)
+class InhomogeneousWeight(_SWeight):
+    """w = (1 + r^2)^{-s}, s > 1/2."""
+
+    kind = "inhomogeneous"
+
     def w(self, r):
         r = np.asarray(r, dtype=float)
-        if self.kind == "homogeneous":
-            out = r ** (-2.0 * self.s)
-        elif self.kind == "inhomogeneous":
-            out = (1.0 + r * r) ** (-self.s)
-        else:
-            out = np.empty_like(r)
-            r0, r1 = self.r_table[0], self.r_table[-1]
-            inside = (r >= r0) & (r <= r1)
-            out[inside] = self._spline(r[inside])
-            out[r < r0] = self.w_table[0]
-            a = self.tail_exponent
-            c = self.w_table[-1] * r1 ** a
-            high = r > r1
-            out[high] = c * r[high] ** (-a)
+        return (1.0 + r * r) ** (-self.s)
+
+    def tail_integral(self, R: float) -> float:
+        a, b = self.s - 0.5, 0.5
+        return 0.5 * sp.beta(a, b) * sp.betainc(a, b, 1.0 / (1.0 + R * R))
+
+    def envelope(self, nu: float, r_cut: float) -> tuple[float, float]:
+        """With a = 1 + nu^2 and X = r_cut^2 - nu^2, t = r^2 - nu^2 gives
+        a^{1/2-s} B(s-1/2, 1/2) I_{a/(a+X)}(s-1/2, 1/2) / (2 pi) (DLMF 8.17),
+        with error 0."""
+        a, b = 1.0 + nu * nu, self.s - 0.5
+        x = a / (a + r_cut * r_cut - nu * nu)
+        return float(a ** -b * sp.beta(b, 0.5) * sp.betainc(b, 0.5, x)) / (2.0 * math.pi), 0.0
+
+    def closed_form(self, k: int) -> float | None:
+        """lambda_k = I_nu(1) K_nu(1), nu = k + (n-2)/2, at s = 1 only."""
+        if abs(self.s - 1.0) >= 1e-12:
+            return None
+        nu = k + (self.n - 2.0) / 2.0
+        return float(sp.iv(nu, 1.0) * sp.kv(nu, 1.0))
+
+    def holder_moments(self, pairs: list[tuple[float, float]]) -> list[float]:
+        """V = B((e+1)/2, s p' - (e+1)/2) / 2 (DLMF 5.12.3 with t = r^2),
+        which converges exactly when 2 s p' > e + 1."""
+        return [float(0.5 * sp.beta((e + 1.0) / 2.0, self.s * pp - (e + 1.0) / 2.0))
+                * (1.0 + _V_ROUNDING) for pp, e in pairs]
+
+
+@dataclass(frozen=True, eq=False)
+class CustomWeight(WeightSpec):
+    """Monotone-spline table of w on [r_table[0], r_table[-1]], w_table[0]
+    below it and c r^{-tail_exponent} past it, continuous at the last knot."""
+
+    r_table: np.ndarray
+    w_table: np.ndarray
+    tail_exponent: float
+
+    kind = "custom"
+
+    def __post_init__(self):
+        super().__post_init__()
+        r = np.asarray(self.r_table, dtype=float)
+        w = np.asarray(self.w_table, dtype=float)
+        if r.ndim != 1 or r.shape != w.shape or r.size < 4:
+            raise ValueError("custom weight needs matching 1-d tables, >= 4 points")
+        if np.any(np.diff(r) <= 0) or np.any(r <= 0):
+            raise ValueError("custom weight radii must be positive increasing")
+        if np.any(w <= 0):
+            raise ValueError("custom weight values must be strictly positive")
+        if not self.tail_exponent > 1:
+            raise ValueError("custom weight needs a declared tail exponent > 1")
+        object.__setattr__(self, "r_table", r)
+        object.__setattr__(self, "w_table", w)
+        object.__setattr__(self, "_c", w[-1] * r[-1] ** self.tail_exponent)
+        # imported here: only a custom table needs scipy.interpolate
+        from scipy.interpolate import PchipInterpolator
+        object.__setattr__(self, "_spline", PchipInterpolator(r, w, extrapolate=False))
+
+    def w(self, r):
+        r = np.asarray(r, dtype=float)
+        out = np.empty_like(r)
+        r0, r1 = self.r_table[0], self.r_table[-1]
+        inside = (r >= r0) & (r <= r1)
+        out[inside] = self._spline(r[inside])
+        out[r < r0] = self.w_table[0]
+        high = r > r1
+        out[high] = self._c * r[high] ** (-self.tail_exponent)
         return out
 
     def tail_integral(self, R: float) -> float:
-        """int_R^infty w(r) dr, analytic per weight family."""
-        if self.kind == "homogeneous":
-            return R ** (1.0 - 2.0 * self.s) / (2.0 * self.s - 1.0)
-        if self.kind == "inhomogeneous":
-            a, b = self.s - 0.5, 0.5
-            x = 1.0 / (1.0 + R * R)
-            return 0.5 * sp.beta(a, b) * sp.betainc(a, b, x)
         r0, r1 = self.r_table[0], self.r_table[-1]
-        a = self.tail_exponent
-        c = self.w_table[-1] * r1 ** a
         if R >= r1:
-            return c * R ** (1.0 - a) / (a - 1.0)
+            return self._c * R ** (1.0 - self.tail_exponent) / (self.tail_exponent - 1.0)
         # below r0 the weight is the constant w_table[0]; between knots it is
         # a cubic, which the 12-point rule on knot panels integrates exactly
         flat = self.w_table[0] * (r0 - R) if R < r0 else 0.0
         r, wq = _gauss_panels(_knot_panels(max(R, r0), r1, self.r_table), 12)
-        return flat + float(np.sum(wq * self.w(r))) + c * r1 ** (1.0 - a) / (a - 1.0)
+        return flat + float(np.sum(wq * self.w(r))) + self.tail_integral(r1)
 
-    def small_r_exponent(self) -> float:
-        """Power-law exponent of w at r -> 0 (0 for bounded weights)."""
-        return -2.0 * self.s if self.kind == "homogeneous" else 0.0
+    def envelope(self, nu: float, r_cut: float) -> tuple[float, float]:
+        """The power tail past the last knot in closed form; between r_cut
+        and the last knot, Gauss rules (12 points; 6 for the error) take
+        panels between knots, at most a quarter radius long."""
+        R = max(r_cut, float(self.r_table[-1]))
+        edges = _knot_panels(r_cut, R, self.r_table)
+        fine, coarse = (float(np.sum(wq * (r * self.w(r) / np.sqrt(r * r - nu * nu) / math.pi)))
+                        for r, wq in (_gauss_panels(edges, m) for m in (12, 6)))
+        return _power_envelope(nu, self, R, self.tail_exponent) + fine, abs(fine - coarse)
+
+    def decay_exponent(self) -> float:
+        return self.tail_exponent / 2.0
+
+    def holder_moments(self, pairs: list[tuple[float, float]]) -> list[float]:
+        """w = w_table[0] on [0, r0] and w = c r^{-a} past r1 integrate in
+        closed form; on [r0, r1] Gauss rules of 24 and 12 points on
+        _knot_panels give the 24-point value plus |24-point - 12-point|.
+        (12 and 6 points, as in envelope, overstate V by up to 2.6e-7
+        relative on a sparse table, where w^{p'} is a power 16 of one cubic
+        over a long knot interval; the 12-point value there is already exact
+        to round-off.)  w is evaluated on those nodes once for all pairs."""
+        knots, a = self.r_table, self.tail_exponent
+        r0, r1 = knots[0], knots[-1]
+        rules = [(r, wq, self.w(r)) for r, wq in
+                 (_gauss_panels(_knot_panels(r0, r1, knots), m) for m in (24, 12))]
+        vals = []
+        for pp, e in pairs:
+            fine, coarse = (float(np.sum(wq * wr ** pp * r ** e)) for r, wq, wr in rules)
+            head = self.w_table[0] ** pp * r0 ** (e + 1.0) / (e + 1.0)
+            tail = self._c ** pp * r1 ** (e + 1.0 - a * pp) / (a * pp - e - 1.0)
+            vals.append(float(head + fine + abs(fine - coarse) + tail) * (1.0 + _V_ROUNDING))
+        return vals
+
+    def summary(self) -> dict:
+        return {"kind": self.kind, "n": self.n, "tail_exponent": self.tail_exponent,
+                "table_points": int(self.r_table.size)}
 
 
 # ---------------------------------------------------------------------------
 # closed forms
-
-
-def lambda_homogeneous_closed(n: int, s: float, k: int) -> float:
-    """Gamma-ratio lambda_k for the weight r^{-2s}: watson_integral at tau = 2s."""
-    if not 0.5 < s < n / 2.0:
-        raise ValueError(f"requires s in (1/2, n/2); got s={s}, n={n}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return watson_integral(n, k, 2.0 * s)
-
-
-def lambda_inhomogeneous_s1(n: int, k: int) -> float:
-    """lambda_k = I_{k+(n-2)/2}(1) K_{k+(n-2)/2}(1) for weight (1+r^2)^{-1}."""
-    if n < 2 or k < 0:
-        raise ValueError("requires n >= 2 and k >= 0")
-    nu = k + (n - 2.0) / 2.0
-    return float(sp.iv(nu, 1.0) * sp.kv(nu, 1.0))
 
 
 def watson_integral(n: int, k: int, tau: float) -> float:
@@ -271,32 +356,11 @@ def _knot_panels(a: float, b: float, knots: np.ndarray) -> np.ndarray:
     return np.union1d(ratio_125, knots[(knots > a) & (knots < b)])
 
 
-def _envelope_integral(nu: float, weight: WeightSpec, r_cut: float) -> tuple[float, float]:
-    """int_{r_cut}^infty r w(r) / (pi sqrt(r^2 - nu^2)) dr and its error.
-
-    (1 + r^2)^{-s}: with a = 1 + nu^2 and X = r_cut^2 - nu^2, t = r^2 - nu^2
-    gives a^{1/2-s} B(s-1/2, 1/2) I_{a/(a+X)}(s-1/2, 1/2) / (2 pi) (DLMF 8.17).
-    A power law c r^{-a} past R (r^{-2s} from r_cut; a custom table's declared
-    tail past its last knot) gives int_R^infty w dr 2F1(1/2, (a-1)/2; (a+1)/2;
-    nu^2/R^2) / pi.  Both are closed forms, with error 0.  Between r_cut and a
-    table's last knot, Gauss rules (12 points; 6 for the error) take panels
-    between knots, at most a quarter radius long."""
-    if weight.kind == "inhomogeneous":
-        a, b = 1.0 + nu * nu, weight.s - 0.5
-        x = a / (a + r_cut * r_cut - nu * nu)
-        return float(a ** -b * sp.beta(b, 0.5) * sp.betainc(b, 0.5, x)) / (2.0 * math.pi), 0.0
-    if weight.kind == "homogeneous":
-        R, a, fine, err = r_cut, 2.0 * weight.s, 0.0, 0.0
-    else:
-        knots = weight.r_table
-        R, a = max(r_cut, float(knots[-1])), weight.tail_exponent
-        edges = _knot_panels(r_cut, R, knots)
-        fine, coarse = (float(np.sum(wq * (r * weight.w(r) / np.sqrt(r * r - nu * nu) / math.pi)))
-                        for r, wq in (_gauss_panels(edges, m) for m in (12, 6)))
-        err = abs(fine - coarse)
-    power = weight.tail_integral(R) * sp.hyp2f1(0.5, (a - 1.0) / 2.0, (a + 1.0) / 2.0,
-                                                (nu / R) ** 2) / math.pi
-    return float(power) + fine, err
+def _power_envelope(nu: float, weight: WeightSpec, R: float, a: float) -> float:
+    """int_R^infty r w(r) / (pi sqrt(r^2 - nu^2)) dr for a weight c r^{-a}
+    past R: int_R^infty w dr 2F1(1/2, (a-1)/2; (a+1)/2; nu^2/R^2) / pi."""
+    return float(weight.tail_integral(R) * sp.hyp2f1(0.5, (a - 1.0) / 2.0, (a + 1.0) / 2.0,
+                                                     (nu / R) ** 2) / math.pi)
 
 
 def _tail_integral(nu: float, weight, r_cut: float, envelope: tuple[float, float],
@@ -304,7 +368,7 @@ def _tail_integral(nu: float, weight, r_cut: float, envelope: tuple[float, float
     """int_{r_cut}^infty J_nu^2 r w dr.
 
     The oscillation-averaged envelope J_nu(r)^2 ~ 1/(pi sqrt(r^2-nu^2))
-    gives a smooth model, integrated by _envelope_integral; the oscillating
+    gives a smooth model, integrated by weight.envelope; the oscillating
     remainder is summed over half-period panels with alternating-series
     acceleration.  Requires r_cut comfortably above nu."""
     avg, avg_err = envelope
@@ -319,8 +383,7 @@ def _tail_integral(nu: float, weight, r_cut: float, envelope: tuple[float, float
     # drift of the envelope model beyond the panelled stretch: relative
     # error of the uniform average is O(1/r^2) + O(nu^4/r^4)
     r_end = float(edges[-1])
-    w_tail_end = weight.tail_integral(r_end)
-    resid = (0.125 / r_end ** 2 + nu ** 4 / r_end ** 4) * w_tail_end / math.pi
+    resid = (0.125 / r_end ** 2 + nu ** 4 / r_end ** 4) * weight.tail_integral(r_end) / math.pi
     return avg + corr, corr_err + resid + avg_err
 
 
@@ -343,7 +406,7 @@ def lambda_quadrature(weight: WeightSpec, k: int, tol: float = 1e-8) -> tuple[fl
         raise ValueError("weight is too singular at the origin; integral diverges")
     r_cut = max(24.0, 2.5 * nu + 12.0)
     head = _head_integral(nu, weight.w, beta0, r_cut)
-    envelope = _envelope_integral(nu, weight, r_cut)
+    envelope = weight.envelope(nu, r_cut)
     for n_half in (160, 480, 1440, 4320):
         tail, err = _tail_integral(nu, weight, r_cut, envelope, n_half)
         if err <= tol:
@@ -355,10 +418,10 @@ def lambda_quadrature(weight: WeightSpec, k: int, tol: float = 1e-8) -> tuple[fl
 
 def watson_quadrature(n: int, k: int, tau: float, tol: float = 1e-8) -> tuple[float, float]:
     """Quadrature twin of watson_integral: lambda_quadrature of r^{-tau}, the
-    homogeneous kind at s = tau/2 with no s < n/2 bound."""
+    homogeneous weight at s = tau/2 without the factory's s < n/2 bound."""
     if tau <= 1.0:
         raise ValueError("tau > 1 required")
-    return lambda_quadrature(WeightSpec(kind="homogeneous", n=n, s=tau / 2.0), k, tol)
+    return lambda_quadrature(HomogeneousWeight(n, tau / 2.0), k, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +438,7 @@ def _profile_F(weight: WeightSpec) -> tuple[float, float]:
     C = pi^{(n+1)/2} / Gamma((n+1)/2), gamma = 0 at s = (n+1)/2, and
     C = 2 pi^{(n+1)/2} / Gamma((n-1)/2), gamma = -1 at s = (n-1)/2."""
     n = weight.n
-    if weight.kind == "inhomogeneous":
+    if isinstance(weight, InhomogeneousWeight):
         if abs(weight.s - (n + 1) / 2.0) < 1e-12:
             return 0.0, math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
         if abs(weight.s - (n - 1) / 2.0) < 1e-12:
@@ -430,50 +493,18 @@ class LambdaSpectrum:
 
 
 _KSET_RTOL = 1e-9
-_V_ROUNDING = 1e-12            # relative rounding allowance on each Hoelder moment
+# Each Hoelder moment V is raised by the relative factor 1 + _V_ROUNDING.  The
+# closed forms and each term of a panel sum are good to a few ulps, and numpy
+# sums N positive terms pairwise, to about (log2 N + 8) ulps; both stay below
+# 1e-14 relative.
+_V_ROUNDING = 1e-12
 
 
-def _holder_moments(weight: WeightSpec, pairs: list[tuple[float, float]]) -> list[float]:
-    """Upper bounds on V = int_0^infty w(r)^{p'} r^e dr, one per admissible
-    (p', e) pair, for an inhomogeneous or a custom weight.
-
-    Inhomogeneous: V = B((e+1)/2, s p' - (e+1)/2) / 2 (DLMF 5.12.3 with
-    t = r^2), which converges exactly when 2 s p' > e + 1.  Custom table:
-    w = w_table[0] on [0, r0] and w = c r^{-a} past r1 integrate in closed
-    form; on [r0, r1] Gauss rules of 24 and 12 points on _knot_panels give the
-    24-point value plus |24-point - 12-point|.  (12 and 6 points, as in
-    _envelope_integral, overstate V by up to 2.6e-7 relative on a sparse
-    table, where w^{p'} is a power 16 of one cubic over a long knot interval;
-    the 12-point value there is already exact to round-off.)  w is evaluated
-    on those nodes once for all pairs.
-
-    Rounding allowance: each V is raised by the relative factor
-    1 + _V_ROUNDING = 1 + 1e-12.  The closed forms and each term of a panel
-    sum are good to a few ulps, and numpy sums N positive terms pairwise, to
-    about (log2 N + 8) ulps; both stay below 1e-14 relative."""
-    if weight.kind == "inhomogeneous":
-        vals = [0.5 * sp.beta((e + 1.0) / 2.0, weight.s * pp - (e + 1.0) / 2.0)
-                 for pp, e in pairs]
-    else:
-        knots, a = weight.r_table, weight.tail_exponent
-        r0, r1 = knots[0], knots[-1]
-        c = weight.w_table[-1] * r1 ** a
-        rules = [(r, wq, weight.w(r)) for r, wq in
-                 (_gauss_panels(_knot_panels(r0, r1, knots), m) for m in (24, 12))]
-        vals = []
-        for pp, e in pairs:
-            fine, coarse = (float(np.sum(wq * wr ** pp * r ** e)) for r, wq, wr in rules)
-            head = weight.w_table[0] ** pp * r0 ** (e + 1.0) / (e + 1.0)
-            tail = c ** pp * r1 ** (e + 1.0 - a * pp) / (a * pp - e - 1.0)
-            vals.append(head + fine + abs(fine - coarse) + tail)
-    return [float(v) * (1.0 + _V_ROUNDING) for v in vals]
-
-
-def _holder_tail_bound(weight: WeightSpec, k_from: int, s_eff: float) -> tuple[float, dict]:
+def _holder_tail_bound(weight: WeightSpec, k_from: int) -> tuple[float, dict]:
     """Upper bound on sup_{k >= k_from} lambda_k via the Landau envelope and
-    a Hoelder split with exponents (p, p') and a small epsilon."""
-    n = weight.n
-    c_landau = landau_envelope_constant()
+    a Hoelder split with exponents (p, p') and a small epsilon; the weight
+    gives the moments V = int_0^infty w^{p'} r^e dr of the split."""
+    n, s_eff = weight.n, weight.decay_exponent()
     eps_pinned = min(1.0, 3.0 * (s_eff - 0.5)) / 2.0
     admissible = []
     # p' = 6 with the pinned eps first; slowly decaying weights need the
@@ -486,18 +517,14 @@ def _holder_tail_bound(weight: WeightSpec, k_from: int, s_eff: float) -> tuple[f
             # V = int_0^infty w^{p'} r^{expo} dr must converge for this eps
             if 2.0 * s_eff * p_prime > expo + 1.0:
                 admissible.append((p_prime, eps, expo))
-    moments = _holder_moments(weight, [(pp, expo) for pp, _, expo in admissible])
+    moments = weight.holder_moments([(pp, expo) for pp, _, expo in admissible])
     best = None
     for (p_prime, eps, _), val in zip(admissible, moments):
         if not np.isfinite(val):
             continue
         p = p_prime / (p_prime - 1.0)
         watson = watson_integral(n, k_from, 1.0 + eps)
-        bound = (
-            c_landau ** (2.0 / p_prime)
-            * watson ** (1.0 / p)
-            * val ** (1.0 / p_prime)
-        )
+        bound = LANDAU_ENVELOPE ** (2.0 / p_prime) * watson ** (1.0 / p) * val ** (1.0 / p_prime)
         if best is None or bound < best[0]:
             best = (bound, {"p_prime": p_prime, "eps": eps, "V": val, "watson": watson})
     if best is None:
@@ -510,19 +537,13 @@ def build_spectrum(weight: WeightSpec, K: int, tol: float = 1e-8) -> LambdaSpect
     truncation certificate for sup_{k > K} lambda_k."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    n = weight.n
-    if weight.kind == "homogeneous":
-        vals = np.array([lambda_homogeneous_closed(n, weight.s, k) for k in range(K + 1)])
-        tail = lambda_homogeneous_closed(n, weight.s, K + 1)
-        cert = TruncationCertificate(K, tail, "monotone-closed-form")
-    elif weight.kind == "inhomogeneous" and abs(weight.s - 1.0) < 1e-12:
-        vals = np.array([lambda_inhomogeneous_s1(n, k) for k in range(K + 1)])
-        tail = lambda_inhomogeneous_s1(n, K + 1)
-        cert = TruncationCertificate(K, tail, "monotone-closed-form")
+    closed = [weight.closed_form(k) for k in range(K + 2)]
+    if closed[0] is not None:
+        vals = np.array(closed[:-1])
+        cert = TruncationCertificate(K, closed[-1], "monotone-closed-form")
     else:
         vals = np.array([lambda_quadrature(weight, k, tol)[0] for k in range(K + 1)])
-        s_eff = weight.s if weight.kind == "inhomogeneous" else weight.tail_exponent / 2.0
-        tail, detail = _holder_tail_bound(weight, K + 1, s_eff)
+        tail, detail = _holder_tail_bound(weight, K + 1)
         cert = TruncationCertificate(K, tail, "landau-hoelder", detail)
     lam_star = float(np.max(vals[1:]))
     if cert.tail_bound >= lam_star * (1.0 - _KSET_RTOL):
@@ -540,28 +561,17 @@ def build_spectrum(weight: WeightSpec, K: int, tol: float = 1e-8) -> LambdaSpect
 
 def stability_constant(spectrum: LambdaSpectrum) -> float:
     """C'(w) = lambda_0 - lambda_star (non-negative)."""
-    c = spectrum.lambda0 - spectrum.lambda_star
-    return max(c, 0.0)
+    return max(spectrum.lambda0 - spectrum.lambda_star, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # export
 
 
-def _weight_summary(weight: WeightSpec) -> dict:
-    out = {"kind": weight.kind, "n": weight.n}
-    if weight.s is not None:
-        out["s"] = weight.s
-    if weight.kind == "custom":
-        out["tail_exponent"] = weight.tail_exponent
-        out["table_points"] = int(weight.r_table.size)
-    return out
-
-
 def spectrum_to_json(spectrum: LambdaSpectrum) -> str:
     doc = {
         "n": spectrum.weight.n,
-        "weight": _weight_summary(spectrum.weight),
+        "weight": spectrum.weight.summary(),
         "tol": spectrum.tol,
         "lambda": [float(v) for v in spectrum.values],
         "lambda_star": spectrum.lambda_star,

@@ -52,7 +52,7 @@ def test_02_inhomogeneous_product_form(capsys):
     for n in (2, 3, 4):
         w = WeightSpec.inhomogeneous(n, 1.0)
         for k in range(0, 21, 4):
-            closed = spec_mod.lambda_inhomogeneous_s1(n, k)
+            closed = w.closed_form(k)
             quad, _ = spec_mod.lambda_quadrature(w, k)
             worst = max(worst, abs(quad - closed) / closed)
     el = time.perf_counter() - t0

@@ -34,7 +34,7 @@ SPEC2 = build_spectrum(W2, K=10)
 
 class TestCoefficients:
     def test_B_zero_profile(self):
-        assert B_coefficient(np.zeros(GRID.size), GRID) == 0.0
+        assert B_coefficient(np.zeros(GRID.r.size), GRID) == 0.0
 
     def test_B_unit_indicator(self):
         prof = np.where(GRID.r <= 1.0, 1.0, 0.0)
@@ -105,7 +105,8 @@ class TestDeficitReport:
         ps = random_profile_set(W3, GRID, rng)
         base = deficit_report(ps, W3).ratio
         for lam in (0.03, 7.0):
-            assert deficit_report(ps.scaled(lam), W3).ratio == pytest.approx(
+            scaled = ProfileSet(ps.n, ps.grid, {km: lam * g for km, g in ps.entries.items()})
+            assert deficit_report(scaled, W3).ratio == pytest.approx(
                 base, rel=1e-12
             )
 
@@ -305,9 +306,19 @@ class TestProfileSet:
         with pytest.raises(ValueError):
             prof[0] = 1.0
         with pytest.raises(TypeError):
-            ps.entries[key] = np.zeros(GRID.size)
+            ps.entries[key] = np.zeros(GRID.r.size)
         with pytest.raises(TypeError):
             del ps.entries[key]
+
+    def test_equality_is_identity_and_sets_hash(self, rng):
+        ps = random_profile_set(W3, GRID, rng)
+        rep = deficit_report(ps, W3)
+        kept = dict(ps._sums)
+        twin = ProfileSet(ps.n, ps.grid, dict(ps.entries))
+        assert ps == ps and ps != twin and not ps == twin
+        assert len({ps, twin, ps}) == 2 and hash(ps) == hash(ps)
+        assert ps._sums == kept
+        assert deficit_report(ps, W3) == rep
 
     def test_views_are_copied_and_owned_arrays_frozen(self):
         owned = np.exp(-((GRID.r - 6.0) / 1.5) ** 2)

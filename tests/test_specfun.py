@@ -13,9 +13,9 @@ from scipy.integrate import quad
 
 from tracestab.harmonic import RadialGrid
 from tracestab.specfun import (
+    LANDAU_ENVELOPE,
     dim_harmonic,
     add_gaussian,
-    landau_envelope_constant,
     legendre,
     legendre_all,
 )
@@ -88,7 +88,7 @@ class TestBesselJ:
                 )
 
     def test_landau_envelope(self):
-        c = landau_envelope_constant()
+        c = LANDAU_ENVELOPE
         assert c == 0.8
         r = np.linspace(1e-3, 1000.0, 20000)
         observed = 0.0

@@ -16,8 +16,6 @@ from tracestab.errors import ConvergenceError, InconclusiveError
 from tracestab.spectrum import (
     WeightSpec,
     build_spectrum,
-    lambda_homogeneous_closed,
-    lambda_inhomogeneous_s1,
     lambda_legendre_form,
     lambda_quadrature,
     spectrum_to_csv,
@@ -30,30 +28,31 @@ from tracestab.spectrum import (
 
 class TestHomogeneousClosedForm:
     def test_reference_values(self):
-        assert lambda_homogeneous_closed(3, 1.0, 0) == pytest.approx(1.0, rel=1e-12)
-        assert lambda_homogeneous_closed(3, 1.0, 1) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert WeightSpec.homogeneous(3, 1.0).closed_form(0) == pytest.approx(1.0, rel=1e-12)
+        assert WeightSpec.homogeneous(3, 1.0).closed_form(1) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_direct_integral_oracle(self):
         # lambda_0 at n=3, s=1 equals (2/pi) int sin(r)^2 / r^2 dr = 1
         val, _ = quad(lambda r: (2.0 / math.pi) * math.sin(r) ** 2 / r ** 2, 0.0, 2000.0,
                       limit=4000)
-        assert val == pytest.approx(lambda_homogeneous_closed(3, 1.0, 0), abs=1e-3)
+        assert val == pytest.approx(WeightSpec.homogeneous(3, 1.0).closed_form(0), abs=1e-3)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            lambda_homogeneous_closed(3, 0.4, 0)
+            WeightSpec.homogeneous(3, 0.4).closed_form(0)
         with pytest.raises(ValueError):
-            lambda_homogeneous_closed(3, 1.5, 0)
+            WeightSpec.homogeneous(3, 1.5).closed_form(0)
 
     def test_strictly_decreasing_large_range(self):
         for n, s in ((3, 1.0), (4, 0.75), (2, 0.8), (5, 2.2)):
-            vals = [lambda_homogeneous_closed(n, s, k) for k in range(51)]
+            vals = [WeightSpec.homogeneous(n, s).closed_form(k) for k in range(51)]
             assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_decay_rate_trend(self):
         # lambda_k * k^{2s-1} approaches a constant (Stirling-rate decay)
         n, s = 3, 1.0
-        scaled = [lambda_homogeneous_closed(n, s, k) * k ** (2 * s - 1) for k in range(5, 51)]
+        w = WeightSpec.homogeneous(n, s)
+        scaled = [w.closed_form(k) * k ** (2 * s - 1) for k in range(5, 51)]
         diffs = np.abs(np.diff(scaled))
         assert all(b <= a for a, b in zip(diffs, diffs[1:]))
 
@@ -61,30 +60,30 @@ class TestHomogeneousClosedForm:
         for k in (0, 1, 5, 10):
             w = WeightSpec.homogeneous(3, 1.0)
             val, err = lambda_quadrature(w, k, 1e-8)
-            closed = lambda_homogeneous_closed(3, 1.0, k)
+            closed = w.closed_form(k)
             assert val == pytest.approx(closed, rel=1e-6)
         w = WeightSpec.homogeneous(3, 1.25)
         val, _ = lambda_quadrature(w, 0, 1e-8)
-        assert val == pytest.approx(lambda_homogeneous_closed(3, 1.25, 0), rel=1e-7)
+        assert val == pytest.approx(w.closed_form(0), rel=1e-7)
 
 
 class TestInhomogeneous:
     def test_product_form(self):
-        assert lambda_inhomogeneous_s1(2, 0) == pytest.approx(
+        assert WeightSpec.inhomogeneous(2, 1.0).closed_form(0) == pytest.approx(
             float(iv(0, 1.0) * kv(0, 1.0)), rel=1e-12
         )
-        assert f"{lambda_inhomogeneous_s1(2, 0):.4f}" == "0.5330"
-        assert f"{lambda_inhomogeneous_s1(2, 1):.4f}" == "0.3402"
+        assert f"{WeightSpec.inhomogeneous(2, 1.0).closed_form(0):.4f}" == "0.5330"
+        assert f"{WeightSpec.inhomogeneous(2, 1.0).closed_form(1):.4f}" == "0.3402"
 
     def test_quadrature_twin_sample(self):
         for n in (2, 3, 4):
             w = WeightSpec.inhomogeneous(n, 1.0)
             for k in (0, 3, 12):
                 val, _ = lambda_quadrature(w, k, 1e-8)
-                assert val == pytest.approx(lambda_inhomogeneous_s1(n, k), rel=1e-6)
+                assert val == pytest.approx(w.closed_form(k), rel=1e-6)
 
     def test_monotone_to_zero(self):
-        vals = [lambda_inhomogeneous_s1(3, k) for k in range(41)]
+        vals = [WeightSpec.inhomogeneous(3, 1.0).closed_form(k) for k in range(41)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[40] < vals[0] / 10.0
 
@@ -137,16 +136,16 @@ class TestWatson:
                     assert watson_quadrature(n, k, tau) == lambda_quadrature(w, k)
 
 
-def _counting(monkeypatch, name):
-    """Replace spectrum.<name> by a wrapper that counts its calls."""
+def _counting(monkeypatch, owner, name):
+    """Replace owner.<name> by a wrapper that counts its calls."""
     calls = []
-    inner = getattr(spec_mod, name)
+    inner = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(spec_mod, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -174,14 +173,14 @@ ENVELOPE_WEIGHTS = {
 class TestLambdaQuadrature:
     def test_envelope_integrated_once_per_lambda(self, monkeypatch):
         # s = 0.6 decays slowly: the tail climbs 160 -> 480 -> 1440 half-periods
-        envelopes = _counting(monkeypatch, "_envelope_integral")
-        tails = _counting(monkeypatch, "_tail_integral")
+        envelopes = _counting(monkeypatch, spec_mod.InhomogeneousWeight, "envelope")
+        tails = _counting(monkeypatch, spec_mod, "_tail_integral")
         lambda_quadrature(WeightSpec.inhomogeneous(2, 0.6), 0)
         assert [t[-1] for t in tails] == [160, 480, 1440]
         assert len(envelopes) == 1
 
     def test_convergence_error_after_every_level(self, monkeypatch):
-        tails = _counting(monkeypatch, "_tail_integral")
+        tails = _counting(monkeypatch, spec_mod, "_tail_integral")
         with pytest.raises(ConvergenceError, match="exceeds tol 1.000e-15 for k=3"):
             lambda_quadrature(WeightSpec.inhomogeneous(3, 1.0), 3, 1e-15)
         assert [t[-1] for t in tails] == [160, 480, 1440, 4320]
@@ -204,7 +203,7 @@ class TestLambdaQuadrature:
             edges = [0.0, *(r_cut / knots[knots > r_cut])[::-1], 1.0]
             ref = sum(quad(model, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                       for a, b in zip(edges[:-1], edges[1:]))
-            val, err = spec_mod._envelope_integral(nu, weight, r_cut)
+            val, err = weight.envelope(nu, r_cut)
             assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
             if weight.kind == "custom":
                 assert err < 1e-12 * ref
@@ -242,18 +241,18 @@ class TestLambdaQuadrature:
         assert spec.K_set == (1,)
 
 
-def _moments_used(monkeypatch, weight, s_eff, k_from=15):
+def _moments_used(monkeypatch, weight, k_from=15):
     """The (p', e) pairs and V values one _holder_tail_bound call uses."""
     seen = []
-    inner = spec_mod._holder_moments
+    inner = type(weight).holder_moments
 
     def wrapper(w, pairs):
         values = inner(w, pairs)
         seen.extend(zip(pairs, values))
         return values
 
-    monkeypatch.setattr(spec_mod, "_holder_moments", wrapper)
-    spec_mod._holder_tail_bound(weight, k_from, s_eff)
+    monkeypatch.setattr(type(weight), "holder_moments", wrapper)
+    spec_mod._holder_tail_bound(weight, k_from)
     assert seen
     return seen
 
@@ -268,7 +267,7 @@ class TestHolderTail:
     def test_inhomogeneous_moment_is_beta(self, monkeypatch, n, s):
         # int_0^infty (1+r^2)^{-s p'} r^e dr = B((e+1)/2, s p' - (e+1)/2) / 2,
         # raised only by the 1e-12 rounding allowance
-        for (pp, e), v in _moments_used(monkeypatch, WeightSpec.inhomogeneous(n, s), s):
+        for (pp, e), v in _moments_used(monkeypatch, WeightSpec.inhomogeneous(n, s)):
             assert 2.0 * s * pp > e + 1.0
             exact = 0.5 * beta((e + 1.0) / 2.0, s * pp - (e + 1.0) / 2.0)
             assert exact <= v <= exact * (1.0 + 2e-12)
@@ -277,7 +276,7 @@ class TestHolderTail:
     def test_table_moment_bounds_piecewise_quad(self, monkeypatch, r_table):
         w = _table_weight(r_table)
         edges = [0.0, *r_table, np.inf]
-        for (pp, e), v in _moments_used(monkeypatch, w, 2.0):
+        for (pp, e), v in _moments_used(monkeypatch, w):
             ref = sum(quad(lambda r: float(w.w(r)) ** pp * r ** e, a, b,
                            epsabs=0.0, epsrel=1e-13, limit=200)[0]
                       for a, b in zip(edges[:-1], edges[1:]))
@@ -301,7 +300,7 @@ class TestHolderTail:
             assert bound >= lambda_quadrature(w, K + 1)[0]
         # the sparse table does not separate at K = 14, but its bound holds
         w = _table_weight(TABLES[1])
-        bound, _ = spec_mod._holder_tail_bound(w, K + 1, 2.0)
+        bound, _ = spec_mod._holder_tail_bound(w, K + 1)
         assert bound >= lambda_quadrature(w, K + 1)[0]
 
 
@@ -335,7 +334,7 @@ class TestLegendreForm:
         w = WeightSpec.inhomogeneous(3, 1.0)
         for k in range(7):
             val = lambda_legendre_form(w, k)
-            assert val == pytest.approx(lambda_inhomogeneous_s1(3, k), rel=1e-7)
+            assert val == pytest.approx(WeightSpec.inhomogeneous(3, 1.0).closed_form(k), rel=1e-7)
 
     def test_matches_quadrature_n3_s2(self):
         # every Poisson-kernel pair s = (n +- 1)/2 for n = 2..5; lambda_0
@@ -392,8 +391,8 @@ class TestBuildSpectrum:
         for n in (2, 3, 4, 6):
             for s in np.linspace(0.6, n / 2.0 - 0.05, 4):
                 spec = build_spectrum(WeightSpec.homogeneous(n, float(s)), K=5)
-                gap = lambda_homogeneous_closed(n, float(s), 0) - \
-                    lambda_homogeneous_closed(n, float(s), 1)
+                gap = WeightSpec.homogeneous(n, float(s)).closed_form(0) - \
+                    WeightSpec.homogeneous(n, float(s)).closed_form(1)
                 assert stability_constant(spec) == pytest.approx(gap, rel=1e-12)
 
     def test_nonnegative_constant(self):
@@ -424,3 +423,111 @@ class TestExport:
         assert len(lines) == 7
         k, lam = lines[1].split(",")
         assert int(k) == 0 and float(lam) == pytest.approx(1.0)
+
+    def test_json_weight_block_per_family(self):
+        blocks = [
+            (WeightSpec.homogeneous(3, 1.0), {"kind": "homogeneous", "n": 3, "s": 1.0}),
+            (WeightSpec.inhomogeneous(3, 2.0), {"kind": "inhomogeneous", "n": 3, "s": 2.0}),
+            (_table_weight(TABLE_R),
+             {"kind": "custom", "n": 3, "tail_exponent": 4.0, "table_points": 60}),
+        ]
+        for w, block in blocks:
+            weight = json.loads(spectrum_to_json(build_spectrum(w, K=14)))["weight"]
+            assert list(weight.items()) == list(block.items())
+
+
+# float.hex bits of the three benchmark weights at K = 14: lambda_0..lambda_14,
+# lambda_star, the certificate, lambda_quadrature at k = 0, 3, 7 (value, error)
+# and the envelope at nu = 0.5, 3.5 (value, error).  A change that moves any of
+# these bits must say which.
+PINNED = {
+    "homogeneous-3-1.0": {
+        "lambda": [
+            "0x1.0000000000003p+0", "0x1.5555555555551p-2", "0x1.999999999999fp-3",
+            "0x1.249249249248dp-3", "0x1.c71c71c71c71fp-4", "0x1.745d1745d1756p-4",
+            "0x1.3b13b13b13b02p-4", "0x1.111111111110fp-4", "0x1.e1e1e1e1e1e25p-5",
+            "0x1.af286bca1af2ap-5", "0x1.861861861860fp-5", "0x1.642c8590b2159p-5",
+            "0x1.47ae147ae1498p-5", "0x1.2f684bda12f55p-5", "0x1.1a7b9611a7bc8p-5",
+        ],
+        "lambda_star": "0x1.5555555555551p-2",
+        "tail_bound": "0x1.0842108421067p-5",
+        "details": {},
+        "quadrature": {
+            0: ("0x1.0000000fdd6dbp+0", "0x1.0de3a9725110fp-29"),
+            3: ("0x1.249249a3ca2c5p-3", "0x1.121171549c277p-29"),
+            7: ("0x1.111111f21dab2p-4", "0x1.47e2e243bb341p-29"),
+        },
+        "envelope": {
+            0.5: ("0x1.b2a16b34ddedbp-7", "0x0.0p+0"),
+            3.5: ("0x1.b4278cd50a596p-7", "0x0.0p+0"),
+        },
+    },
+    "inhomogeneous-3-2.0": {
+        "lambda": [
+            "0x1.3020005306c49p-3", "0x1.52aaa3bf85321p-5", "0x1.b601d831b3109p-7",
+            "0x1.637781a646f34p-8", "0x1.5aa36a380ecaep-9", "0x1.815d823fedefep-10",
+            "0x1.d65ddf4711e50p-11", "0x1.33771ccbbf82ap-11", "0x1.a7850e4cc3cc1p-12",
+            "0x1.2fe1d0d4a10ecp-12", "0x1.c2abe7bd54cf1p-13", "0x1.5755213b4fae7p-13",
+            "0x1.0b8673698667dp-13", "0x1.a8f4d98be14ffp-14", "0x1.5718a7757236ep-14",
+        ],
+        "lambda_star": "0x1.52aaa3bf85321p-5",
+        "tail_bound": "0x1.2d9565790b3d8p-11",
+        "details": {"p_prime": "0x1.0000000000000p+4", "eps": "0x1.0000000000000p+1",
+                    "V": "0x1.be6d7280d614ap-29", "watson": "0x1.5bade52f95e76p-10"},
+        "quadrature": {
+            0: ("0x1.3020005306c49p-3", "0x1.88a87bc45c448p-47"),
+            3: ("0x1.637781a646f34p-8", "0x1.8dcdd563cfdacp-47"),
+            7: ("0x1.33771ccbbf82ap-11", "0x1.a77fc2fd8aac9p-47"),
+        },
+        "envelope": {
+            0.5: ("0x1.0109c22a7136dp-17", "0x0.0p+0"),
+            3.5: ("0x1.02a9a5bca3930p-17", "0x0.0p+0"),
+        },
+    },
+    "table-log-60": {
+        "lambda": [
+            "0x1.30394226c18f1p-3", "0x1.52f124219a0bdp-5", "0x1.b68a869d60898p-7",
+            "0x1.63fcbf5b3459cp-8", "0x1.5b34598935365p-9", "0x1.8204e5f2438d6p-10",
+            "0x1.d72d3fb1ffdd3p-11", "0x1.340883da099c6p-11", "0x1.a83e3c30a3c9ep-12",
+            "0x1.306fbaf8555bap-12", "0x1.c38d12231b704p-13", "0x1.57e5d77c2d016p-13",
+            "0x1.0c0237ca4b7c9p-13", "0x1.a9d9aa16d1dabp-14", "0x1.57afa54cc5843p-14",
+        ],
+        "lambda_star": "0x1.52f124219a0bdp-5",
+        "tail_bound": "0x1.2dc8f5b3623dcp-11",
+        "details": {"p_prime": "0x1.0000000000000p+4", "eps": "0x1.0000000000000p+1",
+                    "V": "0x1.c338d58727427p-29", "watson": "0x1.5bade52f95e76p-10"},
+        "quadrature": {
+            0: ("0x1.30394226c18f1p-3", "0x1.9343f04db781bp-47"),
+            3: ("0x1.63fcbf5b3459cp-8", "0x1.80c525bf86abdp-47"),
+            7: ("0x1.340883da099c6p-11", "0x1.9108396e23802p-47"),
+        },
+        "envelope": {
+            0.5: ("0x1.01811340b80c0p-17", "0x1.0000000000000p-69"),
+            3.5: ("0x1.0321b94ddb911p-17", "0x0.0p+0"),
+        },
+    },
+}
+
+PINNED_WEIGHTS = {
+    "homogeneous-3-1.0": WeightSpec.homogeneous(3, 1.0),
+    "inhomogeneous-3-2.0": WeightSpec.inhomogeneous(3, 2.0),
+    "table-log-60": _table_weight(TABLE_R),
+}
+
+
+def _hex(values):
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_benchmark_weight_bits(name):
+    w, pin = PINNED_WEIGHTS[name], PINNED[name]
+    spec = build_spectrum(w, K=14)
+    assert list(_hex(spec.values)) == pin["lambda"]
+    assert spec.lambda_star.hex() == pin["lambda_star"]
+    assert float(spec.certificate.tail_bound).hex() == pin["tail_bound"]
+    assert {k: float(v).hex() for k, v in spec.certificate.details.items()} == pin["details"]
+    for k, bits in pin["quadrature"].items():
+        assert _hex(lambda_quadrature(w, k)) == bits
+    for nu, bits in pin["envelope"].items():
+        assert _hex(w.envelope(nu, max(24.0, 2.5 * nu + 12.0))) == bits
