@@ -112,7 +112,8 @@ class DeficitReport:
     deficit: float          # lambda_0 * sumB - sumA
     dist_sq: float          # sumB - A_{0,1}/lambda_0
     ratio: float            # deficit / dist_sq (inf when dist_sq == 0)
-    constant: float         # C'(w) at grid level
+    constant: float         # the grid's own lambda_0 - lambda_star, not the
+                            # certified C'(w) that `constants` reports
     lambda0: float
     satisfied: bool
 
@@ -140,7 +141,9 @@ class GridSpectrum:
         return self._kernels[k]
 
     def lam(self, k: int) -> float:
-        """lambda_k under the grid rule, computed once per k."""
+        """The grid's own eigenvalue: lambda_k under the grid rule on
+        (0, r_max], computed once per k.  It is not the certified lambda_k
+        of the spectrum module, which integrates over (0, infinity)."""
         if k not in self._lams:
             ker = self.kernel(k)
             self._lams[k] = self.grid.integrate(ker * ker)
@@ -182,8 +185,9 @@ def _mode_sums(ps: ProfileSet, gs: GridSpectrum) -> tuple[float, float, float]:
 def deficit_report(ps: ProfileSet, weight: WeightSpec,
                    spectrum: LambdaSpectrum | None = None) -> DeficitReport:
     """Evaluate deficit, squared distance to the extremiser ray, their
-    ratio and whether the stability inequality holds with C' = grid-level
-    lambda_0 - lambda_star.
+    ratio and whether the stability inequality holds with C' = lambda_0 -
+    lambda_star of the grid's own eigenvalues (GridSpectrum.lam), not the
+    certified C'(w) that `constants` reports.
 
     The analytic `spectrum`, when given, is used only to confirm that the
     profile support is covered by its certificate."""
@@ -230,8 +234,9 @@ def equality_case_builder(weight: WeightSpec, spectrum: LambdaSpectrum,
 
 def extremising_sequence(weight: WeightSpec, spectrum: LambdaSpectrum,
                          k_list, grid: RadialGrid) -> list[float]:
-    """Deficit/distance ratios of the pure-mode kernels; equals the grid
-    value of lambda_0 - lambda_k for each k."""
+    """Deficit/distance ratios of the pure-mode kernels; each equals
+    lambda_0 - lambda_k of the grid's own eigenvalues (GridSpectrum.lam),
+    not of the certified spectrum."""
     if not k_list:
         raise ValueError("k_list must be nonempty")
     gs = grid_spectrum(weight, grid)
@@ -259,8 +264,9 @@ def reverse_deficit_check(ps: ProfileSet, weight: WeightSpec) -> tuple[bool, flo
 def random_profile_set(weight: WeightSpec, grid: RadialGrid,
                        rng: np.random.Generator, max_k: int = 6,
                        n_modes: int | None = None) -> ProfileSet:
-    """Random mixture of Gaussian bumps (exactly zero beyond |z| = 27.5) and
-    extremal kernels over modes k <= max_k, m <= min(dim H_k, 3)."""
+    """Random mixture of Gaussian bumps (add_gaussian's: exactly zero from
+    |z| = 26.6 on, where exp(-z^2) < 2^-1020) and extremal kernels over
+    modes k <= max_k, m <= min(dim H_k, 3)."""
     # checked before any draw, so a rejected call leaves rng's stream as it was
     if max_k < 0:
         raise ValueError(f"random profiles need max_k >= 0, got {max_k}")

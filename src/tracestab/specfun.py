@@ -61,24 +61,32 @@ def dim_harmonic(n: int, k: int) -> int:
     return int(math.comb(n + k - 1, k) - math.comb(n + k - 3, k - 2))
 
 
+# add_gaussian's cut, in widths: exp(-_CUT^2) = 5.1e-308 lies between the
+# smallest normal 2^-1022 and 2^-1020
+_CUT = 26.6
+
+
 def add_gaussian(out: np.ndarray, amp: float, *terms) -> None:
     """out += amp * exp(-sum_i z_i**2), z_i = (axis_i - c_i) / w_i, over the
     outer grid of sorted axes, one term (axis_i, c_i, w_i) per dimension of
-    out, with the bits of that dense formula but on the window |z_i| < 27.5.
+    out.  Every lane whose dense exp is at least 2^-1020 has the bits of the
+    dense formula, and every lane whose dense exp is subnormal adds +0.0.
 
-    Beyond it the bump is exactly 0.0: its true value is below half the
-    smallest subnormal 2^-1074 once z^2 > 1075 ln 2 = 745.13, so exp rounds
-    it to 0, and |z| >= 27.5 gives z^2 >= 756, far beyond the few ulps by
-    which the computed z and the window bounds can stray.  There the dense
-    formula adds amp * 0.0, which changes no float but -0.0, and out never
+    The bump is cut to the window |z_i| < 26.6 by `searchsorted`; with two
+    or more terms, window lanes whose exponent is below -26.6^2 are set to
+    -inf, so exp gives 0.0 there without its slow subnormal path.  A lane
+    kept has exp at least exp(-26.6^2) > 2^-1022, and a lane cut has exp
+    below 2^-1020: the margins, 4e-4 and 6e-4 of z, are far beyond the few
+    ulps by which the computed z and the window bounds can stray.  A cut
+    lane adds amp * 0.0, which changes no float but -0.0, and out never
     holds -0.0 if it starts at +0.0.  The exponent (-z_0^2) + (-z_1^2) has
     the bits of -z_0^2 - z_1^2.  Each step runs in place on a fresh array
     (for one term the reduce returns that array itself) and is the same
     IEEE operation as in the dense formula."""
     windows, args = [], []
     for axis, c, w in terms:
-        lo = axis.searchsorted(c - 27.5 * w)
-        hi = axis.searchsorted(c + 27.5 * w)
+        lo = axis.searchsorted(c - _CUT * w)
+        hi = axis.searchsorted(c + _CUT * w)
         z = axis[lo:hi] - c
         z /= w
         z *= z
@@ -86,6 +94,8 @@ def add_gaussian(out: np.ndarray, amp: float, *terms) -> None:
         windows.append(slice(lo, hi))
         args.append(z)
     bump = functools.reduce(np.add.outer, args)
+    if len(args) > 1:
+        bump[bump < -_CUT * _CUT] = -np.inf
     np.exp(bump, out=bump)
     bump *= amp
     out[tuple(windows)] += bump

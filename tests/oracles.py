@@ -1,7 +1,9 @@
 """Physical-space oracles for the harmonic tests: the squared kernel
 coefficient A of one profile, pointwise trace evaluation on S^{n-1}
 (n = 2, 3) and a quadrature over the sphere.  The sum A of the mode sums
-must equal the L^2(S^{n-1}) norm^2 of the trace."""
+must equal the L^2(S^{n-1}) norm^2 of the trace.  Also the dense formula
+of a Gaussian bump under add_gaussian's cut, the reference of the tests
+that pin its bits."""
 
 import math
 
@@ -83,3 +85,22 @@ def sphere_quadrature(n: int):
         w = (wx[:, None] * w_phi[None, :]).ravel()
         return pts, w
     raise ValueError("sphere quadrature supports n in {2, 3} only")
+
+
+CUT = 26.6   # add_gaussian's cut, in widths; exp(-CUT^2) is 5.1e-308
+
+
+def dense_bump(*terms) -> np.ndarray:
+    """exp(-sum_i ((X_i - c_i) / w_i)^2) over whole meshes X_i, one term
+    (X_i, c_i, w_i) per dimension, set to 0.0 where add_gaussian cuts: off
+    its window c_i - CUT w_i <= X_i < c_i + CUT w_i (the one `searchsorted`
+    takes) and, with two or more terms, where the exponent is below -CUT^2."""
+    (X, c, w), *rest = terms
+    exponent = -((X - c) / w) ** 2
+    keep = (X >= c - CUT * w) & (X < c + CUT * w)
+    for X, c, w in rest:
+        exponent = exponent - ((X - c) / w) ** 2
+        keep &= (X >= c - CUT * w) & (X < c + CUT * w)
+    if rest:
+        keep &= exponent >= -CUT * CUT
+    return np.where(keep, np.exp(exponent), 0.0)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import A_coefficient, sphere_quadrature, trace_evaluate
+from oracles import A_coefficient, dense_bump, sphere_quadrature, trace_evaluate
 from tracestab import harmonic
 from tracestab.errors import InconclusiveError
 from tracestab.harmonic import (
@@ -168,7 +168,8 @@ class TestRandomSweeps:
 
     @staticmethod
     def dense_reference(weight, grid, rng, max_k=6, max_m=3):
-        """random_profile_set's draws, each bump evaluated on the whole grid."""
+        """random_profile_set's draws, each bump evaluated on the whole grid
+        under add_gaussian's cut."""
         entries = {}
         for _ in range(int(rng.integers(1, 5))):
             k = int(rng.integers(0, max_k + 1))
@@ -177,7 +178,7 @@ class TestRandomSweeps:
             for _ in range(int(rng.integers(1, 4))):
                 center = rng.uniform(0.5, 0.5 * grid.r_max)
                 width = rng.uniform(0.3, 5.0)
-                prof += rng.normal() * np.exp(-((grid.r - center) / width) ** 2)
+                prof += rng.normal() * dense_bump((grid.r, center, width))
             if rng.random() < 0.4:
                 prof += rng.normal() * harmonic.grid_spectrum(weight, grid).kernel(k)
             entries[(k, m)] = entries[(k, m)] + prof if (k, m) in entries else prof
@@ -193,6 +194,53 @@ class TestRandomSweeps:
             assert got.keys() == want.keys()
             for key, prof in want.items():
                 assert np.array_equal(got[key].view(np.int64), prof.view(np.int64))
+
+    # float.hex of (sumB, deficit, dist_sq, ratio) and of the reverse margin
+    # for the first draw at three seeds on the weights of perfbench's
+    # sphere-sweep.  Each draw's bumps hold 110 to 230 lanes whose dense exp
+    # is subnormal, which add_gaussian's cut sets to 0.0; no bit moves.
+    SWEEP_PINS = {
+        "homogeneous": {
+            2: ("0x1.80043819b1121p+4", "0x1.7f5f93be68992p+4", "0x1.8004377573f08p+4",
+                "0x1.ff247d7500d4dp-1", "0x1.10492349e7815p-9"),
+            3: ("0x1.d6c1e515427dfp+5", "0x1.d6005331d36aap+5", "0x1.d6c1e20794b5ap+5",
+                "0x1.ff2d7c0f28afep-1", "0x1.149842e0988dep-10"),
+            11: ("0x1.3a93a73db3504p+3", "0x1.3a138865b44dep+3", "0x1.3a936e45b45b9p+3",
+                 "0x1.ff2fd5b6951ddp-1", "0x0.0p+0"),
+        },
+        "inhomogeneous": {
+            2: ("0x1.80043819b1121p+4", "0x1.c834cc7e7f4bbp+1", "0x1.800438176ac37p+4",
+                "0x1.301fdb92da2ebp-3", "0x1.a3ccfb78e74ecp-18"),
+            3: ("0x1.d6c1e515427dfp+5", "0x1.17a083d6cab6dp+3", "0x1.d6c1e51470e52p+5",
+                "0x1.301ff6fa49178p-3", "0x1.bdea9b08b08fep-19"),
+            11: ("0x1.3a93a73db3504p+3", "0x1.75b6a736d681dp+0", "0x1.3a93a72f70c08p+3",
+                 "0x1.301ffe8e37690p-3", "0x0.0p+0"),
+        },
+        "custom": {
+            2: ("0x1.80043819b1121p+4", "0x1.c853d756d5e4fp+1", "0x1.800438174cf41p+4",
+                "0x1.30348d3e4be7ep-3", "0x1.a2428f33761d9p-18"),
+            3: ("0x1.d6c1e515427dfp+5", "0x1.17b38a9db07ffp+3", "0x1.d6c1e514706e4p+5",
+                "0x1.3034a87a895d7p-3", "0x1.c04a3c506c6dep-19"),
+            11: ("0x1.3a93a73db3504p+3", "0x1.75d014ea1a855p+0", "0x1.3a93a72f4c385p+3",
+                 "0x1.3034b018cb239p-3", "0x0.0p+0"),
+        },
+    }
+
+    @pytest.mark.parametrize("label", ["homogeneous", "inhomogeneous", "custom"])
+    def test_sweep_reports_pinned(self, label):
+        if label == "homogeneous":
+            weight = WeightSpec.homogeneous(3, 1.0)
+        elif label == "inhomogeneous":
+            weight = WeightSpec.inhomogeneous(3, 2.0)
+        else:   # (1+r^2)^-2 at 60 log-spaced radii on [1e-2, 400], tail r^-4
+            r = np.logspace(-2.0, math.log10(400.0), 60)
+            weight = WeightSpec.custom(3, r, (1.0 + r ** 2) ** -2.0, tail_exponent=4.0)
+        for seed, want in self.SWEEP_PINS[label].items():
+            ps = random_profile_set(weight, GRID, np.random.default_rng(seed))
+            rep = deficit_report(ps, weight)
+            _, margin = reverse_deficit_check(ps, weight)
+            got = (rep.sumB, rep.deficit, rep.dist_sq, rep.ratio, margin)
+            assert tuple(float(x).hex() for x in got) == want
 
     def test_per_mode_cauchy_schwarz(self, rng):
         gs = GridSpectrum(W3, GRID)

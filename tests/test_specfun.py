@@ -11,6 +11,7 @@ import scipy.special as sp
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from oracles import CUT, dense_bump
 from tracestab.harmonic import RadialGrid
 from tracestab.specfun import (
     LANDAU_ENVELOPE,
@@ -185,12 +186,20 @@ def bits(a: np.ndarray) -> np.ndarray:
 
 
 class TestGaussianWindow:
-    """Bumps evaluated on their support window carry the bits of the dense
-    formula.  The first two tests pin the numpy properties this rests on."""
+    """Bumps evaluated on their window carry the bits of the dense formula
+    under add_gaussian's cut (oracles.dense_bump), and the cut meets the
+    contract: it keeps every lane whose exp is at least 2^-1020 and no lane
+    whose exp is subnormal.  The first two tests pin the numpy properties
+    this rests on."""
 
-    def test_exp_is_zero_beyond_the_support(self):
-        z = np.linspace(27.5, 40.0, 200_001)
-        assert not np.exp(-z ** 2).any()
+    def test_exp_is_normal_above_the_cut_and_negligible_below(self):
+        # each range reaches 1e-6 past the cut, far more than the ulps by
+        # which a computed exponent or window bound can stray
+        cut = -CUT * CUT
+        above = np.exp(np.linspace(cut * (1.0 + 1e-6), 0.0, 200_001))
+        below = np.exp(np.linspace(-800.0, cut * (1.0 - 1e-6), 200_001))
+        assert above.min() >= np.finfo(float).tiny
+        assert below.max() < 2.0 ** -1020
 
     def test_exp_of_a_lane_does_not_depend_on_the_others(self):
         rng = np.random.default_rng(7)
@@ -208,12 +217,12 @@ class TestGaussianWindow:
         rng = np.random.default_rng(3)
         dense, windowed = np.zeros_like(r), np.zeros_like(r)
         # random_profile_set draws widths in [0.3, 5]; on r_max = 60 the
-        # window |z| < 27.5 of a width-5 bump is clipped at both ends, and
+        # window |z| < 26.6 of a width-5 bump is clipped at both ends, and
         # centres below, at and beyond the ends clip it at one
         for center in (-3.0, 0.5, 17.3, 30.0, 59.9, 65.0):
             for width in (0.3, 5.0):
                 amp = rng.normal()
-                bump = np.exp(-((r - center) / width) ** 2)
+                bump = dense_bump((r, center, width))
                 dense += amp * bump
                 add_gaussian(windowed, amp, (r, center, width))
                 alone = np.zeros_like(r)
@@ -235,10 +244,34 @@ class TestGaussianWindow:
             for wa in widths:
                 for wb in widths:
                     amp = rng.uniform(-1.0, 1.0)
-                    bump = np.exp(-((A - ca) / wa) ** 2 - ((B - cb) / wb) ** 2)
+                    bump = dense_bump((A, ca, wa), (B, cb, wb))
                     dense += amp * bump
                     add_gaussian(windowed, amp, (a, ca, wa), (b, cb, wb))
                     alone = np.zeros(A.shape)
                     add_gaussian(alone, 1.0, (a, ca, wa), (b, cb, wb))
                     assert np.array_equal(bits(alone), bits(bump))
         assert np.array_equal(bits(windowed), bits(dense))
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_cut_keeps_normal_lanes_and_flushes_subnormal_ones(self, dims):
+        # against the dense formula without any cut: lanes at or above
+        # 2^-1020 keep its bits, subnormal lanes become +0.0, and the lanes
+        # between may take either
+        r = RadialGrid.build(r_max=200.0).r
+        axes = (r,) if dims == 1 else (r[::4], r[1::4])
+        meshes = np.meshgrid(*axes, indexing="ij")
+        rng = np.random.default_rng(11)
+        tiny = np.finfo(float).tiny
+        subnormal = 0
+        for _ in range(40):
+            terms = [(axis, rng.uniform(0.0, 200.0), rng.uniform(0.3, 5.0)) for axis in axes]
+            exponent = sum(-((X - c) / w) ** 2 for X, (_, c, w) in zip(meshes, terms))
+            want = np.exp(exponent)
+            got = np.zeros(want.shape)
+            add_gaussian(got, 1.0, *terms)
+            big = want >= 2.0 ** -1020
+            small = want < tiny
+            assert np.array_equal(bits(got[big]), bits(want[big]))
+            assert not bits(got[small]).any()
+            subnormal += int((small & (want > 0.0)).sum())
+        assert subnormal > 100

@@ -8,6 +8,7 @@ import pytest
 
 from tracestab import transport
 from tracestab.duality import ray_distance
+from tracestab.specfun import add_gaussian
 from tracestab.transport import (
     PhaseGrid,
     TransportFunction,
@@ -27,6 +28,7 @@ from tracestab.transport import (
     xray_adjoint,
 )
 
+from oracles import dense_bump
 from test_duality import _bisection_distance
 
 
@@ -454,14 +456,15 @@ class TestNorms:
 class TestRandomPhaseFunction:
     @staticmethod
     def dense_reference(grid, rng, n_bumps=4):
-        """random_phase_function's draws, each bump evaluated on the whole grid."""
+        """random_phase_function's draws, each bump evaluated on the whole
+        grid under add_gaussian's cut."""
         X, V = np.meshgrid(grid.x, grid.v, indexing="ij")
         s = np.zeros_like(X)
         for _ in range(n_bumps):
             cx, cv = rng.uniform(-0.3 * grid.L, 0.3 * grid.L, size=2)
             wx, wv = rng.uniform(0.8, 4.0, size=2)
             amp = rng.uniform(-1.0, 1.0)
-            s += amp * np.exp(-((X - cx) / wx) ** 2 - ((V - cv) / wv) ** 2)
+            s += amp * dense_bump((X, cx, wx), (V, cv, wv))
         return s
 
     @pytest.mark.parametrize("L", [12.0, 40.0, 200.0])
@@ -471,6 +474,20 @@ class TestRandomPhaseFunction:
             got = random_phase_function(grid, np.random.default_rng(seed)).samples
             want = self.dense_reference(grid, np.random.default_rng(seed))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    # float.hex of ||rho f||_3 / ||f||_{3/2} at seeds 0-2 on the kinetic
+    # benchmark grid (L = 40, 192 points).  Each draw's bumps hold 1,540 to
+    # 1,725 lanes whose dense exp is subnormal, which add_gaussian's cut sets
+    # to 0.0; no bit moves.
+    RATIO_PINS = ("0x1.67da4b25984cap+0", "0x1.6d158a6da68fdp+0", "0x1.3b85cc07901b3p+0")
+
+    def test_ratios_pinned_on_the_benchmark_grid(self):
+        grid = PhaseGrid.build(1, 40.0, 192)
+        p, q, _ = exponents(1)
+        for seed, want in enumerate(self.RATIO_PINS):
+            f = random_phase_function(grid, np.random.default_rng(seed))
+            ratio = grid_norm(velocity_average(f, grid), q) / grid_norm(f, p)
+            assert float(ratio).hex() == want
 
 
 class TestSharpRatio:
@@ -675,6 +692,43 @@ class TestProbe:
     def test_dimension_checked_once(self, call, n, message):
         with pytest.raises(ValueError, match=message):
             call(n)
+
+    # float.hex of (eps, deficit, dist_sq, ratio) for one probe direction per
+    # side on the kinetic benchmark grid, drawn as transport-probe draws it:
+    # a width 1-2.5 bump through add_gaussian, whose cut sets to 0.0 the 985
+    # lanes where its dense exp is subnormal; no bit moves.
+    PROBE_PINS = {
+        "primal": [
+            ("0x1.999999999999ap-5", "0x1.9687aaa410000p-15", "0x1.a7bf80178ee3ap-13",
+             "0x1.eb322b04150b6p-3"),
+            ("0x1.999999999999ap-4", "0x1.884fde3b34000p-13", "0x1.a7b0e3f4ec1bfp-11",
+             "0x1.da14abf0728ddp-3"),
+            ("0x1.999999999999ap-3", "0x1.6d910331bf000p-11", "0x1.a725faace8a14p-9",
+             "0x1.ba53c2f7fc165p-3"),
+        ],
+        "dual": [
+            ("0x1.999999999999ap-5", "0x1.b9f1b1dcb8000p-15", "0x1.a75e17e1e08abp-13",
+             "0x1.0b3b988a53f59p-2"),
+            ("0x1.999999999999ap-4", "0x1.abf7531092000p-13", "0x1.a745af54498bbp-11",
+             "0x1.02d6c40714bb8p-2"),
+            ("0x1.999999999999ap-3", "0x1.91b273930f800p-11", "0x1.a6a71dfac3f65p-9",
+             "0x1.e69d43af01e10p-3"),
+        ],
+    }
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_probe_rows_pinned_on_the_benchmark_grid(self, side):
+        grid = PhaseGrid.build(1, 40.0, 192)
+        rng = np.random.default_rng(3)
+        a, b = (grid.t, grid.x) if side == "dual" else (grid.x, grid.v)
+        raw = np.zeros((a.size, b.size))
+        add_gaussian(raw, 1.0, (a, rng.uniform(-2, 2), rng.uniform(1, 2.5)),
+                     (b, rng.uniform(-2, 2), rng.uniform(1, 2.5)))
+        d = make_probe_direction(raw, 1, grid, side)
+        pts = local_stability_probe(1, d, [0.05, 0.1, 0.2], grid, side=side)
+        rows = [tuple(float(x).hex() for x in (pt.eps, pt.deficit, pt.dist_sq, pt.ratio))
+                for pt in pts]
+        assert rows == self.PROBE_PINS[side]
 
     def test_csv_export(self):
         zero = TransportFunction(GRID, "phase",
