@@ -130,7 +130,10 @@ def validate_args(args) -> list[str]:
         build(spec_mod.check_tol, args.tol)
         if cmd == "spectrum" and args.tau is not None:
             build(spec_mod.watson_integral, args.n, 0, args.tau)
-        k_min = 6 if cmd == "verify-trace" else 1  # random profiles reach degree 6
+        k_min = 1
+        if cmd == "verify-trace":   # the spectrum must reach every random profile's degree
+            from .harmonic import MAX_PROFILE_K
+            k_min = MAX_PROFILE_K
         if args.K < k_min:
             v.append(f"K >= {k_min} required")
     elif cmd == "duality-sweep":

@@ -36,6 +36,7 @@ __all__ = [
     "extremising_sequence",
     "reverse_deficit_check",
     "random_profile_set",
+    "MAX_PROFILE_K",
 ]
 
 
@@ -44,6 +45,7 @@ _NODES_PER_PANEL = 4
 _DEFICIT_TOL = 1e-8   # slack of the stability check, relative to sum B
 _REVERSE_TOL = 1e-9   # slack of the reverse check, relative to sum B
 _MAX_M = 3   # random profiles use harmonic indices m <= 3
+MAX_PROFILE_K = 6   # random profiles use degrees k <= 6 unless told otherwise
 
 
 @dataclass(frozen=True)
@@ -262,11 +264,13 @@ def reverse_deficit_check(ps: ProfileSet, weight: WeightSpec) -> tuple[bool, flo
 
 
 def random_profile_set(weight: WeightSpec, grid: RadialGrid,
-                       rng: np.random.Generator, max_k: int = 6,
+                       rng: np.random.Generator, max_k: int = MAX_PROFILE_K,
                        n_modes: int | None = None) -> ProfileSet:
-    """Random mixture of Gaussian bumps (add_gaussian's: exactly zero from
-    |z| = 26.6 on, where exp(-z^2) < 2^-1020) and extremal kernels over
-    modes k <= max_k, m <= min(dim H_k, 3)."""
+    """Random mixture of Gaussian bumps and extremal kernels over modes
+    k <= max_k, m <= min(dim H_k, 3).  Each bump is add_gaussian's: zero
+    from |z| = 8.6 on, where exp(-z^2) < 2^-106 = u^2 of its peak, so a cut
+    lane can move a report only where a sum over the bump cancels to below
+    about u |amp| per lane."""
     # checked before any draw, so a rejected call leaves rng's stream as it was
     if max_k < 0:
         raise ValueError(f"random profiles need max_k >= 0, got {max_k}")

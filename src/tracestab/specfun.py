@@ -61,28 +61,31 @@ def dim_harmonic(n: int, k: int) -> int:
     return int(math.comb(n + k - 1, k) - math.comb(n + k - 3, k - 2))
 
 
-# add_gaussian's cut, in widths: exp(-_CUT^2) = 5.1e-308 lies between the
-# smallest normal 2^-1022 and 2^-1020
-_CUT = 26.6
+# add_gaussian's cut, in widths: exp(-_CUT^2) = 7.6e-33 lies between 2^-107
+# and 2^-106, that is below u^2 of the unit peak (u = 2^-53)
+_CUT = 8.6
 
 
 def add_gaussian(out: np.ndarray, amp: float, *terms) -> None:
     """out += amp * exp(-sum_i z_i**2), z_i = (axis_i - c_i) / w_i, over the
     outer grid of sorted axes, one term (axis_i, c_i, w_i) per dimension of
-    out.  Every lane whose dense exp is at least 2^-1020 has the bits of the
-    dense formula, and every lane whose dense exp is subnormal adds +0.0.
+    out.  Every lane whose dense exp is at least 2^-106 has the bits of the
+    dense formula, and every lane whose dense exp is below 2^-107 adds +0.0.
 
-    The bump is cut to the window |z_i| < 26.6 by `searchsorted`; with two
-    or more terms, window lanes whose exponent is below -26.6^2 are set to
-    -inf, so exp gives 0.0 there without its slow subnormal path.  A lane
-    kept has exp at least exp(-26.6^2) > 2^-1022, and a lane cut has exp
-    below 2^-1020: the margins, 4e-4 and 6e-4 of z, are far beyond the few
-    ulps by which the computed z and the window bounds can stray.  A cut
-    lane adds amp * 0.0, which changes no float but -0.0, and out never
-    holds -0.0 if it starts at +0.0.  The exponent (-z_0^2) + (-z_1^2) has
-    the bits of -z_0^2 - z_1^2.  Each step runs in place on a fresh array
-    (for one term the reduce returns that array itself) and is the same
-    IEEE operation as in the dense formula."""
+    The bump is cut to the window |z_i| < 8.6 by `searchsorted`; with two
+    or more terms, window lanes whose exponent is below -8.6^2 are set to
+    -inf, so exp gives 0.0 there.  A lane kept has exp at least
+    exp(-8.6^2) > 2^-107, and a lane cut has exp below 2^-106: the margins,
+    0.012 and 0.028 of z, are far beyond the few ulps by which the computed
+    z and the window bounds can stray.  A cut lane adds amp * 0.0, which
+    changes no float but -0.0, and out never holds -0.0 if it starts at
+    +0.0.  A dropped lane is below u^2 = 2^-106 of the bump's peak |amp|,
+    so N dropped lanes add up to less than N u^2 |amp|, which rounds away
+    in any sum above about N u |amp|: the cut can move a result only where
+    a sum over the bump cancels to below that.  The exponent
+    (-z_0^2) + (-z_1^2) has the bits of -z_0^2 - z_1^2.  Each step runs in
+    place on a fresh array (for one term the reduce returns that array
+    itself) and is the same IEEE operation as in the dense formula."""
     windows, args = [], []
     for axis, c, w in terms:
         lo = axis.searchsorted(c - _CUT * w)

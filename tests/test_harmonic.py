@@ -2,12 +2,14 @@
 reports, equality cases, extremising sequences, the reverse inequality,
 and pointwise trace evaluation on the sphere."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import A_coefficient, dense_bump, sphere_quadrature, trace_evaluate
+from oracles import CUT, NORMAL_CUT, A_coefficient, dense_bump, sphere_quadrature, trace_evaluate
 from tracestab import harmonic
 from tracestab.errors import InconclusiveError
 from tracestab.harmonic import (
@@ -30,6 +32,19 @@ W3 = WeightSpec.homogeneous(3, 1.0)
 W2 = WeightSpec.inhomogeneous(2, 1.0)
 SPEC3 = build_spectrum(W3, K=10)
 SPEC2 = build_spectrum(W2, K=10)
+
+
+@functools.cache
+def sweep_weight(label):
+    """The weights of perfbench's sphere-sweep, one object per label, so
+    grid_spectrum keeps one GridSpectrum for each across tests."""
+    if label == "homogeneous":
+        return WeightSpec.homogeneous(3, 1.0)
+    if label == "inhomogeneous":
+        return WeightSpec.inhomogeneous(3, 2.0)
+    # (1+r^2)^-2 at 60 log-spaced radii on [1e-2, 400], tail r^-4
+    r = np.logspace(-2.0, math.log10(400.0), 60)
+    return WeightSpec.custom(3, r, (1.0 + r ** 2) ** -2.0, tail_exponent=4.0)
 
 
 class TestCoefficients:
@@ -167,9 +182,9 @@ class TestRandomSweeps:
             assert rep.deficit <= rep.lambda0 * rep.dist_sq + 1e-9 * rep.sumB
 
     @staticmethod
-    def dense_reference(weight, grid, rng, max_k=6, max_m=3):
+    def dense_reference(weight, grid, rng, max_k=6, max_m=3, cut=CUT):
         """random_profile_set's draws, each bump evaluated on the whole grid
-        under add_gaussian's cut."""
+        under a cut of `cut` widths, add_gaussian's by default."""
         entries = {}
         for _ in range(int(rng.integers(1, 5))):
             k = int(rng.integers(0, max_k + 1))
@@ -178,7 +193,7 @@ class TestRandomSweeps:
             for _ in range(int(rng.integers(1, 4))):
                 center = rng.uniform(0.5, 0.5 * grid.r_max)
                 width = rng.uniform(0.3, 5.0)
-                prof += rng.normal() * dense_bump((grid.r, center, width))
+                prof += rng.normal() * dense_bump((grid.r, center, width), cut=cut)
             if rng.random() < 0.4:
                 prof += rng.normal() * harmonic.grid_spectrum(weight, grid).kernel(k)
             entries[(k, m)] = entries[(k, m)] + prof if (k, m) in entries else prof
@@ -197,8 +212,8 @@ class TestRandomSweeps:
 
     # float.hex of (sumB, deficit, dist_sq, ratio) and of the reverse margin
     # for the first draw at three seeds on the weights of perfbench's
-    # sphere-sweep.  Each draw's bumps hold 110 to 230 lanes whose dense exp
-    # is subnormal, which add_gaussian's cut sets to 0.0; no bit moves.
+    # sphere-sweep, taken when every bump kept each lane whose dense exp is
+    # normal; add_gaussian's cut at u^2 of the peak moves no bit of them.
     SWEEP_PINS = {
         "homogeneous": {
             2: ("0x1.80043819b1121p+4", "0x1.7f5f93be68992p+4", "0x1.8004377573f08p+4",
@@ -228,19 +243,31 @@ class TestRandomSweeps:
 
     @pytest.mark.parametrize("label", ["homogeneous", "inhomogeneous", "custom"])
     def test_sweep_reports_pinned(self, label):
-        if label == "homogeneous":
-            weight = WeightSpec.homogeneous(3, 1.0)
-        elif label == "inhomogeneous":
-            weight = WeightSpec.inhomogeneous(3, 2.0)
-        else:   # (1+r^2)^-2 at 60 log-spaced radii on [1e-2, 400], tail r^-4
-            r = np.logspace(-2.0, math.log10(400.0), 60)
-            weight = WeightSpec.custom(3, r, (1.0 + r ** 2) ** -2.0, tail_exponent=4.0)
+        weight = sweep_weight(label)
         for seed, want in self.SWEEP_PINS[label].items():
             ps = random_profile_set(weight, GRID, np.random.default_rng(seed))
             rep = deficit_report(ps, weight)
             _, margin = reverse_deficit_check(ps, weight)
             got = (rep.sumB, rep.deficit, rep.dist_sq, rep.ratio, margin)
             assert tuple(float(x).hex() for x in got) == want
+
+    @pytest.mark.parametrize("label", ["homogeneous", "inhomogeneous", "custom"])
+    def test_cut_moves_no_sweep_report(self, label):
+        # add_gaussian drops the lanes below u^2 of each bump's peak; against
+        # profiles that keep every lane whose exp is normal, no bit of any
+        # report or reverse margin moves over 100 draws
+        weight = sweep_weight(label)
+
+        def report(ps):
+            rep = deficit_report(ps, weight)
+            _, margin = reverse_deficit_check(ps, weight)
+            return [float(x).hex() for x in (*dataclasses.astuple(rep), margin)]
+
+        for seed in range(100):
+            ps = random_profile_set(weight, GRID, np.random.default_rng(seed))
+            entries = self.dense_reference(weight, GRID, np.random.default_rng(seed),
+                                           cut=NORMAL_CUT)
+            assert report(ps) == report(ProfileSet(3, GRID, entries))
 
     def test_per_mode_cauchy_schwarz(self, rng):
         gs = GridSpectrum(W3, GRID)

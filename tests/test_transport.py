@@ -28,7 +28,7 @@ from tracestab.transport import (
     xray_adjoint,
 )
 
-from oracles import dense_bump
+from oracles import CUT, NORMAL_CUT, dense_bump
 from test_duality import _bisection_distance
 
 
@@ -455,16 +455,16 @@ class TestNorms:
 
 class TestRandomPhaseFunction:
     @staticmethod
-    def dense_reference(grid, rng, n_bumps=4):
+    def dense_reference(grid, rng, n_bumps=4, cut=CUT):
         """random_phase_function's draws, each bump evaluated on the whole
-        grid under add_gaussian's cut."""
+        grid under a cut of `cut` widths, add_gaussian's by default."""
         X, V = np.meshgrid(grid.x, grid.v, indexing="ij")
         s = np.zeros_like(X)
         for _ in range(n_bumps):
             cx, cv = rng.uniform(-0.3 * grid.L, 0.3 * grid.L, size=2)
             wx, wv = rng.uniform(0.8, 4.0, size=2)
             amp = rng.uniform(-1.0, 1.0)
-            s += amp * dense_bump((X, cx, wx), (V, cv, wv))
+            s += amp * dense_bump((X, cx, wx), (V, cv, wv), cut=cut)
         return s
 
     @pytest.mark.parametrize("L", [12.0, 40.0, 200.0])
@@ -476,9 +476,9 @@ class TestRandomPhaseFunction:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     # float.hex of ||rho f||_3 / ||f||_{3/2} at seeds 0-2 on the kinetic
-    # benchmark grid (L = 40, 192 points).  Each draw's bumps hold 1,540 to
-    # 1,725 lanes whose dense exp is subnormal, which add_gaussian's cut sets
-    # to 0.0; no bit moves.
+    # benchmark grid (L = 40, 192 points), taken when every bump kept each
+    # lane whose dense exp is normal; add_gaussian's cut at u^2 of the peak
+    # moves no bit of them.
     RATIO_PINS = ("0x1.67da4b25984cap+0", "0x1.6d158a6da68fdp+0", "0x1.3b85cc07901b3p+0")
 
     def test_ratios_pinned_on_the_benchmark_grid(self):
@@ -488,6 +488,20 @@ class TestRandomPhaseFunction:
             f = random_phase_function(grid, np.random.default_rng(seed))
             ratio = grid_norm(velocity_average(f, grid), q) / grid_norm(f, p)
             assert float(ratio).hex() == want
+
+    def test_cut_moves_no_ratio_on_the_benchmark_grid(self):
+        # add_gaussian drops the lanes below u^2 of each bump's peak; against
+        # draws that keep every lane whose exp is normal, no ratio moves
+        grid = PhaseGrid.build(1, 40.0, 192)
+        p, q, _ = exponents(1)
+
+        def ratio(f):
+            return float(grid_norm(velocity_average(f, grid), q) / grid_norm(f, p)).hex()
+
+        for seed in range(100):
+            f = random_phase_function(grid, np.random.default_rng(seed))
+            dense = self.dense_reference(grid, np.random.default_rng(seed), cut=NORMAL_CUT)
+            assert ratio(f) == ratio(TransportFunction(grid, "phase", dense))
 
 
 class TestSharpRatio:
@@ -695,8 +709,8 @@ class TestProbe:
 
     # float.hex of (eps, deficit, dist_sq, ratio) for one probe direction per
     # side on the kinetic benchmark grid, drawn as transport-probe draws it:
-    # a width 1-2.5 bump through add_gaussian, whose cut sets to 0.0 the 985
-    # lanes where its dense exp is subnormal; no bit moves.
+    # a width 1-2.5 bump through add_gaussian, taken when the bump kept each
+    # lane whose dense exp is normal; the cut at u^2 of the peak moves no bit.
     PROBE_PINS = {
         "primal": [
             ("0x1.999999999999ap-5", "0x1.9687aaa410000p-15", "0x1.a7bf80178ee3ap-13",
