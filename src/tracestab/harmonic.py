@@ -169,6 +169,9 @@ def _mode_sums(ps: ProfileSet, gs: GridSpectrum) -> tuple[float, float, float]:
     """(sum B, sum A, A_{0,1}) of ps under gs, computed once per (ps, gs)
     and kept on ps.  The key is gs itself, which the entry keeps alive, so
     no later GridSpectrum can take over its key."""
+    if ps.n != gs.weight.n:
+        raise ValueError(f"profile set of dimension n={ps.n} does not match "
+                         f"the weight's n={gs.weight.n}")
     sums = ps._sums.get(gs)
     if sums is None:
         sumB = sumA = a01 = 0.0

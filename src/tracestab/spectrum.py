@@ -478,7 +478,7 @@ class TruncationCertificate:
     details: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaSpectrum:
     weight: WeightSpec
     values: np.ndarray            # lambda_0 .. lambda_K

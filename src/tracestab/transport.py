@@ -81,6 +81,10 @@ class PhaseGrid:
         m = int(round(self.t_extent / self.h))
         return self.h * np.arange(-m, m + 1)
 
+    def axes(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """(x, v) for kind 'phase', (t, x) for 'spacetime'."""
+        return (self.x, self.v) if kind == "phase" else (self.t, self.x)
+
     @classmethod
     def build(cls, n: int = 1, L: float = 40.0, points: int = 256,
               t_extent: float | None = None) -> "PhaseGrid":
@@ -89,11 +93,12 @@ class PhaseGrid:
         return cls(n, L, 2.0 * L / points, t_extent if t_extent is not None else L)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportFunction:
     """Samples of a function over the phase grid ('phase': (x, v)) or the
-    space-time grid ('spacetime': (t, x)), optionally backed by the exact
-    callable it was sampled from."""
+    space-time grid ('spacetime': (t, x)), in the shape of the grid's axes.
+    Only a phase-space function may keep the exact callable it was sampled
+    from, which `velocity_average` then integrates.  Compares by identity."""
 
     grid: PhaseGrid
     kind: str  # "phase" | "spacetime"
@@ -104,17 +109,18 @@ class TransportFunction:
         if self.kind not in ("phase", "spacetime"):
             raise ValueError("kind must be 'phase' or 'spacetime'")
         s = np.asarray(self.samples, dtype=float)
+        shape = tuple(a.size for a in self.grid.axes(self.kind))
+        if s.shape != shape:
+            raise ValueError(f"{self.kind} samples have shape {s.shape}, "
+                             f"not the grid's {shape}")
         if not np.all(np.isfinite(s)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", s)
 
     @classmethod
     def from_callable(cls, grid: PhaseGrid, kind: str, func) -> "TransportFunction":
-        if kind == "phase":
-            X, V = np.meshgrid(grid.x, grid.v, indexing="ij")
-            return cls(grid, kind, func(X, V), func)
-        T, X = np.meshgrid(grid.t, grid.x, indexing="ij")
-        return cls(grid, kind, func(T, X), func)
+        A, B = np.meshgrid(*grid.axes(kind), indexing="ij")
+        return cls(grid, kind, func(A, B), func if kind == "phase" else None)
 
     def tail_fraction(self) -> float:
         """Mass of the outermost grid shell relative to total |.| mass."""
@@ -258,7 +264,11 @@ def _xray_sampled(Gs, t, hx, v):
     return np.ascontiguousarray(_shifted_sum(Gs, table, t[1] - t[0]).T)
 
 
-def _require_resolved(tf: TransportFunction, tail_tol: float) -> None:
+def _require_input(tf: TransportFunction, kind: str, grid: PhaseGrid,
+                   tail_tol: float = 1.0) -> None:
+    if tf.kind != kind or tf.grid != grid:
+        raise ValueError(f"expected a {kind} function on {grid}, got a {tf.kind} "
+                         f"function on {tf.grid}")
     # the fraction is at most 1 (the inner mass is >= 0), so tail_tol >= 1
     # passes every function without the pass over the grid
     if tail_tol < 1.0 and (fraction := tf.tail_fraction()) > tail_tol:
@@ -273,9 +283,7 @@ def velocity_average(f: TransportFunction, grid: PhaseGrid,
 
     If f carries its defining callable the integrand is evaluated exactly;
     otherwise f is linearly interpolated in its first argument."""
-    if f.kind != "phase":
-        raise ValueError("velocity_average expects a phase-space function")
-    _require_resolved(f, tail_tol)
+    _require_input(f, "phase", grid, tail_tol)
     x, v, t = grid.x, grid.v, grid.t
     if f.func is not None:
         out = np.empty((t.size, x.size))
@@ -288,18 +296,11 @@ def velocity_average(f: TransportFunction, grid: PhaseGrid,
 
 def xray_adjoint(G: TransportFunction, grid: PhaseGrid,
                  tail_tol: float = 1e-3) -> TransportFunction:
-    """rho* G(x, v) = integral of G(s, x + v s) ds on the grid rule."""
-    if G.kind != "spacetime":
-        raise ValueError("xray_adjoint expects a space-time function")
-    _require_resolved(G, tail_tol)
-    x, v, t = grid.x, grid.v, grid.t
-    if G.func is not None:
-        out = np.empty((x.size, v.size))
-        for j, vv in enumerate(v):
-            out[:, j] = grid.h * np.sum(G.func(t[None, :], x[:, None] + vv * t[None, :]), axis=1)
-        return TransportFunction(grid, "phase", out)
-    out = _xray_sampled(G.samples, t, grid.h, v)
-    return TransportFunction(grid, "phase", out)
+    """rho* G(x, v) = integral of G(s, x + v s) ds on the grid rule, G
+    linearly interpolated in its second argument: the transpose of
+    `velocity_average`'s sampled kernel."""
+    _require_input(G, "spacetime", grid, tail_tol)
+    return TransportFunction(grid, "phase", _xray_sampled(G.samples, grid.t, grid.h, grid.v))
 
 
 def grid_norm(tf: TransportFunction, exponent: float) -> float:
@@ -311,20 +312,10 @@ def grid_norm(tf: TransportFunction, exponent: float) -> float:
 
 
 def pairing(a: TransportFunction, b: TransportFunction) -> float:
-    if a.kind != b.kind or a.samples.shape != b.samples.shape:
+    if a.kind != b.kind or a.grid != b.grid:
         raise ValueError("pairing requires matching domains")
     cell = a.grid.h ** a.samples.ndim
     return float(cell * np.sum(a.samples * b.samples))
-
-
-def _extremiser_pair(grid: PhaseGrid):
-    """Extremiser samples without their callables: comparisons against the
-    estimate are only meaningful through the same sampled-grid operator."""
-    X, V = np.meshgrid(grid.x, grid.v, indexing="ij")
-    T, Xt = np.meshgrid(grid.t, grid.x, indexing="ij")
-    f = TransportFunction(grid, "phase", extremiser_f(1, X, V))
-    G = TransportFunction(grid, "spacetime", extremiser_G(1, T, Xt))
-    return f, G
 
 
 class _Side:
@@ -342,14 +333,18 @@ class _Side:
         if side == "primal":
             self.e_in, self.e_out = p, q
             self.fwd, self.bwd = self._rho, self._rho_star
+            kind, extremiser = "phase", extremiser_f
         elif side == "dual":
             self.e_in, self.e_out = q / (q - 1.0), p / (p - 1.0)
             self.fwd, self.bwd = self._rho_star, self._rho
+            kind, extremiser = "spacetime", extremiser_G
         else:
             raise ValueError("side must be 'primal' or 'dual'")
         self.grid = grid
-        f_star, G_star = _extremiser_pair(grid)
-        self.base = f_star if side == "primal" else G_star
+        # samples without the callable: comparisons against the estimate are
+        # only meaningful through the same sampled-grid operator
+        A, B = np.meshgrid(*grid.axes(kind), indexing="ij")
+        self.base = TransportFunction(grid, kind, extremiser(1, A, B))
         self.base.samples.flags.writeable = False
 
     # module-level names, looked up per call, so that wrappers see every apply
@@ -430,7 +425,8 @@ def make_probe_direction(raw: np.ndarray, n: int, grid: PhaseGrid,
     scale to unit input norm."""
     sd = _side(n, grid, side)
     base, e_in = sd.base, sd.e_in
-    d = orthogonalize_direction(np.asarray(raw, dtype=float), base.samples, e_in)
+    raw = TransportFunction(grid, base.kind, raw).samples  # checks the shape
+    d = orthogonalize_direction(raw, base.samples, e_in)
     g = ratio_gradient(n, grid, side)
     gg = float(np.sum(g * g))
     if gg > 0.0:
@@ -447,7 +443,8 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     ray of the extremiser.
 
     The sampled operator A is linear, so A(f* + eps d) is the cached image
-    A f* plus eps A d: the direction is applied once, at the first eps.
+    A f* plus eps A d: the direction is applied once, before the eps loop.
+    Every eps is checked before any work is done.
 
     The distance needs one minimisation per direction too.  With
     N = |f* + eps d|_p and u = (f* + eps d) / N,
@@ -460,29 +457,27 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     `ray_distance`, whose convex minimum then sits at the clamped end."""
     sd = _side(n, grid, side)
     base, e_in, e_out = sd.base, sd.e_in, sd.e_out
-    if direction.kind != base.kind:
-        domain = "phase-space" if side == "primal" else "space-time"
-        raise ValueError(f"{side} probe needs a {domain} direction")
+    _require_input(direction, base.kind, grid)
+    eps_list = list(eps_list)
+    if not all(0.0 <= eps <= 0.25 for eps in eps_list):
+        raise ValueError("eps must lie in [0, 0.25] (local regime)")
     if rhat is None:
         rhat = ratio_estimate(n, grid, side)
     cell = grid.h ** 2
     d_norm = grid_norm(direction, e_in)
     if d_norm != 0.0 and abs(d_norm - 1.0) > 1e-6:
         raise ValueError("direction must be zero or normalized in the input norm")
+    if not eps_list:
+        return []
+    # the samples only, as they enter f* + eps d: a phase-space callable
+    # would select velocity_average's exact-integrand route
+    d_image = sd.fwd(TransportFunction(grid, base.kind, direction.samples))
+    reach = 2.0 * d_norm / sd.base_norm
+    kappa, miss = _ray_minimiser(direction.samples, base.samples, e_in, -reach, reach, 0.0)
+    samples = np.empty_like(base.samples)
+    image = np.empty_like(d_image.samples)
     out = []
-    d_image = None
     for eps in eps_list:
-        if not 0.0 <= eps <= 0.25:
-            raise ValueError("eps must lie in [0, 0.25] (local regime)")
-        if d_image is None:
-            # the samples only, as they enter f* + eps d: a callable would
-            # select the exact-integrand route
-            d_image = sd.fwd(TransportFunction(grid, base.kind, direction.samples))
-            reach = 2.0 * d_norm / sd.base_norm
-            kappa, miss = _ray_minimiser(direction.samples, base.samples, e_in,
-                                         -reach, reach, 0.0)
-            samples = np.empty_like(base.samples)
-            image = np.empty_like(d_image.samples)
         np.add(base.samples, np.multiply(direction.samples, eps, out=samples), out=samples)
         nrm = grid_norm(TransportFunction(grid, base.kind, samples), e_in)
         np.add(sd.image.samples, np.multiply(d_image.samples, eps, out=image), out=image)

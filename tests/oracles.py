@@ -3,7 +3,8 @@ coefficient A of one profile, pointwise trace evaluation on S^{n-1}
 (n = 2, 3) and a quadrature over the sphere.  The sum A of the mode sums
 must equal the L^2(S^{n-1}) norm^2 of the trace.  Also the dense formula
 of a Gaussian bump under add_gaussian's cut, the reference of the tests
-that pin its bits."""
+that pin its bits, and the x-ray transform of a callable at the exact
+characteristic points, the reference of the sampled x-ray kernel."""
 
 import math
 
@@ -107,3 +108,14 @@ def dense_bump(*terms, cut=CUT) -> np.ndarray:
     if rest:
         keep &= exponent >= -cut * cut
     return np.where(keep, np.exp(exponent), 0.0)
+
+
+def exact_xray(func, grid) -> np.ndarray:
+    """rho* G(x_i, v_j) = h sum_s G(t_s, x_i + v_j t_s) for the callable
+    G = func(t, x), evaluated at the exact characteristic points (no
+    interpolation), as an (x, v) array over the PhaseGrid `grid`."""
+    x, v, t = grid.x, grid.v, grid.t
+    out = np.empty((x.size, v.size))
+    for j, vv in enumerate(v):
+        out[:, j] = grid.h * np.sum(func(t[None, :], x[:, None] + vv * t[None, :]), axis=1)
+    return out

@@ -440,6 +440,18 @@ class TestProfileSet:
 
 
 class TestBadSizes:
+    def test_reports_check_the_sphere_dimension(self):
+        # an n = 3 set scored under an n = 2 weight reads a plausible report
+        # unless the dimensions are compared
+        bump = np.exp(-((GRID.r - 6.0) / 1.5) ** 2)
+        ps = ProfileSet(3, GRID, {(3, 3): bump, (5, 1): 0.5 * bump})
+        w = WeightSpec.homogeneous(2, 0.75)
+        with pytest.raises(ValueError, match="dimension n=3 does not match the weight's n=2"):
+            deficit_report(ps, w)
+        with pytest.raises(ValueError, match="dimension n=3"):
+            reverse_deficit_check(ps, w)
+        assert ps._sums == {}
+
     def test_grid_needs_positive_radius(self):
         for r_max in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="r_max > 0"):

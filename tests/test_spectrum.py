@@ -2,6 +2,7 @@
 quadrature, the power-weight integral identity, the alternative Legendre
 representation, and spectrum assembly with truncation certificates."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -394,6 +395,12 @@ class TestBuildSpectrum:
                 gap = WeightSpec.homogeneous(n, float(s)).closed_form(0) - \
                     WeightSpec.homogeneous(n, float(s)).closed_form(1)
                 assert stability_constant(spec) == pytest.approx(gap, rel=1e-12)
+
+    def test_equality_is_identity_and_sets_hash(self):
+        spec = build_spectrum(WeightSpec.homogeneous(3, 1.0), K=10)
+        twin = dataclasses.replace(spec, values=spec.values.copy())
+        assert spec == spec and spec != twin and not spec == twin
+        assert len({spec, twin, spec}) == 2 and hash(spec) == hash(spec)
 
     def test_nonnegative_constant(self):
         for w in (WeightSpec.homogeneous(3, 1.2), WeightSpec.inhomogeneous(4, 2.0)):

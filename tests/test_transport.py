@@ -28,7 +28,7 @@ from tracestab.transport import (
     xray_adjoint,
 )
 
-from oracles import CUT, NORMAL_CUT, dense_bump
+from oracles import CUT, NORMAL_CUT, dense_bump, exact_xray
 from test_duality import _bisection_distance
 
 
@@ -88,6 +88,47 @@ class TestPhaseGrid:
         assert g.x.size == 257
         assert np.allclose(np.diff(g.x), g.h)
         assert g.t[-1] == pytest.approx(2.0, abs=g.h)
+
+
+class TestGridMatch:
+    # a function is sampled on its grid's axes, and each operator takes it
+    # only on that grid: (x, v) = (257, 257) and (t, x) = (13, 257) on RESOLVED
+    @pytest.mark.parametrize("kind, shape", [("phase", (100, 257)), ("phase", (5, 5)),
+                                             ("phase", (13, 257)), ("spacetime", (257, 257)),
+                                             ("spacetime", (257, 13))])
+    def test_samples_take_the_grid_shape(self, kind, shape):
+        with pytest.raises(ValueError, match="shape"):
+            TransportFunction(RESOLVED, kind, np.zeros(shape))
+
+    @pytest.mark.parametrize("kind, op", [("phase", velocity_average),
+                                          ("spacetime", xray_adjoint)])
+    def test_operators_reject_another_grid(self, kind, op):
+        # both grids have 257 x points, so the samples alone cannot tell
+        half = PhaseGrid.build(1, 20.0, 256)
+        A, B = np.meshgrid(*((GRID.x, GRID.v) if kind == "phase" else (GRID.t, GRID.x)),
+                           indexing="ij")
+        tf = TransportFunction(GRID, kind, np.exp(-A * A - B * B))
+        twin = TransportFunction(half, kind, tf.samples)
+        with pytest.raises(ValueError, match="expected"):
+            op(tf, half, tail_tol=1.0)
+        with pytest.raises(ValueError, match="matching domains"):
+            pairing(tf, twin)
+        with pytest.raises(ValueError, match="matching domains"):
+            pairing(twin, tf)
+
+    def test_probe_takes_its_own_grid_and_shape(self):
+        half = PhaseGrid.build(1, 20.0, 256)
+        zero = TransportFunction(half, "phase", np.zeros((257, 257)))
+        with pytest.raises(ValueError, match="expected"):
+            local_stability_probe(1, zero, [0.1], GRID)
+        with pytest.raises(ValueError, match="shape"):
+            make_probe_direction(np.ones((GRID.x.size, 1)), 1, GRID)
+
+    def test_records_compare_by_identity(self):
+        tf = TransportFunction(GRID, "phase", np.ones((GRID.x.size, GRID.v.size)))
+        twin = TransportFunction(GRID, "phase", tf.samples.copy())
+        assert tf == tf and tf != twin and not tf == twin
+        assert len({tf, twin, tf}) == 2 and hash(tf) == hash(tf)
 
 
 class TestVelocityAverage:
@@ -176,15 +217,25 @@ class TestVelocityAverage:
 
 class TestXrayAdjoint:
     def test_gaussian_closed_form(self):
+        # the exact-integrand oracle the sampled kernel is checked against
         g = PhaseGrid.build(n=1, L=10.0, points=640)
-        G = TransportFunction.from_callable(
-            g, "spacetime", lambda t, x: np.exp(-t * t - x * x)
-        )
-        back = xray_adjoint(G, g)
+        back = exact_xray(lambda t, x: np.exp(-t * t - x * x), g)
         X, V = np.meshgrid(g.x, g.v, indexing="ij")
         exact = np.sqrt(math.pi / (1.0 + V ** 2)) * np.exp(-X ** 2 / (1.0 + V ** 2))
         sl = (np.abs(X) <= 3.0) & (np.abs(V) <= 2.0)
-        assert np.max(np.abs(back.samples - exact)[sl]) < 1e-4
+        assert np.max(np.abs(back - exact)[sl]) < 1e-4
+
+    def test_spacetime_callable_keeps_samples_only(self):
+        # the adjoint has one route, the sampled kernel's transpose
+        def gauss(a, b):
+            return np.exp(-a * a - b * b)
+
+        assert TransportFunction.from_callable(RESOLVED, "phase", gauss).func is gauss
+        G = TransportFunction.from_callable(RESOLVED, "spacetime", gauss)
+        assert G.func is None
+        plain = TransportFunction(RESOLVED, "spacetime", G.samples.copy())
+        assert np.array_equal(xray_adjoint(G, RESOLVED, tail_tol=1.0).samples,
+                              xray_adjoint(plain, RESOLVED, tail_tol=1.0).samples)
 
     def test_pairing_identity(self, rng):
         # the sampled-route operators are exact transposes, boundary rows
@@ -220,17 +271,20 @@ class TestKernelRoutes:
         # h exp(-y^2) is at most sqrt(pi), so each route pair differs by at
         # most h^2 sqrt(pi)/4 (0.0433 at 256 points, 0.0108 at 512).  The
         # short t-window cuts the space-time Gaussian off, so no tail gate.
+        def gauss(a, b):
+            return np.exp(-a * a - b * b)
+
         for points in (256, 512):
             g = PhaseGrid.build(1, 40.0, points, t_extent=2.0)
             bound = g.h ** 2 * math.sqrt(math.pi) / 4.0
-            for kind, op in (("phase", velocity_average), ("spacetime", xray_adjoint)):
-                exact = TransportFunction.from_callable(
-                    g, kind, lambda a, b: np.exp(-a * a - b * b)
-                )
-                sampled = TransportFunction(g, kind, exact.samples)
-                gap = np.max(np.abs(op(sampled, g, tail_tol=1.0).samples
-                                    - op(exact, g, tail_tol=1.0).samples))
-                assert gap <= bound, (points, kind, gap)
+            f = TransportFunction.from_callable(g, "phase", gauss)
+            routes = ((velocity_average, TransportFunction(g, "phase", f.samples),
+                       velocity_average(f, g, tail_tol=1.0).samples),
+                      (xray_adjoint, TransportFunction.from_callable(g, "spacetime", gauss),
+                       exact_xray(gauss, g)))
+            for op, sampled, exact in routes:
+                gap = np.max(np.abs(op(sampled, g, tail_tol=1.0).samples - exact))
+                assert gap <= bound, (points, op.__name__, gap)
 
     def test_sampled_route_matches_interpolation_free_case(self):
         # t = 0 rows need no interpolation: both routes reduce to a sum
@@ -685,6 +739,32 @@ class TestProbe:
             d = make_probe_direction(raw, 1, GRID)
             pts = local_stability_probe(1, d, [0.1], GRID, rhat=rhat)
             assert pts[0].deficit > 0
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_every_eps_checked_before_any_work(self, side, monkeypatch):
+        # a 128-point grid that no other test probes, with the ratio estimate
+        # left to the probe; the generator is read once, not by the check
+        grid = PhaseGrid.build(1, 40.0, 128)
+        kind, shape = (("phase", (grid.x.size, grid.v.size)) if side == "primal"
+                       else ("spacetime", (grid.t.size, grid.x.size)))
+        zero = TransportFunction(grid, kind, np.zeros(shape))
+        calls = []
+        for name in ("velocity_average", "xray_adjoint", "_ray_minimiser"):
+            fn = getattr(transport, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(transport, name, counted)
+        for eps_list in ([0.5], [0.1, 0.5], [0.05, 0.1, -0.01], [0.1, math.nan]):
+            with pytest.raises(ValueError, match="eps must lie"):
+                local_stability_probe(1, zero, eps_list, grid, side)
+            with pytest.raises(ValueError, match="eps must lie"):
+                local_stability_probe(1, zero, iter(eps_list), grid, side)
+        assert calls == []
+        pts = local_stability_probe(1, zero, (eps for eps in [0.0, 0.1]), grid, side)
+        assert [pt.eps for pt in pts] == [0.0, 0.1]
 
     def test_eps_range_enforced(self):
         zero = TransportFunction(GRID, "phase",
