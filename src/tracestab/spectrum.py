@@ -17,6 +17,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 import scipy.special as sp
@@ -470,12 +471,15 @@ def lambda_legendre_form(weight: WeightSpec, k: int) -> float:
 # spectrum assembly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncationCertificate:
     K: int
     tail_bound: float
     method: str
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "details", MappingProxyType(dict(self.details)))
 
 
 @dataclass(frozen=True, eq=False)

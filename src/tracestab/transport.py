@@ -46,10 +46,15 @@ def exponents(n: int) -> tuple[float, float, float]:
     return (n + 2.0) / (n + 1.0), (n + 2.0) / n, (n + 2.0) / n
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform symmetric grids: x and v over [-L, L] with spacing h, and a
-    t-grid over [-t_extent, t_extent] with the same spacing."""
+    t-grid over [-t_extent, t_extent] with the same spacing; axes are cached, read-only."""
 
     n: int
     L: float
@@ -67,19 +72,19 @@ class PhaseGrid:
         if self.t_extent <= 0.0:
             raise ValueError("t_extent must be positive")
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
         m = int(round(self.L / self.h))
-        return self.h * np.arange(-m, m + 1)
+        return _read_only(self.h * np.arange(-m, m + 1))
 
     @property
     def v(self) -> np.ndarray:
         return self.x
 
-    @property
+    @functools.cached_property
     def t(self) -> np.ndarray:
         m = int(round(self.t_extent / self.h))
-        return self.h * np.arange(-m, m + 1)
+        return _read_only(self.h * np.arange(-m, m + 1))
 
     def axes(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """(x, v) for kind 'phase', (t, x) for 'spacetime'."""
@@ -98,7 +103,9 @@ class TransportFunction:
     """Samples of a function over the phase grid ('phase': (x, v)) or the
     space-time grid ('spacetime': (t, x)), in the shape of the grid's axes.
     Only a phase-space function may keep the exact callable it was sampled
-    from, which `velocity_average` then integrates.  Compares by identity."""
+    from, which `velocity_average` then integrates.  Compares by identity.
+    Samples a caller supplies are checked for shape and finiteness; `_own`
+    wraps this module's results from checked inputs without that pass."""
 
     grid: PhaseGrid
     kind: str  # "phase" | "spacetime"
@@ -116,6 +123,12 @@ class TransportFunction:
         if not np.all(np.isfinite(s)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", s)
+
+    @classmethod
+    def _own(cls, grid: PhaseGrid, kind: str, samples: np.ndarray) -> "TransportFunction":
+        tf = object.__new__(cls)
+        tf.__dict__.update(grid=grid, kind=kind, samples=samples, func=None)
+        return tf
 
     @classmethod
     def from_callable(cls, grid: PhaseGrid, kind: str, func) -> "TransportFunction":
@@ -290,8 +303,7 @@ def velocity_average(f: TransportFunction, grid: PhaseGrid,
         for it, tv in enumerate(t):
             out[it] = grid.h * np.sum(f.func(x[:, None] - tv * v[None, :], v[None, :]), axis=1)
         return TransportFunction(grid, "spacetime", out)
-    out = _vel_avg_sampled(f.samples, grid.h, v, t)
-    return TransportFunction(grid, "spacetime", out)
+    return TransportFunction._own(grid, "spacetime", _vel_avg_sampled(f.samples, grid.h, v, t))
 
 
 def xray_adjoint(G: TransportFunction, grid: PhaseGrid,
@@ -300,14 +312,16 @@ def xray_adjoint(G: TransportFunction, grid: PhaseGrid,
     linearly interpolated in its second argument: the transpose of
     `velocity_average`'s sampled kernel."""
     _require_input(G, "spacetime", grid, tail_tol)
-    return TransportFunction(grid, "phase", _xray_sampled(G.samples, grid.t, grid.h, grid.v))
+    return TransportFunction._own(grid, "phase", _xray_sampled(G.samples, grid.t, grid.h, grid.v))
 
 
 def grid_norm(tf: TransportFunction, exponent: float) -> float:
-    """l^e norm under the product rectangle rule."""
+    """l^e norm under the rectangle rule, e > 0.  numpy's vector pow takes a
+    ~4x slower scalar path in each block that holds a zero, so zero lanes skip
+    it; |0|^e = 0 keeps every bit.  Samples are not checked again."""
     cell = tf.grid.h ** tf.samples.ndim
     powers = np.abs(tf.samples)
-    powers **= exponent  # the scalar-power path of np.abs(x) ** exponent, in place
+    np.power(powers, exponent, out=powers, where=True if powers.min() > 0.0 else powers > 0.0)
     return float((cell * np.sum(powers)) ** (1.0 / exponent))
 
 
@@ -322,9 +336,9 @@ class _Side:
     """One side of the grid inequality on one grid: the sampled extremiser
     `base`, the input and output exponents, the operator `fwd` and its
     adjoint `bwd`.  'primal' is rho from (x, v) at p to (t, x) at q; 'dual'
-    is rho* from (t, x) at q' to (x, v) at p'.  The operator ratio and the
-    ratio gradient at the extremiser are computed on first use; arrays are
-    read-only, since `_side` hands one instance to every caller."""
+    is rho* from (t, x) at q' to (x, v) at p'.  The ratio, the ratio gradient
+    and the probe's projections are computed on first use and not checked
+    again; arrays are read-only, since `_side` hands one instance to all."""
 
     def __init__(self, n: int, grid: PhaseGrid, side: str):
         p, q, _ = exponents(n)
@@ -344,8 +358,7 @@ class _Side:
         # samples without the callable: comparisons against the estimate are
         # only meaningful through the same sampled-grid operator
         A, B = np.meshgrid(*grid.axes(kind), indexing="ij")
-        self.base = TransportFunction(grid, kind, extremiser(1, A, B))
-        self.base.samples.flags.writeable = False
+        self.base = TransportFunction._own(grid, kind, _read_only(extremiser(1, A, B)))
 
     # module-level names, looked up per call, so that wrappers see every apply
     def _rho(self, tf):
@@ -377,9 +390,14 @@ class _Side:
         back = self.bwd(TransportFunction(self.grid, Af.kind, u)).samples
         grad_N = back * N ** (1.0 - e_out)
         grad_D = np.abs(base.samples) ** (e_in - 2.0) * base.samples * D ** (1.0 - e_in)
-        g = grad_N - (N / D) * grad_D
-        g.flags.writeable = False
-        return g
+        return _read_only(grad_N - (N / D) * grad_D)
+
+    @functools.cached_property
+    def projections(self) -> tuple[np.ndarray, float, float]:
+        """(|base|^{e_in - 1} sign base, its pairing with base, |gradient|^2)"""
+        b = self.base.samples
+        dual = _read_only(np.abs(b) ** (self.e_in - 1.0) * np.sign(b))
+        return dual, np.sum(b * dual), float(np.sum(self.gradient * self.gradient))
 
 
 @functools.lru_cache(maxsize=4)
@@ -401,7 +419,11 @@ def orthogonalize_direction(direction: np.ndarray, base: np.ndarray,
     """Remove the component of the direction along the norm gradient of the
     base point (pairing against |base|^{p-1} sign base), then normalize."""
     dual = np.abs(base) ** (p - 1.0) * np.sign(base)
-    d = direction - np.sum(direction * dual) / np.sum(base * dual) * base
+    return _orthogonalize(direction, base, p, dual, np.sum(base * dual))
+
+
+def _orthogonalize(direction, base, p, dual, base_dual):
+    d = direction - np.sum(direction * dual) / base_dual * base
     nrm = np.sum(np.abs(d) ** p) ** (1.0 / p)
     if nrm == 0.0:
         raise ValueError("direction is parallel to the base point")
@@ -425,14 +447,16 @@ def make_probe_direction(raw: np.ndarray, n: int, grid: PhaseGrid,
     scale to unit input norm."""
     sd = _side(n, grid, side)
     base, e_in = sd.base, sd.e_in
-    raw = TransportFunction(grid, base.kind, raw).samples  # checks the shape
-    d = orthogonalize_direction(raw, base.samples, e_in)
+    raw = TransportFunction(grid, base.kind, raw).samples  # checks shape and finiteness
+    dual, base_dual, gg = sd.projections
+    d = _orthogonalize(raw, base.samples, e_in, dual, base_dual)
     g = ratio_gradient(n, grid, side)
-    gg = float(np.sum(g * g))
     if gg > 0.0:
         d = d - float(np.sum(d * g)) / gg * g
     nrm = (grid.h ** d.ndim * np.sum(np.abs(d) ** e_in)) ** (1.0 / e_in)
-    return TransportFunction(grid, base.kind, d / nrm)
+    if not 0.0 < nrm < math.inf:  # a finite nonzero norm keeps d / nrm finite
+        raise ValueError("direction has no finite nonzero norm after the projections")
+    return TransportFunction._own(grid, base.kind, d / nrm)
 
 
 def local_stability_probe(n: int, direction: TransportFunction, eps_list,
@@ -471,7 +495,7 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
         return []
     # the samples only, as they enter f* + eps d: a phase-space callable
     # would select velocity_average's exact-integrand route
-    d_image = sd.fwd(TransportFunction(grid, base.kind, direction.samples))
+    d_image = sd.fwd(TransportFunction._own(grid, base.kind, direction.samples))
     reach = 2.0 * d_norm / sd.base_norm
     kappa, miss = _ray_minimiser(direction.samples, base.samples, e_in, -reach, reach, 0.0)
     samples = np.empty_like(base.samples)
@@ -479,9 +503,9 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     out = []
     for eps in eps_list:
         np.add(base.samples, np.multiply(direction.samples, eps, out=samples), out=samples)
-        nrm = grid_norm(TransportFunction(grid, base.kind, samples), e_in)
+        nrm = grid_norm(TransportFunction._own(grid, base.kind, samples), e_in)
         np.add(sd.image.samples, np.multiply(d_image.samples, eps, out=image), out=image)
-        ratio = grid_norm(TransportFunction(grid, d_image.kind, image), e_out) / nrm
+        ratio = grid_norm(TransportFunction._own(grid, d_image.kind, image), e_out) / nrm
         deficit = rhat - ratio
         if deficit < -1e-4 * rhat:
             raise InconsistencyError(
@@ -511,7 +535,7 @@ def random_phase_function(grid: PhaseGrid, rng: np.random.Generator) -> Transpor
         wx, wv = rng.uniform(0.8, 4.0, size=2)
         amp = rng.uniform(-1.0, 1.0)
         add_gaussian(s, amp, (x, cx, wx), (v, cv, wv))
-    return TransportFunction(grid, "phase", s)
+    return TransportFunction._own(grid, "phase", s)
 
 
 def probe_to_csv(points: list[ProbePoint], directions: list[int] | None = None) -> str:

@@ -402,6 +402,17 @@ class TestBuildSpectrum:
         assert spec == spec and spec != twin and not spec == twin
         assert len({spec, twin, spec}) == 2 and hash(spec) == hash(spec)
 
+    def test_certificate_hashes_and_holds_its_details(self):
+        cert = build_spectrum(WeightSpec.homogeneous(3, 1.0), K=10).certificate
+        assert hash(cert) == hash(cert) and len({cert, cert}) == 1
+        detail = {"eps": 2.0}
+        cert = spec_mod.TruncationCertificate(5, 0.1, "landau-hoelder", detail)
+        detail["eps"] = 3.0
+        assert cert.details == {"eps": 2.0}
+        with pytest.raises(TypeError):
+            cert.details["eps"] = 4.0
+        assert cert != spec_mod.TruncationCertificate(5, 0.1, "landau-hoelder", detail)
+
     def test_nonnegative_constant(self):
         for w in (WeightSpec.homogeneous(3, 1.2), WeightSpec.inhomogeneous(4, 2.0)):
             assert stability_constant(build_spectrum(w, K=8)) >= 0.0

@@ -491,6 +491,16 @@ class TestSideCache:
         with pytest.raises(ValueError):
             g[0, 0] = 1.0
 
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_cached_arrays_are_read_only(self, side):
+        grid = PhaseGrid.build(1, 40.0, 192)
+        assert grid.x is grid.x and grid.v is grid.x and grid.t is grid.t
+        sd = transport._side(1, grid, side)
+        for a in (grid.x, grid.t, sd.base.samples, sd.image.samples, sd.gradient,
+                  sd.projections[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
 
 class TestNorms:
     def test_grid_norm_rectangle_rule(self):
@@ -500,11 +510,21 @@ class TestNorms:
 
     @pytest.mark.parametrize("e", [0.5, 4.0 / 3.0, 1.5, 2.0, 3.0])
     def test_grid_norm_bit_identical_to_formula(self, e, rng):
+        # the formula takes numpy's scalar pow path in each block with a zero,
+        # grid_norm skips the zero lanes: neither a zero (of either sign) nor
+        # a subnormal lane may move a bit
         x = rng.normal(size=(GRID.x.size, GRID.v.size))
         x[::7] = 0.0
-        tf = TransportFunction(GRID, "phase", x)
-        want = float((GRID.h ** 2 * np.sum(np.abs(x) ** e)) ** (1.0 / e))
-        assert np.float64(grid_norm(tf, e)).view(np.int64) == np.float64(want).view(np.int64)
+        signed = np.where(rng.uniform(size=x.shape) < 0.3, -0.0, x)
+        tiny = np.where(rng.uniform(size=x.shape) < 0.3,
+                        5e-324 * rng.integers(1, 2 ** 40, size=x.shape), x)
+        bench = PhaseGrid.build(1, 40.0, 192)
+        cases = [(GRID, x), (GRID, np.zeros_like(x)), (GRID, signed), (GRID, tiny)]
+        cases += [(bench, random_phase_function(bench, np.random.default_rng(seed)).samples)
+                  for seed in range(3)]
+        for grid, s in cases:
+            want = float((grid.h ** 2 * np.sum(np.abs(s) ** e)) ** (1.0 / e))
+            assert grid_norm(TransportFunction(grid, "phase", s), e).hex() == want.hex()
 
 
 class TestRandomPhaseFunction:
@@ -731,6 +751,45 @@ class TestProbe:
             pts = local_stability_probe(1, d, eps_list, GRID, side, rhat)
             assert len(pts) == len(eps_list)
             assert applies == [fwd] * min(len(eps_list), 1), eps_list
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_direction_bit_identical_to_public_steps(self, side):
+        # the side's dual map, its pairing and |gradient|^2 are cached; the
+        # direction must be the one the public functions build per call
+        grid = PhaseGrid.build(1, 40.0, 192)
+        p, q, _ = exponents(1)
+        e_in = p if side == "primal" else q / (q - 1.0)
+        a, b = (grid.x, grid.v) if side == "primal" else (grid.t, grid.x)
+        A, B = np.meshgrid(a, b, indexing="ij")
+        base = (extremiser_f if side == "primal" else extremiser_G)(1, A, B)
+        g = ratio_gradient(1, grid, side)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            cli = np.zeros(A.shape)  # transport-probe's draw
+            add_gaussian(cli, 1.0, (a, rng.uniform(-2, 2), rng.uniform(1, 2.5)),
+                         (b, rng.uniform(-2, 2), rng.uniform(1, 2.5)))
+            dense = np.exp(-((A - rng.uniform(-2, 2)) / rng.uniform(1.5, 2.5)) ** 2
+                           - ((B - rng.uniform(-2, 2)) / rng.uniform(1.5, 2.5)) ** 2)
+            for raw in (cli, dense):
+                d = orthogonalize_direction(raw, base, e_in)
+                d = d - float(np.sum(d * g)) / float(np.sum(g * g)) * g
+                d = d / (grid.h ** 2 * np.sum(np.abs(d) ** e_in)) ** (1.0 / e_in)
+                got = make_probe_direction(raw, 1, grid, side).samples
+                assert np.array_equal(got.view(np.int64), d.view(np.int64))
+
+    def test_direction_rejects_what_it_cannot_normalize(self):
+        X, V = np.meshgrid(GRID.x, GRID.v, indexing="ij")
+        bump = np.exp(-(X - 1.0) ** 2 - (V + 0.5) ** 2)
+        for bad in (math.nan, math.inf, -math.inf):
+            raw = bump.copy()
+            raw[3, 4] = bad
+            with pytest.raises(ValueError, match="finite"):
+                make_probe_direction(raw, 1, GRID)
+        # finite, but its norm overflows: the result is not checked again,
+        # so the norm must be
+        with pytest.raises(ValueError, match="finite nonzero norm"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            make_probe_direction(1e250 * bump, 1, GRID)
 
     def test_random_directions_positive_deficit(self, rng):
         rhat = ratio_estimate(1, GRID)
