@@ -81,9 +81,12 @@ class ProfileSet:
 
     `entries` is a read-only mapping of read-only float arrays, so the mode
     sums of the set, kept once per GridSpectrum it meets, cannot go stale.
-    A float array that owns its data is frozen in place, not copied: the
-    caller can no longer write into it.  Any other profile (a view, a list,
-    another dtype) is copied into a fresh float array, which is frozen."""
+    Every profile must match the grid and be finite.  A float array that
+    owns its data is frozen in place, not copied: the caller can no longer
+    write into it.  Any other profile (a view, a list, another dtype) is
+    copied into a fresh float array, which is frozen.  `_own` wraps the
+    profiles this module builds from its own kernels and draws without
+    these checks."""
 
     n: int
     grid: RadialGrid
@@ -91,18 +94,29 @@ class ProfileSet:
     _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        frozen = {}
+        checked = {}
         for (k, m), g in self.entries.items():
             if k < 0 or not 1 <= m <= dim_harmonic(self.n, k):
                 raise ValueError(f"mode index ({k},{m}) out of range for n={self.n}")
             g = np.asarray(g, dtype=float)
             if g.shape != self.grid.r.shape:
                 raise ValueError(f"profile ({k},{m}) does not match the grid")
-            if g.base is not None:
-                g = g.copy()
+            if not np.isfinite(g).all():
+                raise ValueError(f"profile ({k},{m}) must be finite")
+            checked[(k, m)] = g if g.base is None else g.copy()
+        for g in checked.values():  # only once every profile has passed
             g.setflags(write=False)
-            frozen[(k, m)] = g
-        object.__setattr__(self, "entries", MappingProxyType(frozen))
+        object.__setattr__(self, "entries", MappingProxyType(checked))
+
+    @classmethod
+    def _own(cls, n: int, grid: RadialGrid, entries: dict) -> "ProfileSet":
+        """A set of the arrays this module made, fresh or a GridSpectrum's
+        kernels: frozen in place, in the dict given, without any check."""
+        for g in entries.values():
+            g.setflags(write=False)
+        ps = object.__new__(cls)
+        ps.__dict__.update(n=n, grid=grid, entries=MappingProxyType(entries), _sums={})
+        return ps
 
     def max_degree(self) -> int:
         return max((k for k, _ in self.entries), default=0)
@@ -176,8 +190,12 @@ def _mode_sums(ps: ProfileSet, gs: GridSpectrum) -> tuple[float, float, float]:
     if sums is None:
         sumB = sumA = a01 = 0.0
         for (k, m), g in ps.entries.items():
-            b = B_coefficient(g, ps.grid)
-            inner = ps.grid.integrate(g * gs.kernel(k))
+            ker = gs.kernel(k)
+            if g is ker:  # B and the inner product are lambda_k's own integral
+                b = inner = gs.lam(k)
+            else:
+                b = B_coefficient(g, ps.grid)
+                inner = ps.grid.integrate(g * ker)
             a = inner * inner
             sumB += b
             sumA += a
@@ -220,6 +238,8 @@ def equality_case_builder(weight: WeightSpec, spectrum: LambdaSpectrum,
     extremiser kernel plus kernels on the attaining modes k in K_set."""
     if not spectrum.K_set:
         raise ValueError("no extremiser exists when the attaining set is empty")
+    if not all(map(math.isfinite, (c, *(Y_coeffs or {}).values()))):
+        raise ValueError("equality-case coefficients must be finite")
     n = weight.n
     gs = grid_spectrum(weight, grid)
     entries = {}
@@ -234,7 +254,7 @@ def equality_case_builder(weight: WeightSpec, spectrum: LambdaSpectrum,
                 entries[(k_att, m)] = coeff * gs.kernel(k_att)
     if not entries:
         raise ValueError("all coefficients vanish; the zero function is excluded")
-    return ProfileSet(n, grid, entries)
+    return ProfileSet._own(n, grid, entries)
 
 
 def extremising_sequence(weight: WeightSpec, spectrum: LambdaSpectrum,
@@ -249,7 +269,7 @@ def extremising_sequence(weight: WeightSpec, spectrum: LambdaSpectrum,
     for k in k_list:
         if k < 1:
             raise ValueError("extremising sequence uses k >= 1")
-        ps = ProfileSet(weight.n, grid, {(k, 1): gs.kernel(k)})
+        ps = ProfileSet._own(weight.n, grid, {(k, 1): gs.kernel(k)})
         ratios.append(deficit_report(ps, weight).ratio)
     return ratios
 
@@ -284,12 +304,12 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
     gs = grid_spectrum(weight, grid)
     if n_modes is None:
         n_modes = int(rng.integers(1, 5))
+    r = grid.r
     entries = {}
     for _ in range(n_modes):
         k = int(rng.integers(0, max_k + 1))
         m = int(rng.integers(1, min(dim_harmonic(n, k), _MAX_M) + 1))
-        r = grid.r
-        prof = np.zeros_like(r)
+        prof = np.zeros(r.size)
         for _ in range(int(rng.integers(1, 4))):
             center = rng.uniform(0.5, 0.5 * grid.r_max)
             width = rng.uniform(0.3, 5.0)
@@ -300,4 +320,4 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
             entries[(k, m)] = entries[(k, m)] + prof
         else:
             entries[(k, m)] = prof
-    return ProfileSet(n, grid, entries)
+    return ProfileSet._own(n, grid, entries)

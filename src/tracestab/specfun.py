@@ -66,6 +66,17 @@ def dim_harmonic(n: int, k: int) -> int:
 _CUT = 8.6
 
 
+def _term(axis: np.ndarray, c: float, w: float) -> tuple[slice, np.ndarray]:
+    """The window |z| < _CUT of one term and -z^2 on it, z = (axis - c) / w."""
+    lo = axis.searchsorted(c - _CUT * w)
+    hi = axis.searchsorted(c + _CUT * w)
+    z = axis[lo:hi] - c
+    z /= w
+    z *= z
+    np.negative(z, out=z)
+    return slice(lo, hi), z
+
+
 def add_gaussian(out: np.ndarray, amp: float, *terms) -> None:
     """out += amp * exp(-sum_i z_i**2), z_i = (axis_i - c_i) / w_i, over the
     outer grid of sorted axes, one term (axis_i, c_i, w_i) per dimension of
@@ -84,21 +95,16 @@ def add_gaussian(out: np.ndarray, amp: float, *terms) -> None:
     in any sum above about N u |amp|: the cut can move a result only where
     a sum over the bump cancels to below that.  The exponent
     (-z_0^2) + (-z_1^2) has the bits of -z_0^2 - z_1^2.  Each step runs in
-    place on a fresh array (for one term the reduce returns that array
-    itself) and is the same IEEE operation as in the dense formula."""
-    windows, args = [], []
-    for axis, c, w in terms:
-        lo = axis.searchsorted(c - _CUT * w)
-        hi = axis.searchsorted(c + _CUT * w)
-        z = axis[lo:hi] - c
-        z /= w
-        z *= z
-        np.negative(z, out=z)
-        windows.append(slice(lo, hi))
-        args.append(z)
-    bump = functools.reduce(np.add.outer, args)
-    if len(args) > 1:
+    place on a fresh array and is the same IEEE operation as in the dense
+    formula.  One term, the radial profiles' case, takes a path of its own:
+    its window's -z^2 is the bump's exponent as it stands, with no outer
+    sum and no mask."""
+    if len(terms) == 1:
+        window, bump = _term(*terms[0])
+    else:
+        window, args = zip(*(_term(*t) for t in terms))
+        bump = functools.reduce(np.add.outer, args)
         bump[bump < -_CUT * _CUT] = -np.inf
     np.exp(bump, out=bump)
     bump *= amp
-    out[tuple(windows)] += bump
+    out[window] += bump

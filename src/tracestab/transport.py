@@ -427,6 +427,8 @@ def _orthogonalize(direction, base, p, dual, base_dual):
     nrm = np.sum(np.abs(d) ** p) ** (1.0 / p)
     if nrm == 0.0:
         raise ValueError("direction is parallel to the base point")
+    if not nrm < math.inf:  # inf or nan: d / nrm would not have unit norm
+        raise ValueError("direction has no finite nonzero norm after the projection")
     return d / nrm
 
 

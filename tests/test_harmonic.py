@@ -5,6 +5,7 @@ and pointwise trace evaluation on the sphere."""
 import dataclasses
 import functools
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -167,6 +168,12 @@ class TestEqualityAndSharpness:
                               SPEC3.certificate, SPEC3.tol)
         with pytest.raises(ValueError):
             equality_case_builder(W3, bad, 1.0, None, GRID)
+
+    def test_equality_case_needs_finite_coefficients(self):
+        # its set skips the public constructor's finiteness check
+        for c, coeffs in ((math.nan, None), (math.inf, {1: 0.5}), (1.0, {2: -math.inf})):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                equality_case_builder(W3, SPEC3, c, coeffs, GRID)
 
 
 class TestRandomSweeps:
@@ -403,6 +410,62 @@ class TestProfileSet:
         assert ps.entries[(1, 1)] is not base[1] and base.flags.writeable
         base[1] = 0.0
         assert np.array_equal(ps.entries[(1, 1)], owned)
+
+    def test_non_finite_profiles_are_rejected(self):
+        # one NaN or inf lane read a deficit of nan and a ratio of inf, and
+        # reverse_deficit_check (False, nan), with no error
+        bump = np.exp(-((GRID.r - 6.0) / 1.5) ** 2)
+        for bad in (math.nan, math.inf, -math.inf):
+            prof = bump.copy()
+            prof[40] = bad
+            for given in (prof, list(prof), prof[::-1][::-1]):
+                with pytest.raises(ValueError, match=r"profile \(1,2\) must be finite"):
+                    ProfileSet(3, GRID, {(0, 1): bump, (1, 2): given})
+        assert bump.flags.writeable
+
+    @pytest.mark.parametrize("label", ["homogeneous", "inhomogeneous", "custom"])
+    def test_built_sets_read_what_the_public_constructor_reads(self, label):
+        # random_profile_set and equality_case_builder wrap their own arrays
+        # without the public checks; every report bit must be the same
+        weight = sweep_weight(label)
+
+        def report(ps):
+            rep = deficit_report(ps, weight)
+            _, margin = reverse_deficit_check(ps, weight)
+            return [float(x).hex() for x in (*dataclasses.astuple(rep), margin)]
+
+        spec = build_spectrum(weight, K=6)
+        built = [random_profile_set(weight, GRID, np.random.default_rng(seed))
+                 for seed in range(200)]
+        built.append(equality_case_builder(weight, spec, 1.0, {1: 0.7}, GRID))
+        for ps in built:
+            assert isinstance(ps.entries, MappingProxyType) and ps._sums == {}
+            assert not any(g.flags.writeable for g in ps.entries.values())
+            public = ProfileSet(ps.n, ps.grid, {km: g.copy() for km, g in ps.entries.items()})
+            assert report(ps) == report(public)
+
+    @pytest.mark.parametrize("label", ["homogeneous", "inhomogeneous", "custom"])
+    def test_pure_kernel_entries_read_lambda_k(self, label, monkeypatch):
+        # an entry that is the GridSpectrum's own kernel reads B = inner =
+        # lambda_k without integrating; a copy of it takes the general route
+        weight = sweep_weight(label)
+        spec = build_spectrum(weight, K=6)
+        gs = harmonic.grid_spectrum(weight, GRID)
+        ks = list(range(1, 7))
+        want = []
+        for k in ks:
+            copy = ProfileSet(3, GRID, {(k, 1): gs.kernel(k).copy()})
+            want.append(deficit_report(copy, weight).ratio.hex())
+        integrate = RadialGrid.integrate
+        calls = []
+
+        def counting(grid, samples):
+            calls.append(1)
+            return integrate(grid, samples)
+
+        monkeypatch.setattr(RadialGrid, "integrate", counting)
+        got = [r.hex() for r in extremising_sequence(weight, spec, ks, GRID)]
+        assert got == want and calls == []
 
     def test_sums_are_kept_per_weight(self, rng):
         other = WeightSpec.inhomogeneous(3, 2.0)

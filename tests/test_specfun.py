@@ -218,9 +218,12 @@ class TestGaussianWindow:
         dense, windowed = np.zeros_like(r), np.zeros_like(r)
         # random_profile_set draws widths in [0.3, 5]; on r_max = 60 the
         # window |z| < 8.6 of a width-5 bump is clipped at both ends, and
-        # centres below, at and beyond the ends clip it at one
+        # centres below, at and beyond the ends clip it at one or empty it
+        windows = set()
         for center in (-3.0, 0.5, 17.3, 30.0, 59.9, 65.0):
             for width in (0.3, 5.0):
+                lo, hi = r.searchsorted([center - CUT * width, center + CUT * width])
+                windows.add("empty" if lo == hi else (lo == 0, hi == r.size))
                 amp = rng.normal()
                 bump = dense_bump((r, center, width))
                 dense += amp * bump
@@ -229,6 +232,7 @@ class TestGaussianWindow:
                 add_gaussian(alone, 1.0, (r, center, width))
                 assert np.array_equal(bits(alone), bits(bump))
         assert np.array_equal(bits(windowed), bits(dense))
+        assert windows == {"empty", (False, False), (True, False), (False, True), (True, True)}
 
     @pytest.mark.parametrize("side", ["primal", "dual"])
     def test_bump_2d_matches_dense(self, side):

@@ -615,8 +615,25 @@ class TestProbe:
     def test_ray_direction_rejected(self):
         X, V = np.meshgrid(GRID.x, GRID.v, indexing="ij")
         base = extremiser_f(1, X, V)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="parallel to the base point"):
             orthogonalize_direction(base, base, 1.5)
+
+    def test_orthogonalize_rejects_a_norm_it_cannot_divide_by(self):
+        # 1e250 times a bump is finite, but its 3/2-norm overflows; d / inf
+        # would return an all-zero "normalized" direction
+        grid = PhaseGrid.build(1, 40.0, 128)
+        X, V = np.meshgrid(grid.x, grid.v, indexing="ij")
+        base = extremiser_f(1, X, V)
+        bump = np.exp(-(X - 1.0) ** 2 - (V + 0.5) ** 2)
+        nan_bump = bump.copy()
+        nan_bump[3, 4] = math.nan
+        for bad in (1e250 * bump, nan_bump):
+            with pytest.raises(ValueError, match="finite nonzero norm"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                orthogonalize_direction(bad, base, 1.5)
+        # a large norm that stays finite still normalizes to unit l^p sum
+        d = orthogonalize_direction(1e100 * bump, base, 1.5)
+        assert np.sum(np.abs(d) ** 1.5) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("side", ["primal", "dual"])
     def test_quadratic_band(self, side, rng):
