@@ -147,7 +147,7 @@ def validate_args(args) -> list[str]:
             v.append("--r required")
         else:
             build(duality.sigma_counterexample, args.r, args.sigma, args.deltas)
-        if args.sigma <= 0:
+        if not args.sigma > 0:
             v.append("sigma > 0 required")
         if len(args.deltas) < 2:  # the decay check compares successive deltas
             v.append("at least 2 deltas required")

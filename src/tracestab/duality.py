@@ -703,9 +703,7 @@ def ray_distance(u: np.ndarray, b: np.ndarray, p: float) -> float:
     with c in [0, 10 ||u||_p / ||b||_p].
 
     `_ray_minimiser` on that bracket, from ||u||_p / ||b||_p, the minimiser
-    when u lies on the ray.  The kinetic probe minimises once per direction
-    instead, and calls this only for an eps whose optimal c leaves this
-    bracket (see `transport.local_stability_probe`)."""
+    when u lies on the ray."""
     u = np.asarray(u, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     c = lp_norm(u, p) / max(lp_norm(b, p), 1e-300)

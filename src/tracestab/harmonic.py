@@ -261,7 +261,7 @@ def extremising_sequence(weight: WeightSpec, spectrum: LambdaSpectrum,
                          k_list, grid: RadialGrid) -> list[float]:
     """Deficit/distance ratios of the pure-mode kernels; each equals
     lambda_0 - lambda_k of the grid's own eigenvalues (GridSpectrum.lam),
-    not of the certified spectrum."""
+    not of the certified spectrum, which must cover every k."""
     if not k_list:
         raise ValueError("k_list must be nonempty")
     gs = grid_spectrum(weight, grid)
@@ -270,7 +270,7 @@ def extremising_sequence(weight: WeightSpec, spectrum: LambdaSpectrum,
         if k < 1:
             raise ValueError("extremising sequence uses k >= 1")
         ps = ProfileSet._own(weight.n, grid, {(k, 1): gs.kernel(k)})
-        ratios.append(deficit_report(ps, weight).ratio)
+        ratios.append(deficit_report(ps, weight, spectrum).ratio)
     return ratios
 
 

@@ -261,9 +261,9 @@ class CustomWeight(WeightSpec):
 
 def watson_integral(n: int, k: int, tau: float) -> float:
     """Closed form of int_0^infty J_{k+(n-2)/2}(r)^2 r^{1-tau} dr, tau > 1."""
-    if tau <= 1.0:
+    if not tau > 1.0:
         raise ValueError("tau > 1 required")
-    if k + (n - tau) / 2.0 <= 0.0:
+    if not k + (n - tau) / 2.0 > 0.0:
         raise ValueError(
             f"integral diverges: k + (n-tau)/2 = {k + (n - tau) / 2.0} <= 0"
         )
@@ -390,7 +390,7 @@ def _tail_integral(nu: float, weight, r_cut: float, envelope: tuple[float, float
 
 def check_tol(tol: float) -> None:
     """The error budget precondition of lambda_quadrature."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
 
 
@@ -420,7 +420,7 @@ def lambda_quadrature(weight: WeightSpec, k: int, tol: float = 1e-8) -> tuple[fl
 def watson_quadrature(n: int, k: int, tau: float, tol: float = 1e-8) -> tuple[float, float]:
     """Quadrature twin of watson_integral: lambda_quadrature of r^{-tau}, the
     homogeneous weight at s = tau/2 without the factory's s < n/2 bound."""
-    if tau <= 1.0:
+    if not tau > 1.0:
         raise ValueError("tau > 1 required")
     return lambda_quadrature(HomogeneousWeight(n, tau / 2.0), k, tol)
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .duality import _ray_minimiser, ray_distance
+from .duality import _ray_minimiser
 from .errors import InconsistencyError
 from .specfun import add_gaussian
 
@@ -46,6 +46,11 @@ def exponents(n: int) -> tuple[float, float, float]:
     return (n + 2.0) / (n + 1.0), (n + 2.0) / n, (n + 2.0) / n
 
 
+def _require_n1(n: int) -> None:
+    if n != 1:
+        raise ValueError("the supported dimension is n = 1")
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -62,15 +67,18 @@ class PhaseGrid:
     t_extent: float
 
     def __post_init__(self):
-        if self.n != 1:
-            raise ValueError("the supported dimension is n = 1")
+        _require_n1(self.n)
+        if not all(map(math.isfinite, (self.L, self.h, self.t_extent))):
+            raise ValueError("L, h and t_extent must be finite")
         if self.L < 10.0:
             raise ValueError("extent L must be >= 10 (slow power-law tails)")
         cap = self.L / 64.0
         if self.h > cap + 1e-12:
             raise ValueError(f"spacing h must be <= {cap} for n={self.n}")
-        if self.t_extent <= 0.0:
-            raise ValueError("t_extent must be positive")
+        if self.h <= 0.0:
+            raise ValueError("spacing h must be positive")
+        if not self.t_extent / self.h > 0.5:  # else t = [0.], with no t spacing
+            raise ValueError("t_extent must exceed h / 2")
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -154,24 +162,16 @@ class ProbePoint:
 
 
 def extremiser_f(n: int, x, v):
-    """f*(x, v) = ((1+|x|^2)(1+|v|^2) - (x.v)^2)^{-(n+1)/2}; for n = 1 this
-    is (1 + x^2 + v^2)^{-1}."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if n == 1:
-        return (1.0 + x ** 2 + v ** 2) ** -1.0
-    x2 = np.sum(x * x, axis=-1)
-    v2 = np.sum(v * v, axis=-1)
-    xv = np.sum(x * v, axis=-1)
-    return ((1.0 + x2) * (1.0 + v2) - xv ** 2) ** (-(n + 1.0) / 2.0)
+    """f*(x, v) = (1 + x^2 + v^2)^{-1}, the n = 1 case of
+    ((1+|x|^2)(1+|v|^2) - (x.v)^2)^{-(n+1)/2}."""
+    _require_n1(n)
+    return (1.0 + np.asarray(x, dtype=float) ** 2 + np.asarray(v, dtype=float) ** 2) ** -1.0
 
 
 def extremiser_G(n: int, t, x):
-    """G*(t, x) = 1 / (1 + t^2 + |x|^2)."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    x2 = x ** 2 if n == 1 else np.sum(x * x, axis=-1)
-    return 1.0 / (1.0 + t ** 2 + x2)
+    """G*(t, x) = 1 / (1 + t^2 + x^2), n = 1."""
+    _require_n1(n)
+    return 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2 + np.asarray(x, dtype=float) ** 2)
 
 
 class _Run(NamedTuple):
@@ -472,15 +472,15 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     A f* plus eps A d: the direction is applied once, before the eps loop.
     Every eps is checked before any work is done.
 
-    The distance needs one minimisation per direction too.  With
-    N = |f* + eps d|_p and u = (f* + eps d) / N,
-    u - c f* = (eps / N)(d - k f*) for c = (1 + eps k) / N, so the ray
-    distance of u is (eps / N) min over k of |d - k f*|_p, at a minimiser
-    k* that does not depend on eps.  k* is found once, beside the apply;
-    by the triangle inequality it lies in |k| <= 2 |d|_p / |f*|_p.  The
-    distance keeps `duality.ray_distance`'s bracket c in
-    [0, 10 / |f*|_p]: an eps whose c = (1 + eps k*) / N leaves it takes
-    `ray_distance`, whose convex minimum then sits at the clamped end."""
+    The ray distance is in closed form from one minimisation per
+    direction.  With N = |f* + eps d|_p and u = (f* + eps d) / N,
+    u - c f* = (eps / N)(d - k f*) for c = (1 + eps k) / N, so the distance
+    of u to the whole line through f* is (eps / N) min over k of
+    |d - k f*|_p, at a minimiser k* that does not depend on eps.  k* is
+    found once, beside the apply; by the triangle inequality it lies in
+    |k| <= 2 |d|_p / |f*|_p.  Where c = (1 + eps k*) / N < 0 the nearest
+    point of the ray c >= 0 is 0 (the distance is convex in c), at distance
+    |u|_p = 1."""
     sd = _side(n, grid, side)
     base, e_in, e_out = sd.base, sd.e_in, sd.e_out
     _require_input(direction, base.kind, grid)
@@ -514,11 +514,7 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
                 f"deficit {deficit:.3e} below -1e-4 * ratio estimate; "
                 "recalibrate the estimate on this grid"
             )
-        if 0.0 <= (1.0 + eps * kappa) / nrm <= 10.0 / sd.base_norm:
-            dist = eps / nrm * miss
-        else:
-            dist = ray_distance(samples / nrm, base.samples, e_in)
-        dist *= cell ** (1.0 / e_in)
+        dist = eps / nrm * miss * cell ** (1.0 / e_in) if 1.0 + eps * kappa >= 0.0 else 1.0
         out.append(ProbePoint(float(eps), deficit, dist ** 2,
                               deficit / dist ** 2 if dist > 0 else math.inf))
     return out

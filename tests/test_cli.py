@@ -277,6 +277,21 @@ class TestOneParser:
         assert main([*argv, "--output", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", "--tol", "nan", "--K", "4"], "tol must be positive"),
+        (["spectrum", "--tau", "nan", "--K", "4"], "tau > 1 required"),
+        (["counterexample", "--r", "1.5", "--sigma", "nan"], "sigma > 0 required"),
+        (["transport-probe", "--seed", "1", "--L", "nan"], "L, h and t_extent must be finite"),
+    ], ids=["tol", "tau", "sigma", "L"])
+    def test_nan_values_are_config_errors(self, tmp_path, capsys, argv, message):
+        # each rule reads "not x > bound", which NaN fails
+        command, *flags = argv
+        assert main(["validate", "--target", command, *flags]) == 1
+        assert capsys.readouterr().out == f"violation: {message}\n"
+        assert main([*argv, "--output", str(tmp_path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_config_supplies_seed(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, "output": str(tmp_path)}))

@@ -163,6 +163,12 @@ class TestEqualityAndSharpness:
             assert r == pytest.approx(gs.lam(0) - gs.lam(k), rel=1e-10)
         assert ratios[0] < ratios[1] < ratios[2]
 
+    def test_extremising_sequence_checks_the_certified_range(self):
+        # SPEC3 certifies k <= 10, as deficit_report checks for any profile set
+        assert extremising_sequence(W3, SPEC3, [10], GRID)[0] > 0.0
+        with pytest.raises(InconclusiveError, match="exceeds the certified range K=10"):
+            extremising_sequence(W3, SPEC3, [1, 11], GRID)
+
     def test_no_extremiser_without_attaining_set(self):
         bad = SPEC3.__class__(SPEC3.weight, SPEC3.values, SPEC3.lambda_star, (),
                               SPEC3.certificate, SPEC3.tol)

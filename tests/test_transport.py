@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tracestab import transport
+from tracestab import duality, transport
 from tracestab.duality import ray_distance
 from tracestab.specfun import add_gaussian
 from tracestab.transport import (
@@ -49,7 +49,11 @@ class TestExtremisers:
     def test_origin_values(self):
         assert extremiser_f(1, 0.0, 0.0) == 1.0
         assert extremiser_G(1, 0.0, 0.0) == 1.0
-        assert extremiser_f(2, np.zeros(2), np.zeros(2)) == 1.0
+        # PhaseGrid and the probe's sides reject n != 1, so no grid reaches
+        # another dimension's formula
+        for extremiser in (extremiser_f, extremiser_G):
+            with pytest.raises(ValueError, match="supported dimension is n = 1"):
+                extremiser(2, np.zeros(2), np.zeros(2))
 
     def test_n1_determinant_identity(self, rng):
         # (1+x^2)(1+v^2) - (xv)^2 collapses to 1 + x^2 + v^2 on the line
@@ -76,6 +80,27 @@ class TestPhaseGrid:
                 PhaseGrid(n, 40.0, 0.3125, 40.0)
         with pytest.raises(ValueError):
             PhaseGrid(1, 40.0, 0.3125, -1.0)      # bad t extent
+
+    @pytest.mark.parametrize("L,h,t_extent,message", [
+        (40.0, 0.0, 40.0, "spacing h must be positive"),
+        (40.0, -0.3125, 40.0, "spacing h must be positive"),
+        (math.nan, 0.3125, 40.0, "must be finite"),
+        (math.inf, 0.3125, 40.0, "must be finite"),
+        (40.0, math.nan, 40.0, "must be finite"),
+        (40.0, 0.3125, math.inf, "must be finite"),
+        (40.0, 0.3125, math.nan, "must be finite"),
+        (40.0, 0.3125, 0.1, "t_extent must exceed h / 2"),      # t = [0.]
+        (40.0, 0.3125, 0.15625, "t_extent must exceed h / 2"),  # rounds to 0
+    ], ids=["h-zero", "h-negative", "L-nan", "L-inf", "h-nan", "t-inf", "t-nan",
+            "t-one-node", "t-half-h"])
+    def test_degenerate_axes_rejected(self, L, h, t_extent, message):
+        with pytest.raises(ValueError, match=message):
+            PhaseGrid(1, L, h, t_extent)
+
+    def test_shortest_t_axis_has_three_nodes(self):
+        g = PhaseGrid(1, 40.0, 0.3125, 0.16)
+        assert g.t.tolist() == [-0.3125, 0.0, 0.3125]
+        assert ratio_estimate(1, g, "dual") > 0.0
 
     @pytest.mark.parametrize("points", [0, -256])
     def test_build_needs_points(self, points):
@@ -701,29 +726,53 @@ class TestProbe:
             assert math.sqrt(pt.dist_sq) <= _bisection_distance(u, base, e_in) * scale \
                 * (1.0 + 1e-13)
 
-    def test_clamped_minimiser_takes_ray_distance(self, monkeypatch):
-        # |G*|_{q'} is about 0.24 on three t rows 0.02 apart, so along d = -G*
-        # / |G*| the shared minimiser gives c = (1 + eps k*) / N < 0 at eps =
-        # 0.25: the distance is ray_distance's, at its clamped end c = 0
+    @staticmethod
+    def opposed_setup(monkeypatch):
+        """|G*|_{q'} is about 0.24 on three t rows 0.02 apart, so along d =
+        -G* / |G*| the ray minimiser k* is about -4.2: c = (1 + eps k*) / N
+        is positive at eps = 0.1 and negative at eps = 0.25, where u = (G* +
+        eps d) / N points away from the ray.  The k* the probe finds is
+        recorded."""
         grid = PhaseGrid.build(1, 10.0, 1024, t_extent=10.0 / 512)
         sd = transport._side(1, grid, "dual")
-        base, e_in = sd.base.samples, sd.e_in
-        d = TransportFunction(grid, "spacetime", -base / grid_norm(sd.base, e_in))
-        calls = []
+        d = TransportFunction(grid, "spacetime", -sd.base.samples / sd.base_norm)
+        kappas = []
+        minimiser = transport._ray_minimiser
 
-        def counted(*args):
-            calls.append(args)
-            return ray_distance(*args)
+        def recorded(*args):
+            kappa, miss = minimiser(*args)
+            kappas.append(kappa)
+            return kappa, miss
 
-        monkeypatch.setattr(transport, "ray_distance", counted)
+        monkeypatch.setattr(transport, "_ray_minimiser", recorded)
+        return grid, sd, d, kappas
+
+    def test_negative_ray_coefficient_gives_unit_distance(self, monkeypatch):
+        # where c < 0 the nearest point of the ray is 0, at distance |u| = 1
+        grid, sd, d, kappas = self.opposed_setup(monkeypatch)
         pts = local_stability_probe(1, d, [0.1, 0.25], grid, "dual")
-        assert len(calls) == 1
+        assert 1.0 + 0.25 * kappas[0] < 0.0 < 1.0 + 0.1 * kappas[0]
         assert pts[0].dist_sq < 1e-24  # d lies on the ray
-        f = TransportFunction(grid, "spacetime", base + 0.25 * d.samples)
-        dist = ray_distance(f.samples / grid_norm(f, e_in), base, e_in) \
-            * grid.h ** (2.0 / e_in)
-        assert pts[1].dist_sq == dist ** 2
-        assert pts[1].dist_sq == pytest.approx(1.0, rel=1e-12)
+        assert pts[1].dist_sq == 1.0
+        f = TransportFunction(grid, "spacetime", sd.base.samples + 0.25 * d.samples)
+        oracle = ray_distance(f.samples / grid_norm(f, sd.e_in), sd.base.samples, sd.e_in) \
+            * (grid.h ** 2) ** (1.0 / sd.e_in)
+        assert pts[1].dist_sq == pytest.approx(oracle ** 2, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("side", ["primal", "dual", "opposed"])
+    def test_eps_loop_never_calls_ray_distance(self, side, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the probe's distance is in closed form")
+
+        if side == "opposed":
+            grid, _, d, _ = self.opposed_setup(monkeypatch)
+            side = "dual"
+        else:
+            grid, d = GRID, self.side_setup(side)[-1]
+        assert not hasattr(transport, "ray_distance")  # no binding of its own to patch
+        monkeypatch.setattr(duality, "ray_distance", refused)
+        pts = local_stability_probe(1, d, [0.0, 0.05, 0.1, 0.2, 0.25], grid, side)
+        assert len(pts) == 5
 
     @pytest.mark.parametrize("side", ["primal", "dual"])
     def test_zero_distance_is_exact(self, side):
