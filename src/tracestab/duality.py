@@ -46,9 +46,10 @@ def _conjugate(r: float) -> float:
     return r / (r - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteOperator:
-    """Matrix operator from l^p(X) to l^q(Y), X and Y finite."""
+    """Matrix operator from l^p(X) to l^q(Y), X and Y finite.  Compares and
+    hashes by identity."""
 
     matrix: np.ndarray
     p: float
@@ -89,8 +90,10 @@ class FiniteOperator:
         return FiniteOperator(self.matrix.T, self.q_prime, self.p_prime)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormCertificate:
+    """operator_norm's result; compares and hashes by identity."""
+
     value: float
     extremiser: np.ndarray = field(repr=False)
     starts: int
@@ -333,6 +336,12 @@ def _graded_cells(A: np.ndarray, a: float, b: float, x: np.ndarray) -> np.ndarra
     return records[:, cells[x[facets] > 0.0]].transpose(2, 0, 1).copy()
 
 
+@functools.lru_cache(maxsize=None)
+def _edges(d: int):
+    """np.triu_indices(d, 1): the vertex pairs i < j of a d-vertex simplex."""
+    return np.triu_indices(d, 1)
+
+
 def _split(A: np.ndarray, a: float, b: float, cells: np.ndarray):
     """Halve each simplex at the midpoint of its longest edge, as measured
     in the coordinates v^{a/2}, which map the l^a sphere onto the l^2 sphere
@@ -341,7 +350,7 @@ def _split(A: np.ndarray, a: float, b: float, cells: np.ndarray):
     [0, 1] on that grid sum and halve exactly, so the halves of a cell cover
     it exactly."""
     d, records, n = cells.shape
-    i, j = np.triu_indices(d, 1)
+    i, j = _edges(d)
     s = cells[:, d:2 * d]
     diff = s[i] - s[j]
     edge = np.argmax(np.add.reduce(diff * diff, axis=1), axis=0)

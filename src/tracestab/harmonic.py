@@ -119,7 +119,7 @@ class ProfileSet:
         return ps
 
     def max_degree(self) -> int:
-        return max((k for k, _ in self.entries), default=0)
+        return max(self.entries, default=(0,))[0]   # keys (k, m) order by k first
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,16 @@ class DeficitReport:
                             # certified C'(w) that `constants` reports
     lambda0: float
     satisfied: bool
+
+    @classmethod
+    def _own(cls, sumB, deficit, dist_sq, ratio, constant, lambda0,
+             satisfied) -> "DeficitReport":
+        """The report `deficit_report` computed, set without the frozen
+        `__init__`'s one guarded setattr per field."""
+        rep = object.__new__(cls)
+        rep.__dict__.update(sumB=sumB, deficit=deficit, dist_sq=dist_sq, ratio=ratio,
+                            constant=constant, lambda0=lambda0, satisfied=satisfied)
+        return rep
 
 
 class GridSpectrum:
@@ -194,7 +204,7 @@ def _mode_sums(ps: ProfileSet, gs: GridSpectrum) -> tuple[float, float, float]:
             if g is ker:  # B and the inner product are lambda_k's own integral
                 b = inner = gs.lam(k)
             else:
-                b = B_coefficient(g, ps.grid)
+                b = ps.grid.integrate(g * g)   # B_coefficient's integral
                 inner = ps.grid.integrate(g * ker)
             a = inner * inner
             sumB += b
@@ -221,14 +231,14 @@ def deficit_report(ps: ProfileSet, weight: WeightSpec,
             f"profile degree {kmax} exceeds the certified range K={spectrum.certificate.K}"
         )
     lam0 = gs.lam(0)
-    lam_star = max(gs.lam(k) for k in range(1, max(kmax, 1) + 1))
+    lam_star = max(map(gs.lam, range(1, max(kmax, 1) + 1)))
     const = lam0 - lam_star
     sumB, sumA, a01 = _mode_sums(ps, gs)
     deficit = lam0 * sumB - sumA
     dist_sq = sumB - a01 / lam0
     ratio = deficit / dist_sq if dist_sq > 0 else math.inf
     satisfied = deficit >= const * dist_sq - _DEFICIT_TOL * sumB
-    return DeficitReport(sumB, deficit, dist_sq, ratio, const, lam0, satisfied)
+    return DeficitReport._own(sumB, deficit, dist_sq, ratio, const, lam0, satisfied)
 
 
 def equality_case_builder(weight: WeightSpec, spectrum: LambdaSpectrum,
@@ -243,8 +253,8 @@ def equality_case_builder(weight: WeightSpec, spectrum: LambdaSpectrum,
     n = weight.n
     gs = grid_spectrum(weight, grid)
     entries = {}
-    if c != 0.0:
-        entries[(0, 1)] = c * gs.kernel(0)
+    if c != 0.0:   # 1.0 * K is K bit for bit, and K itself reads lambda_0
+        entries[(0, 1)] = gs.kernel(0) if c == 1.0 else c * gs.kernel(0)
     k_att = min(spectrum.K_set)
     if Y_coeffs:
         for m, coeff in Y_coeffs.items():
@@ -293,26 +303,33 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
     k <= max_k, m <= min(dim H_k, 3).  Each bump is add_gaussian's: zero
     from |z| = 8.6 on, where exp(-z^2) < 2^-106 = u^2 of its peak, so a cut
     lane can move a report only where a sum over the bump cancels to below
-    about u |amp| per lane."""
+    about u |amp| per lane.  A bump's centre is uniform on [0.5, r_max / 2)
+    and its width on [0.3, 5), each drawn as lo + (hi - lo) * rng.random():
+    the formula, and so the value and the stream position, of
+    rng.uniform(lo, hi) for scalars, without its per-call overhead."""
     # checked before any draw, so a rejected call leaves rng's stream as it was
     if max_k < 0:
         raise ValueError(f"random profiles need max_k >= 0, got {max_k}")
     if n_modes is not None and n_modes < 1:
         raise ValueError(f"random profiles need n_modes >= 1, got {n_modes}; "
                          "the zero function is excluded")
+    c_hi = 0.5 * grid.r_max
+    if not c_hi >= 0.5:   # no room for a bump centre
+        raise ValueError(f"random profiles need r_max >= 1, got {grid.r_max}")
     n = weight.n
     gs = grid_spectrum(weight, grid)
     if n_modes is None:
         n_modes = int(rng.integers(1, 5))
     r = grid.r
+    c_span = c_hi - 0.5
     entries = {}
     for _ in range(n_modes):
         k = int(rng.integers(0, max_k + 1))
         m = int(rng.integers(1, min(dim_harmonic(n, k), _MAX_M) + 1))
         prof = np.zeros(r.size)
         for _ in range(int(rng.integers(1, 4))):
-            center = rng.uniform(0.5, 0.5 * grid.r_max)
-            width = rng.uniform(0.3, 5.0)
+            center = 0.5 + c_span * rng.random()
+            width = 0.3 + (5.0 - 0.3) * rng.random()
             add_gaussian(prof, rng.normal(), (r, center, width))
         if rng.random() < 0.4:
             prof += rng.normal() * gs.kernel(k)

@@ -52,8 +52,10 @@ def legendre_all(n: int, k_max: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def dim_harmonic(n: int, k: int) -> int:
-    """Dimension of the space of degree-k spherical harmonics on S^{n-1}."""
+    """Dimension of the space of degree-k spherical harmonics on S^{n-1},
+    computed once per (n, k)."""
     if k == 0:
         return 1
     if k == 1:

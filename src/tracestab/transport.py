@@ -51,6 +51,9 @@ def _require_n1(n: int) -> None:
         raise ValueError("the supported dimension is n = 1")
 
 
+_MAX_NODES = 4097   # per axis; the largest grid in use has 1,025
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -79,6 +82,12 @@ class PhaseGrid:
             raise ValueError("spacing h must be positive")
         if not self.t_extent / self.h > 0.5:  # else t = [0.], with no t spacing
             raise ValueError("t_extent must exceed h / 2")
+        # an axis has 2 round(extent / h) + 1 nodes; the ratios are compared
+        # as floats, since they can be inf, which round() cannot take
+        half = (_MAX_NODES - 1) // 2
+        if not (self.L / self.h <= half and self.t_extent / self.h <= half):
+            raise ValueError(f"at most {_MAX_NODES} nodes per axis: L / h and "
+                             f"t_extent / h must be <= {half}")
 
     @functools.cached_property
     def x(self) -> np.ndarray:

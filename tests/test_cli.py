@@ -204,6 +204,12 @@ class TestValidate:
         capsys.readouterr()
         assert code == 0
 
+    def test_validate_caps_the_grid_nodes(self, capsys):
+        # 10^8 points would build axes of 10^8 + 1 nodes
+        assert main(["validate", "--target", "transport-probe", "--points", "100000000"]) == 1
+        assert capsys.readouterr().out == ("violation: at most 4097 nodes per axis: "
+                                           "L / h and t_extent / h must be <= 2048\n")
+
     def test_validate_args_function(self):
         args = build_parser().parse_args(
             ["spectrum", "--n", "3", "--s", "1.0", "--tau", "0.5"])

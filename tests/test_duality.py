@@ -154,6 +154,17 @@ class TestOperatorNorm:
         assert after["state"]["state"] == state
         assert (after["has_uint32"], after["uinteger"]) == (has_uint32, uinteger)
 
+    def test_records_compare_and_hash_by_identity(self):
+        # field-wise equality would compare matrices, whose truth value is
+        # ambiguous, and hashing would hash an array
+        M = np.array([[0.9, 0.2], [0.1, 0.7]])
+        T, twin = FiniteOperator(M, 1.5, 2.5), FiniteOperator(M.copy(), 1.5, 2.5)
+        cert = operator_norm(T, rng=np.random.default_rng(0))
+        again = operator_norm(twin, rng=np.random.default_rng(0))
+        for a, b in ((T, twin), (cert, again)):
+            assert a == a and a != b and not a == b
+            assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_rejects_an_empty_matrix(self, shape):
         # the search would report that it annihilates its start, and the

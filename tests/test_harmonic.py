@@ -15,6 +15,7 @@ from tracestab import harmonic
 from tracestab.errors import InconclusiveError
 from tracestab.harmonic import (
     B_coefficient,
+    DeficitReport,
     GridSpectrum,
     ProfileSet,
     RadialGrid,
@@ -222,6 +223,20 @@ class TestRandomSweeps:
             assert got.keys() == want.keys()
             for key, prof in want.items():
                 assert np.array_equal(got[key].view(np.int64), prof.view(np.int64))
+
+    @pytest.mark.parametrize("lo,hi", [(0.5, 30.0), (0.5, 100.0), (0.3, 5.0)],
+                             ids=["centre-r60", "centre-r200", "width"])
+    def test_uniform_is_lo_plus_span_times_random(self, lo, hi):
+        # random_profile_set draws a bump's centre, on [0.5, r_max / 2) at
+        # r_max 60 and 200 here, and its width, on [0.3, 5), as
+        # lo + (hi - lo) * rng.random(): the formula rng.uniform(lo, hi)
+        # evaluates for scalars.  A numpy that changes that formula moves
+        # every random profile, and fails here.
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        got = [lo + (hi - lo) * b.random() for _ in range(10_000)]
+        want = [a.uniform(lo, hi) for _ in range(10_000)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert a.bit_generator.state == b.bit_generator.state
 
     # float.hex of (sumB, deficit, dist_sq, ratio) and of the reverse margin
     # for the first draw at three seeds on the weights of perfbench's
@@ -438,12 +453,28 @@ class TestProfileSet:
         def report(ps):
             rep = deficit_report(ps, weight)
             _, margin = reverse_deficit_check(ps, weight)
-            return [float(x).hex() for x in (*dataclasses.astuple(rep), margin)]
+            fields = [float(x).hex() for x in dataclasses.astuple(rep)]
+            # deficit_report skips the frozen __init__; each field must read
+            # what the public constructor stores from the documented formulas
+            assert fields == [float(x).hex() for x in dataclasses.astuple(public_report(ps))]
+            return [*fields, float(margin).hex()]
+
+        def public_report(ps):
+            gs = harmonic.grid_spectrum(weight, GRID)
+            sumB, sumA, a01 = harmonic._mode_sums(ps, gs)
+            lam0 = gs.lam(0)
+            const = lam0 - max(gs.lam(k) for k in range(1, max(ps.max_degree(), 1) + 1))
+            deficit, dist_sq = lam0 * sumB - sumA, sumB - a01 / lam0
+            ratio = deficit / dist_sq if dist_sq > 0 else math.inf
+            return DeficitReport(sumB, deficit, dist_sq, ratio, const, lam0,
+                                 deficit >= const * dist_sq - 1e-8 * sumB)
 
         spec = build_spectrum(weight, K=6)
         built = [random_profile_set(weight, GRID, np.random.default_rng(seed))
                  for seed in range(200)]
         built.append(equality_case_builder(weight, spec, 1.0, {1: 0.7}, GRID))
+        # c = 1.0 holds the kernel itself, which reads lambda_0's bits
+        assert built[-1].entries[(0, 1)] is harmonic.grid_spectrum(weight, GRID).kernel(0)
         for ps in built:
             assert isinstance(ps.entries, MappingProxyType) and ps._sums == {}
             assert not any(g.flags.writeable for g in ps.entries.values())
@@ -526,10 +557,12 @@ class TestBadSizes:
             with pytest.raises(ValueError, match="r_max > 0"):
                 RadialGrid.build(r_max)
 
+    # bump centres lie in [0.5, r_max / 2), an empty range below r_max = 1
     @pytest.mark.parametrize("kwargs,message", [({"n_modes": 0}, "n_modes >= 1"),
-                                                ({"max_k": -1}, "max_k >= 0")])
+                                                ({"max_k": -1}, "max_k >= 0"),
+                                                ({"grid": RadialGrid.build(0.9)}, "r_max >= 1")])
     def test_random_profiles_check_before_drawing(self, kwargs, message, rng):
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            random_profile_set(W3, GRID, rng, **kwargs)
+            random_profile_set(W3, rng=rng, **{"grid": GRID, **kwargs})
         assert rng.bit_generator.state == state

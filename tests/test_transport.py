@@ -91,11 +91,20 @@ class TestPhaseGrid:
         (40.0, 0.3125, math.nan, "must be finite"),
         (40.0, 0.3125, 0.1, "t_extent must exceed h / 2"),      # t = [0.]
         (40.0, 0.3125, 0.15625, "t_extent must exceed h / 2"),  # rounds to 0
+        # L / h is inf at h = 1e-320, so the node cap compares floats before round()
+        (40.0, 1e-320, 40.0, "at most 4097 nodes per axis"),
+        (40.0, 40.0 / 2049, 40.0, "at most 4097 nodes per axis"),
+        (40.0, 0.3125, 641.0, "at most 4097 nodes per axis"),
+        (40.0, 0.3125, 1e300, "at most 4097 nodes per axis"),
     ], ids=["h-zero", "h-negative", "L-nan", "L-inf", "h-nan", "t-inf", "t-nan",
-            "t-one-node", "t-half-h"])
+            "t-one-node", "t-half-h", "L-over-h-inf", "x-4099", "t-4103", "t-huge"])
     def test_degenerate_axes_rejected(self, L, h, t_extent, message):
         with pytest.raises(ValueError, match=message):
             PhaseGrid(1, L, h, t_extent)
+
+    def test_largest_grid_has_4097_nodes(self):
+        g = PhaseGrid(1, 40.0, 40.0 / 2048, 40.0)
+        assert g.x.size == g.t.size == 4097
 
     def test_shortest_t_axis_has_three_nodes(self):
         g = PhaseGrid(1, 40.0, 0.3125, 0.16)
