@@ -325,13 +325,27 @@ def xray_adjoint(G: TransportFunction, grid: PhaseGrid,
 
 
 def grid_norm(tf: TransportFunction, exponent: float) -> float:
-    """l^e norm under the rectangle rule, e > 0.  numpy's vector pow takes a
-    ~4x slower scalar path in each block that holds a zero, so zero lanes skip
-    it; |0|^e = 0 keeps every bit.  Samples are not checked again."""
-    cell = tf.grid.h ** tf.samples.ndim
-    powers = np.abs(tf.samples)
-    np.power(powers, exponent, out=powers, where=True if powers.min() > 0.0 else powers > 0.0)
-    return float((cell * np.sum(powers)) ** (1.0 / exponent))
+    """l^e norm under the rectangle rule, (h^2 sum |s|^e)^(1/e) for a finite
+    e > 0, each |s|^e by `_abs_pow`.  Samples are not checked again."""
+    if not 0.0 < exponent < math.inf:
+        raise ValueError(f"the exponent must be finite and > 0, not {exponent}")
+    return _norm(tf.samples, exponent, tf.grid.h ** tf.samples.ndim)
+
+
+def _abs_pow(x, e, out=None, work=None):
+    """|x|^e into `out` (may be x), `work` (x's shape) as scratch: a sqrt(a) at e = 3/2,
+    (a a) a at e = 3, a = |x|, so two roundings of at most u / (1 + u), within 2u (u =
+    2^-53) where |x|^e is normal, and no slow path on zero lanes as pow has; else pow."""
+    a = np.abs(x, out=out)
+    if e == 1.5:
+        return np.multiply(a, np.sqrt(a, out=work), out=a)
+    if e == 3.0:
+        return np.multiply(a, np.multiply(a, a, out=work), out=a)
+    return np.power(a, e, out=a)
+
+
+def _norm(s, e, cell=1.0, out=None, work=None):  # (cell sum |s|^e)^(1/e)
+    return float((cell * np.sum(_abs_pow(s, e, out, work))) ** (1.0 / e))
 
 
 def pairing(a: TransportFunction, b: TransportFunction) -> float:
@@ -426,14 +440,17 @@ def ratio_estimate(n: int, grid: PhaseGrid, side: str = "primal") -> float:
 def orthogonalize_direction(direction: np.ndarray, base: np.ndarray,
                             p: float) -> np.ndarray:
     """Remove the component of the direction along the norm gradient of the
-    base point (pairing against |base|^{p-1} sign base), then normalize."""
+    base point (pairing against |base|^{p-1} sign base), then normalize.
+    p must be finite and >= 1, and the direction must have the base's shape."""
+    if not (1.0 <= p < math.inf and np.shape(direction) == np.shape(base)):
+        raise ValueError(f"need a finite p >= 1 (got {p}) and a direction of the base's shape")
     dual = np.abs(base) ** (p - 1.0) * np.sign(base)
     return _orthogonalize(direction, base, p, dual, np.sum(base * dual))
 
 
 def _orthogonalize(direction, base, p, dual, base_dual):
     d = direction - np.sum(direction * dual) / base_dual * base
-    nrm = np.sum(np.abs(d) ** p) ** (1.0 / p)
+    nrm = _norm(d, p)
     if nrm == 0.0:
         raise ValueError("direction is parallel to the base point")
     if not nrm < math.inf:  # inf or nan: d / nrm would not have unit norm
@@ -464,7 +481,7 @@ def make_probe_direction(raw: np.ndarray, n: int, grid: PhaseGrid,
     g = ratio_gradient(n, grid, side)
     if gg > 0.0:
         d = d - float(np.sum(d * g)) / gg * g
-    nrm = (grid.h ** d.ndim * np.sum(np.abs(d) ** e_in)) ** (1.0 / e_in)
+    nrm = _norm(d, e_in, grid.h ** d.ndim)
     if not 0.0 < nrm < math.inf:  # a finite nonzero norm keeps d / nrm finite
         raise ValueError("direction has no finite nonzero norm after the projections")
     return TransportFunction._own(grid, base.kind, d / nrm)
@@ -498,6 +515,8 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
         raise ValueError("eps must lie in [0, 0.25] (local regime)")
     if rhat is None:
         rhat = ratio_estimate(n, grid, side)
+    elif not 0.0 < rhat < math.inf:
+        raise ValueError(f"rhat must be finite and > 0, not {rhat}")
     cell = grid.h ** 2
     d_norm = grid_norm(direction, e_in)
     if d_norm != 0.0 and abs(d_norm - 1.0) > 1e-6:
@@ -509,14 +528,15 @@ def local_stability_probe(n: int, direction: TransportFunction, eps_list,
     d_image = sd.fwd(TransportFunction._own(grid, base.kind, direction.samples))
     reach = 2.0 * d_norm / sd.base_norm
     kappa, miss = _ray_minimiser(direction.samples, base.samples, e_in, -reach, reach, 0.0)
-    samples = np.empty_like(base.samples)
-    image = np.empty_like(d_image.samples)
+    samples, image = np.empty_like(base.samples), np.empty_like(d_image.samples)
+    spare = np.empty(max(samples.size, image.size))  # each norm overwrites its buffer
+    work_in, work_out = (spare[:a.size].reshape(a.shape) for a in (samples, image))
     out = []
     for eps in eps_list:
         np.add(base.samples, np.multiply(direction.samples, eps, out=samples), out=samples)
-        nrm = grid_norm(TransportFunction._own(grid, base.kind, samples), e_in)
+        nrm = _norm(samples, e_in, cell, samples, work_in)
         np.add(sd.image.samples, np.multiply(d_image.samples, eps, out=image), out=image)
-        ratio = grid_norm(TransportFunction._own(grid, d_image.kind, image), e_out) / nrm
+        ratio = _norm(image, e_out, cell, image, work_out) / nrm
         deficit = rhat - ratio
         if deficit < -1e-4 * rhat:
             raise InconsistencyError(

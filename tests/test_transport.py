@@ -2,6 +2,7 @@
 operator ratio of the grid extremiser, and the local stability probe."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -542,11 +543,17 @@ class TestNorms:
         expect = (GRID.h ** 2 * GRID.x.size * GRID.v.size) ** (1.0 / 3.0)
         assert grid_norm(tf, 3.0) == pytest.approx(expect, rel=1e-13)
 
+    @staticmethod
+    def lane_formula(s, e):
+        """|s|^e as grid_norm documents it: a sqrt(a) at e = 3/2, (a a) a at
+        e = 3 and pow otherwise, a = |s|."""
+        a = np.abs(s)
+        return a * np.sqrt(a) if e == 1.5 else a * a * a if e == 3.0 else a ** e
+
     @pytest.mark.parametrize("e", [0.5, 4.0 / 3.0, 1.5, 2.0, 3.0])
     def test_grid_norm_bit_identical_to_formula(self, e, rng):
-        # the formula takes numpy's scalar pow path in each block with a zero,
-        # grid_norm skips the zero lanes: neither a zero (of either sign) nor
-        # a subnormal lane may move a bit
+        # neither a zero (of either sign) nor a subnormal lane may move a bit
+        # of the documented formula
         x = rng.normal(size=(GRID.x.size, GRID.v.size))
         x[::7] = 0.0
         signed = np.where(rng.uniform(size=x.shape) < 0.3, -0.0, x)
@@ -557,8 +564,69 @@ class TestNorms:
         cases += [(bench, random_phase_function(bench, np.random.default_rng(seed)).samples)
                   for seed in range(3)]
         for grid, s in cases:
-            want = float((grid.h ** 2 * np.sum(np.abs(s) ** e)) ** (1.0 / e))
+            want = float((grid.h ** 2 * np.sum(self.lane_formula(s, e))) ** (1.0 / e))
             assert grid_norm(TransportFunction(grid, "phase", s), e).hex() == want.hex()
+
+    @pytest.mark.parametrize("e", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_grid_norm_needs_a_finite_positive_exponent(self, e):
+        f = random_phase_function(PhaseGrid.build(1, 40.0, 128), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite and > 0"):
+            grid_norm(f, e)
+
+    U = Fraction(1, 2 ** 53)
+
+    @pytest.mark.parametrize("e", [1.5, 3.0])
+    def test_lanes_within_2u_of_the_exact_power(self, e, rng):
+        # exact rationals: a lane r is within 2u of |x|^e iff r^k lies within
+        # (1 -+ 2u)^k of |x|^(e k), with k = 2 for e = 3/2 and k = 1 for e = 3,
+        # so that |x|^(e k) = |x|^3 is rational.  numpy's pow lanes, which
+        # test_grid_norm_near_the_pow_formula compares against, are held to
+        # the same 2u (one ulp).
+        mags = 10.0 ** rng.uniform(-100, 100, size=1000)
+        x = np.concatenate([mags * rng.choice([-1.0, 1.0], size=mags.size), [1e-100, 1e100]])
+        k = 2 if e == 1.5 else 1
+        lo, hi = (1 - 2 * self.U) ** k, (1 + 2 * self.U) ** k
+        got = transport._abs_pow(x, e)
+        inplace = x.copy()
+        transport._abs_pow(inplace, e, out=inplace, work=np.empty_like(x))
+        assert np.array_equal(inplace.view(np.int64), got.view(np.int64))
+        for lanes in (got, np.abs(x) ** e):
+            for xi, r in zip(x.tolist(), lanes.tolist()):
+                exact = abs(Fraction(xi)) ** 3
+                assert lo * exact <= Fraction(r) ** k <= hi * exact, (xi, r)
+        # zero, -0.0 and subnormal lanes: |x| < 2^-1022, so |x|^e < 2^-1533,
+        # below half the least subnormal 2^-1074, and the correctly rounded
+        # lane is +0.0
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, -1e-310, 2.0 ** -1022 / 3])
+        assert [r.hex() for r in transport._abs_pow(tiny, e).tolist()] == ["0x0.0p+0"] * tiny.size
+
+    @pytest.mark.parametrize("e", [1.5, 3.0])
+    def test_grid_norm_near_the_pow_formula(self, e):
+        # Each lane of either formula is within 2u of the exact t = |s|^e
+        # (test_lanes_within_2u_of_the_exact_power).  np.sum, with no axis,
+        # sums the 193^2 = 37,249 nonnegative lanes of a contiguous array
+        # pairwise in one pass: halving down to blocks of at most 128 lanes
+        # takes 9 levels, and a block runs 8 accumulators of at most 16 lanes
+        # (15 additions), 3 additions to join them and at most 7 for the
+        # remainder, so a lane meets at most m = 34 additions, and either sum
+        # is sum t (1 + d) with 1 + d within [(1 - 2u)(1 - g), (1 + 2u)(1 + g)],
+        # g = m u / (1 - m u) (Higham, Lemma 3.1).  Times h^2, one more
+        # rounding (u), the two arguments of the power 1/e differ by a factor
+        # within b = (1 + 2u)(1 + g)(1 + u) / ((1 - 2u)(1 - g)(1 - u)) of 1,
+        # which the power 1/e (e >= 1) takes to b^(1/e) <= 1 + (b - 1) / e
+        # above and b^(-1/e) >= 1 - (b - 1) / e below (exp x >= 1 + x, ln b
+        # <= b - 1); each scalar pow then rounds to within one ulp (2u), and
+        # the upper side bounds both.  About 53u for e = 3/2 and 29u for e = 3.
+        u, m = self.U, 34
+        g = m * u / (1 - m * u)
+        b = (1 + 2 * u) * (1 + g) * (1 + u) / ((1 - 2 * u) * (1 - g) * (1 - u))
+        bound = (1 + (b - 1) / Fraction(e)) * (1 + 2 * u) / (1 - 2 * u) - 1
+        grid = PhaseGrid.build(1, 40.0, 192)
+        for seed in range(10):
+            f = random_phase_function(grid, np.random.default_rng(seed))
+            for tf in (f, velocity_average(f, grid)):
+                want = float((grid.h ** 2 * np.sum(np.abs(tf.samples) ** e)) ** (1.0 / e))
+                assert abs(Fraction(grid_norm(tf, e)) - Fraction(want)) <= bound * Fraction(want)
 
 
 class TestRandomPhaseFunction:
@@ -587,7 +655,7 @@ class TestRandomPhaseFunction:
     # benchmark grid (L = 40, 192 points), taken when every bump kept each
     # lane whose dense exp is normal; add_gaussian's cut at u^2 of the peak
     # moves no bit of them.
-    RATIO_PINS = ("0x1.67da4b25984cap+0", "0x1.6d158a6da68fdp+0", "0x1.3b85cc07901b3p+0")
+    RATIO_PINS = ("0x1.67da4b25984cap+0", "0x1.6d158a6da68fep+0", "0x1.3b85cc07901b3p+0")
 
     def test_ratios_pinned_on_the_benchmark_grid(self):
         grid = PhaseGrid.build(1, 40.0, 192)
@@ -668,6 +736,20 @@ class TestProbe:
         # a large norm that stays finite still normalizes to unit l^p sum
         d = orthogonalize_direction(1e100 * bump, base, 1.5)
         assert np.sum(np.abs(d) ** 1.5) == pytest.approx(1.0, rel=1e-12)
+
+    def test_orthogonalize_checks_p_and_shape(self):
+        grid = PhaseGrid.build(1, 40.0, 128)
+        X, V = np.meshgrid(grid.x, grid.v, indexing="ij")
+        base = extremiser_f(1, X, V)
+        bump = np.exp(-(X - 1.0) ** 2 - (V + 0.5) ** 2)
+        for p in (0.0, -1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite p >= 1"):
+                orthogonalize_direction(bump, base, p)
+        # a row, a column and a 1-d line through the bump broadcast against the
+        # base, and were once taken for a direction of its shape
+        for bad in (bump[64:65], bump[:, 64:65], bump[64], bump[:-1]):
+            with pytest.raises(ValueError, match="base's shape"):
+                orthogonalize_direction(bad, base, 1.5)
 
     @pytest.mark.parametrize("side", ["primal", "dual"])
     def test_quadratic_band(self, side, rng):
@@ -837,6 +919,7 @@ class TestProbe:
         a, b = (grid.x, grid.v) if side == "primal" else (grid.t, grid.x)
         A, B = np.meshgrid(a, b, indexing="ij")
         base = (extremiser_f if side == "primal" else extremiser_G)(1, A, B)
+        kind = "phase" if side == "primal" else "spacetime"
         g = ratio_gradient(1, grid, side)
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -848,7 +931,7 @@ class TestProbe:
             for raw in (cli, dense):
                 d = orthogonalize_direction(raw, base, e_in)
                 d = d - float(np.sum(d * g)) / float(np.sum(g * g)) * g
-                d = d / (grid.h ** 2 * np.sum(np.abs(d) ** e_in)) ** (1.0 / e_in)
+                d = d / grid_norm(TransportFunction(grid, kind, d), e_in)
                 got = make_probe_direction(raw, 1, grid, side).samples
                 assert np.array_equal(got.view(np.int64), d.view(np.int64))
 
@@ -900,6 +983,23 @@ class TestProbe:
         pts = local_stability_probe(1, zero, (eps for eps in [0.0, 0.1]), grid, side)
         assert [pt.eps for pt in pts] == [0.0, 0.1]
 
+    @pytest.mark.parametrize("rhat", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_rhat_rejected_before_any_work(self, rhat, monkeypatch):
+        grid = PhaseGrid.build(1, 40.0, 128)
+        zero = TransportFunction(grid, "phase", np.zeros((grid.x.size, grid.v.size)))
+        calls = []
+        for name in ("velocity_average", "xray_adjoint", "_ray_minimiser"):
+            fn = getattr(transport, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(transport, name, counted)
+        with pytest.raises(ValueError, match="rhat must be finite and > 0"):
+            local_stability_probe(1, zero, [0.05, 0.1], grid, rhat=rhat)
+        assert calls == []
+
     def test_eps_range_enforced(self):
         zero = TransportFunction(GRID, "phase",
                                  np.zeros((GRID.x.size, GRID.v.size)))
@@ -929,8 +1029,8 @@ class TestProbe:
         "primal": [
             ("0x1.999999999999ap-5", "0x1.9687aaa410000p-15", "0x1.a7bf80178ee3ap-13",
              "0x1.eb322b04150b6p-3"),
-            ("0x1.999999999999ap-4", "0x1.884fde3b34000p-13", "0x1.a7b0e3f4ec1bfp-11",
-             "0x1.da14abf0728ddp-3"),
+            ("0x1.999999999999ap-4", "0x1.884fde3b32000p-13", "0x1.a7b0e3f4ec1c1p-11",
+             "0x1.da14abf070230p-3"),
             ("0x1.999999999999ap-3", "0x1.6d910331bf000p-11", "0x1.a725faace8a14p-9",
              "0x1.ba53c2f7fc165p-3"),
         ],
