@@ -48,6 +48,13 @@ _MAX_M = 3   # random profiles use harmonic indices m <= 3
 MAX_PROFILE_K = 6   # random profiles use degrees k <= 6 unless told otherwise
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i in numpy's own einsum loop (optimize=False calls no
+    BLAS, whose kernels add in an order of their own on each CPU), so its
+    bits hold on every core; numpy's loops may change between releases."""
+    return float(np.einsum("i,i->", a, b))
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Composite Gauss-Legendre rule on (0, r_max], resolving the Bessel
@@ -59,8 +66,8 @@ class RadialGrid:
 
     @staticmethod
     def build(r_max: float = 200.0) -> "RadialGrid":
-        if not r_max > 0.0:
-            raise ValueError(f"the grid needs r_max > 0, got {r_max}")
+        if not 0.0 < r_max < math.inf:
+            raise ValueError(f"the grid needs a finite r_max > 0, got {r_max}")
         panel_len = 2.0 * math.pi / _PANELS_PER_PERIOD
         npan = int(math.ceil(r_max / panel_len))
         edges = np.linspace(0.0, r_max, npan + 1)
@@ -72,7 +79,10 @@ class RadialGrid:
         return RadialGrid(r_max, r, wq)
 
     def integrate(self, samples: np.ndarray) -> float:
-        return float(np.dot(self.wq, samples))
+        """int samples dr under the rule, sum_i wq_i samples_i, in _dot's
+        einsum loop.  B, <g, K_k> and lambda_k take int g h dr as
+        sum_i (g_i wq_i) h_i instead, so that they share their bits."""
+        return _dot(self.wq, samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +182,7 @@ class GridSpectrum:
         of the spectrum module, which integrates over (0, infinity)."""
         if k not in self._lams:
             ker = self.kernel(k)
-            self._lams[k] = self.grid.integrate(ker * ker)
+            self._lams[k] = _dot(ker * self.grid.wq, ker)
         return self._lams[k]
 
 
@@ -186,7 +196,7 @@ def grid_spectrum(weight: WeightSpec, grid: RadialGrid) -> GridSpectrum:
 def B_coefficient(profile: np.ndarray, grid: RadialGrid) -> float:
     """int_0^infty |g0(r)|^2 dr under the grid rule."""
     g = np.asarray(profile, dtype=float)
-    return grid.integrate(g * g)
+    return _dot(g * grid.wq, g)
 
 
 def _mode_sums(ps: ProfileSet, gs: GridSpectrum) -> tuple[float, float, float]:
@@ -203,9 +213,10 @@ def _mode_sums(ps: ProfileSet, gs: GridSpectrum) -> tuple[float, float, float]:
             ker = gs.kernel(k)
             if g is ker:  # B and the inner product are lambda_k's own integral
                 b = inner = gs.lam(k)
-            else:
-                b = ps.grid.integrate(g * g)   # B_coefficient's integral
-                inner = ps.grid.integrate(g * ker)
+            else:   # B_coefficient's and lambda_k's sum, one g * wq for both
+                gw = g * ps.grid.wq
+                b = _dot(gw, g)
+                inner = _dot(gw, ker)
             a = inner * inner
             sumB += b
             sumA += a
@@ -300,18 +311,20 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
                        rng: np.random.Generator, max_k: int = MAX_PROFILE_K,
                        n_modes: int | None = None) -> ProfileSet:
     """Random mixture of Gaussian bumps and extremal kernels over modes
-    k <= max_k, m <= min(dim H_k, 3).  Each bump is add_gaussian's: zero
-    from |z| = 8.6 on, where exp(-z^2) < 2^-106 = u^2 of its peak, so a cut
-    lane can move a report only where a sum over the bump cancels to below
-    about u |amp| per lane.  A bump's centre is uniform on [0.5, r_max / 2)
-    and its width on [0.3, 5), each drawn as lo + (hi - lo) * rng.random():
-    the formula, and so the value and the stream position, of
-    rng.uniform(lo, hi) for scalars, without its per-call overhead."""
+    k <= max_k, m <= min(dim H_k, 3).  After n_modes, rng.integers(1, 5)
+    unless given, each mode reads one row of u = rng.random((n_modes, 10))
+    and of z = rng.normal(size=(n_modes, 4)): k = int(u0 (max_k + 1)),
+    m = 1 + int(u1 min(dim H_k, 3)), 1 + int(3 u2) bumps with centres
+    0.5 + (r_max / 2 - 0.5) u4.. on [0.5, r_max / 2), widths 0.3 + (5 - 0.3)
+    u7.. on [0.3, 5) and amplitudes z0.., and the kernel times z3 if u3 < 0.4.
+    Each bump is add_gaussian's: zero from |z| = 8.6 on, where
+    exp(-z^2) < 2^-106 = u^2 of its peak, so a cut lane can move a report
+    only where a sum over the bump cancels to below about u |amp| per lane."""
     # checked before any draw, so a rejected call leaves rng's stream as it was
-    if max_k < 0:
-        raise ValueError(f"random profiles need max_k >= 0, got {max_k}")
-    if n_modes is not None and n_modes < 1:
-        raise ValueError(f"random profiles need n_modes >= 1, got {n_modes}; "
+    if not isinstance(max_k, (int, np.integer)) or max_k < 0:
+        raise ValueError(f"random profiles need an integer max_k >= 0, got {max_k}")
+    if n_modes is not None and (not isinstance(n_modes, (int, np.integer)) or n_modes < 1):
+        raise ValueError(f"random profiles need an integer n_modes >= 1, got {n_modes}; "
                          "the zero function is excluded")
     c_hi = 0.5 * grid.r_max
     if not c_hi >= 0.5:   # no room for a bump centre
@@ -323,18 +336,14 @@ def random_profile_set(weight: WeightSpec, grid: RadialGrid,
     r = grid.r
     c_span = c_hi - 0.5
     entries = {}
-    for _ in range(n_modes):
-        k = int(rng.integers(0, max_k + 1))
-        m = int(rng.integers(1, min(dim_harmonic(n, k), _MAX_M) + 1))
+    for u, z in zip(rng.random((n_modes, 10)).tolist(),
+                    rng.normal(size=(n_modes, 4)).tolist()):
+        k = int(u[0] * (max_k + 1))
+        m = 1 + int(u[1] * min(dim_harmonic(n, k), _MAX_M))
         prof = np.zeros(r.size)
-        for _ in range(int(rng.integers(1, 4))):
-            center = 0.5 + c_span * rng.random()
-            width = 0.3 + (5.0 - 0.3) * rng.random()
-            add_gaussian(prof, rng.normal(), (r, center, width))
-        if rng.random() < 0.4:
-            prof += rng.normal() * gs.kernel(k)
-        if (k, m) in entries:
-            entries[(k, m)] = entries[(k, m)] + prof
-        else:
-            entries[(k, m)] = prof
+        for j in range(1 + int(u[2] * 3)):
+            add_gaussian(prof, z[j], (r, 0.5 + c_span * u[4 + j], 0.3 + (5.0 - 0.3) * u[7 + j]))
+        if u[3] < 0.4:
+            prof += z[3] * gs.kernel(k)
+        entries[(k, m)] = entries[(k, m)] + prof if (k, m) in entries else prof
     return ProfileSet._own(n, grid, entries)

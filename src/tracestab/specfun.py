@@ -69,14 +69,10 @@ _CUT = 8.6
 
 
 def _term(axis: np.ndarray, c: float, w: float) -> tuple[slice, np.ndarray]:
-    """The window |z| < _CUT of one term and -z^2 on it, z = (axis - c) / w."""
-    lo = axis.searchsorted(c - _CUT * w)
-    hi = axis.searchsorted(c + _CUT * w)
-    z = axis[lo:hi] - c
-    z /= w
-    z *= z
-    np.negative(z, out=z)
-    return slice(lo, hi), z
+    """The window |(axis - c) / w| < _CUT of one term, from one
+    `searchsorted`, and axis - c on it."""
+    lo, hi = axis.searchsorted((c - _CUT * w, c + _CUT * w))
+    return slice(lo, hi), axis[lo:hi] - c
 
 
 def add_gaussian(out: np.ndarray, amp: float, *terms) -> None:
@@ -96,17 +92,25 @@ def add_gaussian(out: np.ndarray, amp: float, *terms) -> None:
     so N dropped lanes add up to less than N u^2 |amp|, which rounds away
     in any sum above about N u |amp|: the cut can move a result only where
     a sum over the bump cancels to below that.  The exponent
-    (-z_0^2) + (-z_1^2) has the bits of -z_0^2 - z_1^2.  Each step runs in
-    place on a fresh array and is the same IEEE operation as in the dense
-    formula.  One term, the radial profiles' case, takes a path of its own:
-    its window's -z^2 is the bump's exponent as it stands, with no outer
-    sum and no mask."""
+    (-z_0^2) + (-z_1^2) has the bits of -z_0^2 - z_1^2.  One term, the
+    radial profiles' case, has one pass fewer: its dense exponent is
+    (axis - c)^2 * (-1 / w^2), with no outer sum and no mask.  Each step
+    runs in place on a fresh array, or on a view of out's window, and is
+    the same IEEE operation as in the dense formula."""
     if len(terms) == 1:
-        window, bump = _term(*terms[0])
+        (axis, c, w), = terms
+        window, bump = _term(axis, c, w)
+        bump *= bump
+        bump *= -1.0 / (w * w)
     else:
         window, args = zip(*(_term(*t) for t in terms))
+        for z, (_, _, w) in zip(args, terms):
+            z /= w
+            z *= z
+            np.negative(z, out=z)
         bump = functools.reduce(np.add.outer, args)
         bump[bump < -_CUT * _CUT] = -np.inf
     np.exp(bump, out=bump)
     bump *= amp
-    out[window] += bump
+    o = out[window]
+    o += bump

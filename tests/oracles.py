@@ -94,19 +94,22 @@ NORMAL_CUT = 26.6   # a cut at the edge of the normal range; exp(-26.6^2) is 5.1
 
 def dense_bump(*terms, cut=CUT) -> np.ndarray:
     """exp(-sum_i ((X_i - c_i) / w_i)^2) over whole meshes X_i, one term
-    (X_i, c_i, w_i) per dimension, set to 0.0 where add_gaussian cuts: off
-    its window c_i - cut w_i <= X_i < c_i + cut w_i (the one `searchsorted`
-    takes) and, with two or more terms, where the exponent is below -cut^2.
+    (X_i, c_i, w_i) per dimension; a single term takes add_gaussian's
+    one-term formula exp((X - c)^2 * (-1 / w^2)).  Set to 0.0 where
+    add_gaussian cuts: off its window c_i - cut w_i <= X_i < c_i + cut w_i
+    (the one `searchsorted` takes) and, with two or more terms, where the
+    exponent is below -cut^2.
     With cut=NORMAL_CUT it keeps every lane whose exp is normal: the
     reference for the tests that add_gaussian's cut moves no report."""
     (X, c, w), *rest = terms
-    exponent = -((X - c) / w) ** 2
     keep = (X >= c - cut * w) & (X < c + cut * w)
+    if not rest:
+        return np.where(keep, np.exp((X - c) * (X - c) * (-1.0 / (w * w))), 0.0)
+    exponent = -((X - c) / w) ** 2
     for X, c, w in rest:
         exponent = exponent - ((X - c) / w) ** 2
         keep &= (X >= c - cut * w) & (X < c + cut * w)
-    if rest:
-        keep &= exponent >= -cut * cut
+    keep &= exponent >= -cut * cut
     return np.where(keep, np.exp(exponent), 0.0)
 
 

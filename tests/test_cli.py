@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, output files, the
 statement-anchor registry, and configuration handling."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -178,6 +179,79 @@ class TestAnchors:
         (gap,) = twin_values(["spectrum", "--n", "3", "--s", "2.0"])
         assert 0.0 < gap < 1e-9
         assert twin_values(["constants", "--n", "2", "--s", "0.6"]) == []
+
+
+class TestVerifyTraceChecksCanFail:
+    """Each verify-trace check prints FAIL, and the run exits 1, once one
+    value it reads is pushed past its bound; every other check still passes."""
+
+    ARGV = ["verify-trace", "--n", "3", "--s", "1.0", "--trials", "3", "--seed", "1"]
+
+    def failed_checks(self, tmp_path, capsys):
+        code = main(self.ARGV + ["--output", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        return [line.split(":")[0][len("CHECK "):] for line in out.splitlines()
+                if line.startswith("CHECK ") and ": FAIL " in line]
+
+    def test_stability_inequality(self, tmp_path, capsys, monkeypatch):
+        from tracestab import harmonic
+        real, reports = harmonic.deficit_report, []
+
+        def second_set_unsatisfied(ps, weight, spectrum=None):
+            rep = real(ps, weight, spectrum)
+            reports.append(rep)
+            return dataclasses.replace(rep, satisfied=False) if len(reports) == 2 else rep
+
+        monkeypatch.setattr(harmonic, "deficit_report", second_set_unsatisfied)
+        assert self.failed_checks(tmp_path, capsys) == ["stability-inequality"]
+
+    def test_reverse_inequality(self, tmp_path, capsys, monkeypatch):
+        from tracestab import harmonic
+        real, margins = harmonic.reverse_deficit_check, []
+
+        def second_set_broken(ps, weight):
+            holds, margin = real(ps, weight)
+            margins.append(margin)
+            return (False, margin) if len(margins) == 2 else (holds, margin)
+
+        monkeypatch.setattr(harmonic, "reverse_deficit_check", second_set_broken)
+        assert self.failed_checks(tmp_path, capsys) == ["reverse-inequality"]
+
+    def test_equality_cases(self, tmp_path, capsys, monkeypatch):
+        # the equality case's ratio, moved by twice the check's relative bound
+        from tracestab import harmonic
+        real_builder, real_report, built = (harmonic.equality_case_builder,
+                                            harmonic.deficit_report, [])
+
+        def recording_builder(*args):
+            built.append(real_builder(*args))
+            return built[-1]
+
+        def pushed_report(ps, weight, spectrum=None):
+            rep = real_report(ps, weight, spectrum)
+            if built and ps is built[0]:
+                return dataclasses.replace(rep, ratio=rep.ratio * (1.0 + 2e-8))
+            return rep
+
+        monkeypatch.setattr(harmonic, "equality_case_builder", recording_builder)
+        monkeypatch.setattr(harmonic, "deficit_report", pushed_report)
+        assert self.failed_checks(tmp_path, capsys) == ["equality-cases"]
+        assert len(built) == 1
+
+    def test_extremising_sequences(self, tmp_path, capsys, monkeypatch):
+        # the first pure-mode ratio, moved by twice the check's bound of
+        # 1e-8 lambda_0
+        from tracestab import harmonic
+        real = harmonic.extremising_sequence
+
+        def pushed_sequence(weight, spectrum, k_list, grid):
+            ratios = real(weight, spectrum, k_list, grid)
+            ratios[0] += 2e-8 * harmonic.grid_spectrum(weight, grid).lam(0)
+            return ratios
+
+        monkeypatch.setattr(harmonic, "extremising_sequence", pushed_sequence)
+        assert self.failed_checks(tmp_path, capsys) == ["extremising-sequences"]
 
 
 class TestValidate:

@@ -4,6 +4,7 @@ and pointwise trace evaluation on the sphere."""
 
 import dataclasses
 import functools
+import itertools
 import math
 from types import MappingProxyType
 
@@ -197,19 +198,22 @@ class TestRandomSweeps:
 
     @staticmethod
     def dense_reference(weight, grid, rng, max_k=6, max_m=3, cut=CUT):
-        """random_profile_set's draws, each bump evaluated on the whole grid
-        under a cut of `cut` widths, add_gaussian's by default."""
+        """random_profile_set's draws in their documented layout, each bump
+        evaluated on the whole grid under a cut of `cut` widths,
+        add_gaussian's by default."""
         entries = {}
-        for _ in range(int(rng.integers(1, 5))):
-            k = int(rng.integers(0, max_k + 1))
-            m = int(rng.integers(1, min(dim_harmonic(weight.n, k), max_m) + 1))
+        n_modes = int(rng.integers(1, 5))
+        uniforms, normals = rng.random((n_modes, 10)), rng.normal(size=(n_modes, 4))
+        for u, z in zip(uniforms, normals):
+            k = int(u[0] * (max_k + 1))
+            m = 1 + int(u[1] * min(dim_harmonic(weight.n, k), max_m))
             prof = np.zeros_like(grid.r)
-            for _ in range(int(rng.integers(1, 4))):
-                center = rng.uniform(0.5, 0.5 * grid.r_max)
-                width = rng.uniform(0.3, 5.0)
-                prof += rng.normal() * dense_bump((grid.r, center, width), cut=cut)
-            if rng.random() < 0.4:
-                prof += rng.normal() * harmonic.grid_spectrum(weight, grid).kernel(k)
+            for j in range(1 + int(u[2] * 3)):
+                center = 0.5 + (0.5 * grid.r_max - 0.5) * u[4 + j]
+                width = 0.3 + (5.0 - 0.3) * u[7 + j]
+                prof += z[j] * dense_bump((grid.r, center, width), cut=cut)
+            if u[3] < 0.4:
+                prof += z[3] * harmonic.grid_spectrum(weight, grid).kernel(k)
             entries[(k, m)] = entries[(k, m)] + prof if (k, m) in entries else prof
         return entries
 
@@ -229,9 +233,10 @@ class TestRandomSweeps:
     def test_uniform_is_lo_plus_span_times_random(self, lo, hi):
         # random_profile_set draws a bump's centre, on [0.5, r_max / 2) at
         # r_max 60 and 200 here, and its width, on [0.3, 5), as
-        # lo + (hi - lo) * rng.random(): the formula rng.uniform(lo, hi)
-        # evaluates for scalars.  A numpy that changes that formula moves
-        # every random profile, and fails here.
+        # lo + (hi - lo) * u from a block of rng.random() draws: the formula
+        # rng.uniform(lo, hi) evaluates for scalars, so the documented
+        # distribution is uniform's.  A numpy that changes that formula
+        # fails here.
         a, b = np.random.default_rng(7), np.random.default_rng(7)
         got = [lo + (hi - lo) * b.random() for _ in range(10_000)]
         want = [a.uniform(lo, hi) for _ in range(10_000)]
@@ -242,30 +247,32 @@ class TestRandomSweeps:
     # for the first draw at three seeds on the weights of perfbench's
     # sphere-sweep, taken when every bump kept each lane whose dense exp is
     # normal; add_gaussian's cut at u^2 of the peak moves no bit of them.
+    # The sums run in numpy's own einsum loop, not BLAS, so the pins hold
+    # on every OpenBLAS core.
     SWEEP_PINS = {
         "homogeneous": {
-            2: ("0x1.80043819b1121p+4", "0x1.7f5f93be68992p+4", "0x1.8004377573f08p+4",
-                "0x1.ff247d7500d4dp-1", "0x1.10492349e7815p-9"),
-            3: ("0x1.d6c1e515427dfp+5", "0x1.d6005331d36aap+5", "0x1.d6c1e20794b5ap+5",
-                "0x1.ff2d7c0f28afep-1", "0x1.149842e0988dep-10"),
-            11: ("0x1.3a93a73db3504p+3", "0x1.3a138865b44dep+3", "0x1.3a936e45b45b9p+3",
-                 "0x1.ff2fd5b6951ddp-1", "0x0.0p+0"),
+            2: ("0x1.075d0ff2dfc8bp+5", "0x1.06ee4d2b427ddp+5", "0x1.075d0ff2dfc8bp+5",
+                "0x1.ff28ac0399212p-1", "0x1.d79c5e48b7356p-10"),
+            3: ("0x1.1ac801c6ddf34p+2", "0x1.d24e7edf3542ep+1", "0x1.e2d4124c06f76p+1",
+                "0x1.ee7ae1891c3f4p-1", "0x1.f828ac9829278p-4"),
+            11: ("0x1.3642bfb3cdf94p-4", "0x1.2a051f10a7a99p-4", "0x1.3642bfb3cdf94p-4",
+                 "0x1.ebcccf5173671p-1", "0x1.77ef7ca9c818dp-9"),
         },
         "inhomogeneous": {
-            2: ("0x1.80043819b1121p+4", "0x1.c834cc7e7f4bbp+1", "0x1.800438176ac37p+4",
-                "0x1.301fdb92da2ebp-3", "0x1.a3ccfb78e74ecp-18"),
-            3: ("0x1.d6c1e515427dfp+5", "0x1.17a083d6cab6dp+3", "0x1.d6c1e51470e52p+5",
-                "0x1.301ff6fa49178p-3", "0x1.bdea9b08b08fep-19"),
-            11: ("0x1.3a93a73db3504p+3", "0x1.75b6a736d681dp+0", "0x1.3a93a72f70c08p+3",
-                 "0x1.301ffe8e37690p-3", "0x0.0p+0"),
+            2: ("0x1.077122c50834ep+5", "0x1.38f744c1d5eedp+2", "0x1.077122c50834ep+5",
+                "0x1.301ffd66d9906p-3", "0x1.2ff3f170580fdp-22"),
+            3: ("0x1.c54e09aab76c2p+1", "0x1.053ecbd8ea11dp-1", "0x1.b9820f01795f6p+1",
+                "0x1.2ef4c8a39db98p-3", "0x1.0203f206e10c8p-9"),
+            11: ("0x1.cc9407c3e7e50p-5", "0x1.117134e3296a9p-7", "0x1.cc9407c3e7e50p-5",
+                 "0x1.2ff8912b6672ap-3", "0x1.1bbd67fb10bc1p-18"),
         },
         "custom": {
-            2: ("0x1.80043819b1121p+4", "0x1.c853d756d5e4fp+1", "0x1.800438174cf41p+4",
-                "0x1.30348d3e4be7ep-3", "0x1.a2428f33761d9p-18"),
-            3: ("0x1.d6c1e515427dfp+5", "0x1.17b38a9db07ffp+3", "0x1.d6c1e514706e4p+5",
-                "0x1.3034a87a895d7p-3", "0x1.c04a3c506c6dep-19"),
-            11: ("0x1.3a93a73db3504p+3", "0x1.75d014ea1a855p+0", "0x1.3a93a72f4c385p+3",
-                 "0x1.3034b018cb239p-3", "0x0.0p+0"),
+            2: ("0x1.0771229b6fec7p+5", "0x1.390c901a3c9dcp+2", "0x1.0771229b6fec7p+5",
+                "0x1.3034aef0bb1bbp-3", "0x1.30ab4fe152b03p-22"),
+            3: ("0x1.c54ffd5ec5d94p+1", "0x1.0550ebca3a18dp-1", "0x1.b983298d82960p+1",
+                "0x1.2f090b791b2e6p-3", "0x1.02640e7b6ae54p-9"),
+            11: ("0x1.cc966a8c19e88p-5", "0x1.118522b98714ep-7", "0x1.cc966a8c19e88p-5",
+                 "0x1.300d256602c09p-3", "0x1.1c91d3e799b15p-18"),
         },
     }
 
@@ -296,6 +303,42 @@ class TestRandomSweeps:
             entries = self.dense_reference(weight, GRID, np.random.default_rng(seed),
                                            cut=NORMAL_CUT)
             assert report(ps) == report(ProfileSet(3, GRID, entries))
+
+    def test_draws_stay_in_their_ranges(self, monkeypatch):
+        # 10,000 sets over max_k 0, 2 and 6, half of them with n_modes given;
+        # each bump and each kernel a mode adds is recorded as it is drawn
+        bumps, kernels = [], []
+        add, kernel = harmonic.add_gaussian, GridSpectrum.kernel
+
+        def recording_add(out, amp, term):
+            bumps.append((out, term[1], term[2]))
+            add(out, amp, term)
+
+        def recording_kernel(gs, k):
+            kernels.append(k)
+            return kernel(gs, k)
+
+        monkeypatch.setattr(harmonic, "add_gaussian", recording_add)
+        monkeypatch.setattr(GridSpectrum, "kernel", recording_kernel)
+        rng = np.random.default_rng(36)
+        modes = 0
+        for i in range(10_000):
+            max_k, n_modes = (0, 2, 6)[i % 3], (None, 1 + i % 4)[i % 2]
+            bumps.clear()
+            ps = random_profile_set(W3, GRID, rng, max_k=max_k, n_modes=n_modes)
+            for k, m in ps.entries:
+                assert 0 <= k <= max_k and 1 <= m <= min(dim_harmonic(3, k), 3)
+            # one fresh profile per mode, and 1-3 bumps on each
+            counts = [len(list(run)) for _, run in itertools.groupby(bumps, lambda b: id(b[0]))]
+            assert set(counts) <= {1, 2, 3}
+            assert n_modes is None or len(counts) == n_modes
+            assert 1 <= len(counts) <= 4
+            modes += len(counts)
+            for _, center, width in bumps:
+                assert 0.5 <= center < 0.5 * GRID.r_max and 0.3 <= width < 5.0
+        # the kernel share of the modes lies within five binomial standard
+        # deviations of 0.4, which a correct draw misses with odds of 6e-7
+        assert abs(len(kernels) / modes - 0.4) < 5.0 * math.sqrt(0.4 * 0.6 / modes)
 
     def test_per_mode_cauchy_schwarz(self, rng):
         gs = GridSpectrum(W3, GRID)
@@ -378,17 +421,17 @@ class TestGridSpectrumCache:
 
     def test_lambda_is_integrated_once_per_k(self, monkeypatch):
         gs = GridSpectrum(W3, GRID)
-        integrate = RadialGrid.integrate
+        dot = harmonic._dot
         calls = []
 
-        def counting(grid, samples):
+        def counting(a, b):
             calls.append(1)
-            return integrate(grid, samples)
+            return dot(a, b)
 
-        monkeypatch.setattr(RadialGrid, "integrate", counting)
+        monkeypatch.setattr(harmonic, "_dot", counting)
         for k in (0, 3, 0, 1, 3, 1):
             ker = gs.kernel(k)
-            assert gs.lam(k).hex() == integrate(GRID, ker * ker).hex()
+            assert gs.lam(k).hex() == dot(ker * GRID.wq, ker).hex()
         assert len(calls) == 3
 
     def test_kernels_are_read_only(self):
@@ -493,14 +536,14 @@ class TestProfileSet:
         for k in ks:
             copy = ProfileSet(3, GRID, {(k, 1): gs.kernel(k).copy()})
             want.append(deficit_report(copy, weight).ratio.hex())
-        integrate = RadialGrid.integrate
+        dot = harmonic._dot
         calls = []
 
-        def counting(grid, samples):
+        def counting(a, b):
             calls.append(1)
-            return integrate(grid, samples)
+            return dot(a, b)
 
-        monkeypatch.setattr(RadialGrid, "integrate", counting)
+        monkeypatch.setattr(harmonic, "_dot", counting)
         got = [r.hex() for r in extremising_sequence(weight, spec, ks, GRID)]
         assert got == want and calls == []
 
@@ -519,14 +562,14 @@ class TestProfileSet:
         fresh = ProfileSet(3, GRID, dict(ps.entries))
         want = (repr(deficit_report(fresh, W3, SPEC3)),
                 repr(reverse_deficit_check(fresh, W3)))
-        integrate = RadialGrid.integrate
+        dot = harmonic._dot
         calls = []
 
-        def counting(grid, samples):
+        def counting(a, b):
             calls.append(1)
-            return integrate(grid, samples)
+            return dot(a, b)
 
-        monkeypatch.setattr(RadialGrid, "integrate", counting)
+        monkeypatch.setattr(harmonic, "_dot", counting)
         if reverse_first:
             rev = repr(reverse_deficit_check(ps, W3))
             n_calls = len(calls)
@@ -556,6 +599,22 @@ class TestBadSizes:
         for r_max in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="r_max > 0"):
                 RadialGrid.build(r_max)
+
+    def test_grid_needs_finite_radius(self):
+        with pytest.raises(ValueError, match="finite r_max > 0"):
+            RadialGrid.build(math.inf)
+
+    # sizes that are not integers are rejected before any draw; a max_k of
+    # 2.5 would draw k = int(u * 3.5), up to 3
+    @pytest.mark.parametrize("kwargs,message", [({"max_k": 2.5}, "integer max_k"),
+                                                ({"max_k": 6.0}, "integer max_k"),
+                                                ({"n_modes": 2.0}, "integer n_modes"),
+                                                ({"n_modes": 1.5}, "integer n_modes")])
+    def test_random_profiles_need_integer_sizes(self, kwargs, message, rng):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            random_profile_set(W3, GRID, rng, **kwargs)
+        assert rng.bit_generator.state == state
 
     # bump centres lie in [0.5, r_max / 2), an empty range below r_max = 1
     @pytest.mark.parametrize("kwargs,message", [({"n_modes": 0}, "n_modes >= 1"),

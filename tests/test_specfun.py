@@ -258,9 +258,9 @@ class TestGaussianWindow:
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_cut_keeps_lanes_above_u2_and_flushes_those_below(self, dims):
-        # against the dense formula without any cut: lanes at or above
-        # 2^-106 keep its bits, lanes below 2^-107 become +0.0, and the lanes
-        # between may take either
+        # against the dense formula (oracles.dense_bump's) without any cut:
+        # lanes at or above 2^-106 keep its bits, lanes below 2^-107 become
+        # +0.0, and the lanes between may take either
         r = RadialGrid.build(r_max=200.0).r
         axes = (r,) if dims == 1 else (r[::4], r[1::4])
         meshes = np.meshgrid(*axes, indexing="ij")
@@ -268,8 +268,8 @@ class TestGaussianWindow:
         flushed = 0
         for _ in range(40):
             terms = [(axis, rng.uniform(0.0, 200.0), rng.uniform(0.3, 5.0)) for axis in axes]
-            exponent = sum(-((X - c) / w) ** 2 for X, (_, c, w) in zip(meshes, terms))
-            want = np.exp(exponent)
+            want = dense_bump(*((X, c, w) for X, (_, c, w) in zip(meshes, terms)),
+                              cut=math.inf)
             got = np.zeros(want.shape)
             add_gaussian(got, 1.0, *terms)
             big = want >= 2.0 ** -106
